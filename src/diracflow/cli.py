@@ -26,6 +26,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -51,8 +52,7 @@ from .packets import (
 from .spa import SpaParams, error_scaling, sup_error_at_omega
 from .trajectories import (
     UNRESOLVED,
-    ExactVelocityField,
-    SpaVelocityField,
+    _make_field,
     antipodal_clusters,
     barrier_check,
     barrier_curves,
@@ -73,6 +73,13 @@ __all__ = ["main", "RunConfig"]
 # Configuration
 # =============================================================================
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Raw run configuration: a command plus string-valued sections.
@@ -89,23 +96,20 @@ class RunConfig:
     def _raw(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def get_float(self, section, key, default=None) -> Optional[float]:
+    def _parse(self, section, key, default, parse, expected: str):
         raw = self._raw(section, key)
         if raw is None:
             return default
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise ValidationError(f"[{section}] {key} must be a number, got {raw!r}")
+            raise ValidationError(f"[{section}] {key} must be {expected}, got {raw!r}")
+
+    def get_float(self, section, key, default=None) -> Optional[float]:
+        return self._parse(section, key, default, _finite_float, "a finite number")
 
     def get_int(self, section, key, default=None) -> Optional[int]:
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"[{section}] {key} must be an integer, got {raw!r}")
+        return self._parse(section, key, default, int, "an integer")
 
     def get_bool(self, section, key, default=None) -> Optional[bool]:
         raw = self._raw(section, key)
@@ -122,13 +126,10 @@ class RunConfig:
         return default if raw is None else raw
 
     def get_floats(self, section, key, default=None) -> Optional[List[float]]:
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ValidationError(f"[{section}] {key} must be a list of numbers, got {raw!r}")
+        return self._parse(
+            section, key, default,
+            lambda raw: [_finite_float(tok) for tok in raw.replace(",", " ").split()],
+            "a list of finite numbers")
 
     def set(self, section: str, key: str, value) -> None:
         self.sections.setdefault(section, {})[key] = (
@@ -294,7 +295,6 @@ class RunWriter:
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         (self.dir / "manifest.json").write_text(text)
-        self.release()
 
 
 # =============================================================================
@@ -386,12 +386,6 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, workers: int) -> int:
     return 0
 
 
-def _trajectory_field(data: PacketParams, mode: str, quad: QuadConfig):
-    if mode.upper() == "SPA":
-        return SpaVelocityField(SpaParams.from_packet(data))
-    return ExactVelocityField(data, quad)
-
-
 def _asymptotic_stats(trajs, spinor_field, mass: float) -> dict:
     stats = {"RIGHT": {"p": [], "E": []}, "LEFT": {"p": [], "E": []}}
     for traj in trajs:
@@ -424,15 +418,11 @@ def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int, workers: int)
     t_final = cfg.get_float(sec, "t_final", 8.0)
     mode = cfg.get_str(sec, "field", "SPA")
     tol = cfg.get_float(sec, "tol", 1e-8)
-    if n < 1:
-        raise ValidationError("[trajectories] n must be >= 1")
-    if t_final <= 0:
-        raise ValidationError("[trajectories] t_final must be > 0")
     writer.notes["spa_regime"] = spa_regime_report(data)
     with writer.phase("ensemble"):
         trajs, summary = run_ensemble(n, data, t_final, field_mode=mode,
                                       seed=seed, workers=workers, tol=tol, quad=quad)
-    spinor_field = _trajectory_field(data, mode, quad).spinor
+    spinor_field = _make_field(data, mode, quad).spinor
     with writer.phase("bloch_series"):
         for i, traj in enumerate(trajs):
             if traj.error is not None:
@@ -473,7 +463,7 @@ def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int
     with writer.phase("ensemble"):
         trajs, _ = run_ensemble(n, data, t_final, field_mode=mode, seed=seed,
                                 workers=workers, tol=tol, quad=quad)
-    spinor_field = _trajectory_field(data, mode, quad).spinor
+    spinor_field = _make_field(data, mode, quad).spinor
     rows = []
     endpoints = []
     with writer.phase("bloch"):
@@ -530,7 +520,7 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter) -> int:
         from .trajectories import integrate_trajectory
         mode = cfg.get_str(sec, "field", "SPA")
         t_final = cfg.get_float(sec, "t_final", 4.0)
-        fieldh = _trajectory_field(data, mode, quad)
+        fieldh = _make_field(data, mode, quad)
         with writer.phase("trajectory"):
             traj = integrate_trajectory(q0, (0.0, t_final), fieldh, tol=1e-8)
             samples = []
@@ -661,19 +651,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = cmd_barriers(cfg, writer)
         else:
             print(f"diracflow: unknown command {cfg.command}", file=sys.stderr)
-            writer.release()
             return 2
+        writer.finish()
+        return code
     except ValidationError as exc:
         print(f"diracflow: configuration error: {exc}", file=sys.stderr)
-        writer.release()
         return 2
     except DiracflowError as exc:
         print(f"diracflow: numerical failure: {exc}", file=sys.stderr)
         writer.notes["failure"] = str(exc)
         writer.finish()
         return 3
-    writer.finish()
-    return code
+    finally:
+        writer.release()
 
 
 if __name__ == "__main__":

@@ -63,11 +63,11 @@ class QuadConfig:
     oscillation_guard: float = 8.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValidationError("tolerances must be > 0")
-        if self.oscillation_guard < 4:
+        if not (self.oscillation_guard >= 4):
             raise ValidationError("oscillation_guard must be >= 4")
-        if self.max_panels < 8:
+        if not (self.max_panels >= 8):
             raise ValidationError("max_panels must be >= 8")
 
 

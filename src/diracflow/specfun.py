@@ -1,13 +1,12 @@
 """Bessel kernels J0 and J1, and the first positive zero of J0.
 
-Self-contained evaluation in two regimes: the ascending power series on
-|x| <= 8 and the Hankel (asymptotic-trigonometric) form with rational
-coefficients beyond.  Absolute error stays below 1e-12 for |x| <= 1e4;
-the test suite checks this against direct quadrature of the integral
-representation J_n(x) = (1/2pi) Int e^{i(n*phi - x*sin(phi))} dphi.
-
-The asymptotic rational coefficients are the classic Cephes fits
-(Stephen L. Moshier, 1989), valid for x > 5 at ~1e-16 accuracy.
+Thin wrappers over ``scipy.special.j0``/``j1`` (the Cephes fits of Stephen
+L. Moshier, 1989: power series near the origin, Hankel asymptotics with
+rational coefficients beyond) that add the library's contract: non-finite
+arguments raise ``DomainError``, and a scalar argument gives a Python float.
+Absolute error stays below 1e-12 for |x| <= 1e4; the test suite checks this
+against direct quadrature of the integral representation
+J_n(x) = (1/2pi) Int e^{i(n*phi - x*sin(phi))} dphi.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
@@ -27,97 +27,8 @@ __all__ = [
     "j0_first_zero",
 ]
 
-_SERIES_CUTOFF = 8.0
-_SERIES_TERMS = 40
-
-_SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
-_PIO4 = 7.85398163397448309616e-1
-_THPIO4 = 2.35619449019234492885
-
 # First positive zero of J0 (universal constant; re-verified by a bisection test).
 _J0_FIRST_ZERO = 2.404825557695772768621632
-
-# --- Cephes rational coefficients, J0 asymptotic regime ----------------------
-
-_PP0 = np.array([
-    7.96936729297347051624e-4,
-    8.28352392107440799803e-2,
-    1.23953371646414299388e0,
-    5.44725003058768775090e0,
-    8.74716500199817011941e0,
-    5.30324038235394892183e0,
-    9.99999999999999997821e-1,
-])
-_PQ0 = np.array([
-    9.24408810558863637013e-4,
-    8.56288474354474431428e-2,
-    1.25352743901058953537e0,
-    5.47097740330417105182e0,
-    8.76190883237069594232e0,
-    5.30605288235394617618e0,
-    1.00000000000000000218e0,
-])
-_QP0 = np.array([
-    -1.13663838898469149931e-2,
-    -1.28252718670509318512e0,
-    -1.95539544257735972385e1,
-    -9.32060152123768231369e1,
-    -1.77681167980488050595e2,
-    -1.47077505154951170175e2,
-    -5.14105326766599330220e1,
-    -6.05014350600728481186e0,
-])
-_QQ0 = np.array([
-    # leading coefficient 1.0 implied
-    6.43178256118178023184e1,
-    8.56430025976980587198e2,
-    3.88240183605401609683e3,
-    7.24046774195652478189e3,
-    5.93072701187316984827e3,
-    2.06209331660327847417e3,
-    2.42005740240291393179e2,
-])
-
-# --- Cephes rational coefficients, J1 asymptotic regime ----------------------
-
-_PP1 = np.array([
-    7.62125616208173112003e-4,
-    7.31397056940917570436e-2,
-    1.12719608129684925192e0,
-    5.11207951146807644818e0,
-    8.42404590141772420927e0,
-    5.21451598682361504063e0,
-    1.00000000000000000254e0,
-])
-_PQ1 = np.array([
-    5.71323128072548699714e-4,
-    6.88455908754495404082e-2,
-    1.10514232634061696926e0,
-    5.07386386128601488557e0,
-    8.39985554327604159757e0,
-    5.20982848682361821619e0,
-    9.99999999999999997461e-1,
-])
-_QP1 = np.array([
-    5.10862594750176621635e-2,
-    4.98213872951233449420e0,
-    7.58238284132545283818e1,
-    3.66779609360150777800e2,
-    7.10856304998926107277e2,
-    5.97489612400613639965e2,
-    2.11688757100572135698e2,
-    2.52070205858023719784e1,
-])
-_QQ1 = np.array([
-    # leading coefficient 1.0 implied
-    7.42373277035675149943e1,
-    1.05644886038262816351e3,
-    4.98641058337653607651e3,
-    9.56231892404756170795e3,
-    7.99704160447350683650e3,
-    2.82619278517639096600e3,
-    3.36093607810698293419e2,
-])
 
 
 @dataclass(frozen=True)
@@ -129,95 +40,24 @@ class BesselEval:
     abs_err_est: float
 
 
-def _polevl(x, coef):
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    # Like _polevl but with an implied leading coefficient of 1.
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _j0_series(x):
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, _SERIES_TERMS + 1):
-        term = term * (-q) / (k * k)
-        acc = acc + term
-    return acc
-
-
-def _j1_series(x):
-    q = 0.25 * x * x
-    term = 0.5 * x
-    acc = term.copy()
-    for k in range(1, _SERIES_TERMS + 1):
-        term = term * (-q) / (k * (k + 1))
-        acc = acc + term
-    return acc
-
-
-def _j0_asym(x):
-    w = 5.0 / x
-    z = 25.0 / (x * x)
-    p = _polevl(z, _PP0) / _polevl(z, _PQ0)
-    q = _polevl(z, _QP0) / _p1evl(z, _QQ0)
-    xn = x - _PIO4
-    return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
-
-
-def _j1_asym(x):
-    w = 5.0 / x
-    z = 25.0 / (x * x)
-    p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-    q = _polevl(z, _QP1) / _p1evl(z, _QQ1)
-    xn = x - _THPIO4
-    return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
-
-
-def _check_finite(x):
-    if not np.all(np.isfinite(x)):
+def _apply(kernel, x):
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
         raise DomainError("Bessel argument must be finite")
+    out = kernel(arr)
+    if arr.ndim == 0:
+        return float(out)
+    return out
 
 
 def bessel_j0(x):
     """J0(x) for real x (scalar or array). Even in x; abs error <= 1e-12 on |x| <= 1e4."""
-    arr = np.asarray(x, dtype=float)
-    _check_finite(arr)
-    ax = np.abs(arr)
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _j0_series(ax[small])
-    if np.any(~small):
-        out[~small] = _j0_asym(ax[~small])
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return _apply(special.j0, x)
 
 
 def bessel_j1(x):
     """J1(x) for real x (scalar or array). Odd in x; |J1(x)/x| <= 1/2 for x != 0."""
-    arr = np.asarray(x, dtype=float)
-    _check_finite(arr)
-    ax = np.abs(arr)
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _j1_series(ax[small])
-    if np.any(~small):
-        out[~small] = _j1_asym(ax[~small])
-    out = np.copysign(1.0, arr) * out
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return _apply(special.j1, x)
 
 
 def _err_estimate(x: float) -> float:

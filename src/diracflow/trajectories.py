@@ -326,6 +326,8 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if not (np.isfinite(t_final) and t_final > 0):
+        raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
     _make_field(data, field_mode, quad)  # validate mode and parameters up front
     tasks = [(i, seed, data, t_final, field_mode, tol, quad) for i in range(n)]
     if workers > 1:
@@ -449,19 +451,21 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
                   x_grid, offsets, slack: float = 1e-12) -> dict:
     """Sample F beyond the barrier curves and report any sign violations.
 
-    Checks F >= 0 on y >= B_+(x) and F <= 0 on y <= B_-(x) across the given
-    oscillation rates (phases of the cos term).
+    Above B_+ F has the sign of cos(theta0), below B_- the opposite sign, so
+    this checks sign(cos theta0) * F >= 0 on y >= B_+(x) and <= 0 on
+    y <= B_-(x) across the given oscillation rates (phases of the cos term).
     """
     x = np.asarray(x_grid, dtype=float)
     if np.any(x <= 0):
         raise DomainError("barrier check needs x > 0")
     off = np.abs(np.asarray(offsets, dtype=float))
+    orient = np.sign(np.cos(spec.theta0))
     report = {"n_checked": 0, "violations": 0, "worst": 0.0}
     for a_omega in a_omegas:
         y_hi = spec.b_plus(x)[None, :] + off[:, None]
         y_lo = spec.b_minus(x)[None, :] - off[:, None]
-        f_hi = xy_ode_velocity(x[None, :], y_hi, spec.theta0, a_omega)
-        f_lo = xy_ode_velocity(x[None, :], y_lo, spec.theta0, a_omega)
+        f_hi = orient * xy_ode_velocity(x[None, :], y_hi, spec.theta0, a_omega)
+        f_lo = orient * xy_ode_velocity(x[None, :], y_lo, spec.theta0, a_omega)
         report["n_checked"] += 2 * f_hi.size
         bad_hi = f_hi < -slack
         bad_lo = f_lo > slack

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +78,36 @@ def test_config_validation_is_actionable(tmp_path, capsys, override, fragment):
                    "--set", override)
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+GRID = ["--set", "grid.s_min=-1", "--set", "grid.s_max=1", "--set", "grid.s_count=3"]
+
+# Each non-finite override with a command that reads it; every other value is valid.
+NON_FINITE_CASES = {
+    "trajectories.t_final": ["trajectories", *FIG3, "--set", "trajectories.n=2"],
+    "bloch.t_final": ["bloch", *FIG3, "--set", "bloch.n=2"],
+    "grid.t_values": ["field", *FIG3, *GRID],
+    "quadrature.rel_tol": ["field", *FIG3, *GRID, "--set", "grid.t_values=0.5"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE_CASES))
+def test_non_finite_values_rejected(tmp_path, key, value):
+    # A fresh process with a timeout, so a hang fails the test instead of the suite.
+    import diracflow
+    src = str(Path(diracflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "nf"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracflow.cli", *NON_FINITE_CASES[key],
+         "--out", str(out), "--set", f"{key}={value}"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert key.split(".")[1] in proc.stderr
+    assert not (out / LOCK_NAME).exists()
 
 
 def test_missing_grid_rejected(tmp_path, capsys):
@@ -307,6 +340,17 @@ def test_observables_trajectory_block(tmp_path):
     late = samples[-1]
     assert late["p"] == pytest.approx(10.0, rel=0.01)
     assert late["E"] == pytest.approx(np.sqrt(109.0), rel=0.01)
+
+
+def test_observables_unknown_field_rejected(tmp_path, capsys):
+    out = tmp_path / "obsbogus"
+    code = run_cli("observables", "--out", out, *FIG3,
+                   "--set", "observables.trajectory_q0=0.1",
+                   "--set", "observables.field=bogus")
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not (out / LOCK_NAME).exists()
+    assert not (out / "observables.json").exists()
 
 
 # =============================================================================

@@ -110,6 +110,9 @@ def test_quad_config_validation():
         QuadConfig(rel_tol=0.0)
     with pytest.raises(ValidationError):
         QuadConfig(oscillation_guard=2.0)
+    for field in ("rel_tol", "abs_tol", "oscillation_guard", "max_panels"):
+        with pytest.raises(ValidationError):
+            QuadConfig(**{field: float("nan")})
 
 
 # =============================================================================

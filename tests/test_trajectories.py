@@ -12,6 +12,7 @@ from diracflow import (
     PacketParams,
     SchrodingerField,
     SpaVelocityField,
+    ValidationError,
     antipodal_clusters,
     barrier_check,
     barrier_curves,
@@ -126,7 +127,7 @@ def test_barrier_degenerate_angles():
 def test_barrier_sign_regions():
     x = np.linspace(0.2, 5.0, 50)
     offsets = np.linspace(0.0, 3.0, 50)
-    for theta0 in (np.pi / 8, 3 * np.pi / 8):
+    for theta0 in (np.pi / 8, 3 * np.pi / 8, 5 * np.pi / 8, 7 * np.pi / 8):
         spec = barrier_curves(theta0)
         report = barrier_check(spec, [1.0, 3.7, 10.0, 100.0], x, offsets)
         assert report["violations"] == 0
@@ -214,6 +215,12 @@ def test_ensemble_seed_changes_draws(fig3_packet):
     trajs_a, _ = run_ensemble(4, fig3_packet, 1.0, field_mode="SPA", seed=1)
     trajs_b, _ = run_ensemble(4, fig3_packet, 1.0, field_mode="SPA", seed=2)
     assert any(a.q0 != b.q0 for a, b in zip(trajs_a, trajs_b))
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1.0, np.nan, np.inf])
+def test_ensemble_rejects_bad_t_final(fig3_packet, t_final):
+    with pytest.raises(ValidationError, match="t_final"):
+        run_ensemble(2, fig3_packet, t_final, field_mode="SPA")
 
 
 def test_classification_sides(fig3_packet):
