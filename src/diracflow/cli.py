@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import io
 import json
@@ -30,9 +31,10 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -111,16 +113,6 @@ class RunConfig:
     def get_int(self, section, key, default=None) -> Optional[int]:
         return self._parse(section, key, default, int, "an integer")
 
-    def get_bool(self, section, key, default=None) -> Optional[bool]:
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValidationError(f"[{section}] {key} must be a boolean, got {raw!r}")
-
     def get_str(self, section, key, default=None) -> Optional[str]:
         raw = self._raw(section, key)
         return default if raw is None else raw
@@ -130,6 +122,21 @@ class RunConfig:
             section, key, default,
             lambda raw: [_finite_float(tok) for tok in raw.replace(",", " ").split()],
             "a list of finite numbers")
+
+    def get_grid(self, section, name, lo, hi=None, count=None) -> np.ndarray:
+        """Evenly spaced ``lo .. {name}_max`` with ``{name}_count`` points.
+
+        ``lo`` is the resolved lower bound; ``hi`` and ``count`` are the
+        defaults, and a key without one is required.
+        """
+        hi = self.get_float(section, f"{name}_max", hi)
+        count = self.get_int(section, f"{name}_count", count)
+        if lo is None or hi is None or count is None:
+            raise ValidationError(f"[{section}] needs {name}_min, {name}_max, {name}_count")
+        if count < 1 or hi < lo:
+            raise ValidationError(
+                f"[{section}] needs {name}_count >= 1 and {name}_max >= {lo!r}")
+        return np.linspace(lo, hi, count)
 
     def set(self, section: str, key: str, value) -> None:
         self.sections.setdefault(section, {})[key] = (
@@ -214,18 +221,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _py(obj):
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+def _dump_json(doc: dict) -> bytes:
+    # numpy scalars and arrays serialize through their Python equivalents.
+    return (json.dumps(doc, sort_keys=True, indent=2, default=lambda o: o.tolist())
+            + "\n").encode()
 
 
 class RunWriter:
@@ -265,21 +264,15 @@ class RunWriter:
         self._register(name, buf.getvalue().encode())
 
     def write_json(self, name: str, label: str, payload: dict) -> None:
-        doc = {"schema": f"{JSON_SCHEMA} {label}", **_py(payload)}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        self._register(name, text.encode())
+        self._register(name, _dump_json({"schema": f"{JSON_SCHEMA} {label}", **payload}))
 
+    @contextlib.contextmanager
     def phase(self, name: str):
-        writer = self
-
-        class _Timer:
-            def __enter__(self):
-                self._t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                writer.phases[name] = time.perf_counter() - self._t0
-
-        return _Timer()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phases[name] = time.perf_counter() - t0
 
     def finish(self) -> None:
         manifest = {
@@ -288,13 +281,12 @@ class RunWriter:
             "version": __version__,
             "command": self.config.command,
             "seed": self.seed,
-            "config": _py(self.config.sections),
-            "phases_seconds": _py(self.phases),
+            "config": self.config.sections,
+            "phases_seconds": self.phases,
             "artifacts": self.artifacts,
-            "notes": _py(self.notes),
+            "notes": self.notes,
         }
-        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        (self.dir / "manifest.json").write_text(text)
+        (self.dir / "manifest.json").write_bytes(_dump_json(manifest))
 
 
 # =============================================================================
@@ -312,20 +304,45 @@ def _spinor_rows(t: float, s: np.ndarray, psi, err: np.ndarray):
                err_total[i])
 
 
-def cmd_field(cfg: RunConfig, writer: RunWriter) -> int:
+# ``series`` holds each trajectory's Cayley-Klein series, None where it failed.
+_Ensemble = namedtuple("_Ensemble", "t_final trajs summary spinor series")
+
+
+def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, sec: str, data: PacketParams,
+                    n_default: int, seed: int, workers: int) -> _Ensemble:
+    """Run the [sec] ensemble and take each trajectory's Cayley-Klein series once."""
+    quad = cfg.quad()
+    n = cfg.get_int(sec, "n", n_default)
+    t_final = cfg.get_float(sec, "t_final", 8.0)
+    mode = cfg.get_str(sec, "field", "SPA")
+    tol = cfg.get_float(sec, "tol", 1e-8)
+    with writer.phase("ensemble"):
+        trajs, summary = run_ensemble(n, data, t_final, field_mode=mode,
+                                      seed=seed, workers=workers, tol=tol, quad=quad)
+    spinor = _make_field(data, mode, quad).spinor
+    with writer.phase("bloch_series"):
+        series = [None if traj.error is not None else cayley_klein_along(traj, spinor)
+                  for traj in trajs]
+    return _Ensemble(t_final, trajs, summary, spinor, series)
+
+
+def _bohmian_or_none(psi, mass: float):
+    """Local Bohmian (v, p, E) of a spinor, or None where they are undefined."""
+    try:
+        return bohmian_observables(cayley_klein(psi), mass)
+    except DiracflowError:
+        return None
+
+
+def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
     data = cfg.packet()
     quad = cfg.quad()
     t_values = cfg.get_floats("grid", "t_values")
-    s_min = cfg.get_float("grid", "s_min")
-    s_max = cfg.get_float("grid", "s_max")
-    s_count = cfg.get_int("grid", "s_count")
-    if not t_values or s_min is None or s_max is None or not s_count:
-        raise ValidationError("[grid] needs t_values, s_min, s_max, s_count")
-    if s_count < 1 or s_max < s_min:
-        raise ValidationError("[grid] needs s_count >= 1 and s_max >= s_min")
+    if not t_values:
+        raise ValidationError("[grid] needs t_values")
     if any(t < 0 for t in t_values):
         raise ValidationError("[grid] t_values must be >= 0")
-    s = np.linspace(s_min, s_max, s_count)
+    s = cfg.get_grid("grid", "s", cfg.get_float("grid", "s_min"))
     rows = []
     failures = 0
     with writer.phase("field"):
@@ -347,7 +364,7 @@ def cmd_field(cfg: RunConfig, writer: RunWriter) -> int:
     return 3 if failures else 0
 
 
-def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, workers: int) -> int:
+def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
     sec = "spa_compare"
     p0 = cfg.get_float(sec, "p0")
     sigma = cfg.get_float(sec, "sigma")
@@ -360,10 +377,7 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, workers: int) -> int:
         ratios = np.diff(np.log(ladder))
         if not np.allclose(ratios, ratios[0], rtol=1e-6):
             raise ValidationError("[spa_compare] omega_ladder must be geometric")
-    s_min = cfg.get_float(sec, "s_min", -1.5)
-    s_max = cfg.get_float(sec, "s_max", 1.5)
-    s_count = cfg.get_int(sec, "s_count", 101)
-    s_grid = np.linspace(s_min, s_max, s_count)
+    s_grid = cfg.get_grid(sec, "s", cfg.get_float(sec, "s_min", -1.5), 1.5, 101)
     quad = cfg.quad()
     params = SpaParams(p0=p0, sigma=sigma, omega=ladder[0], vartheta=vartheta)
     payload: dict = {"omegas": ladder, "t": t}
@@ -387,52 +401,35 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, workers: int) -> int:
 
 
 def _asymptotic_stats(trajs, spinor_field, mass: float) -> dict:
-    stats = {"RIGHT": {"p": [], "E": []}, "LEFT": {"p": [], "E": []}}
+    # Failed trajectories stay UNRESOLVED, so only integrated ones count.
+    stats = {"RIGHT": [], "LEFT": []}
     for traj in trajs:
-        if traj.classification == UNRESOLVED or traj.error is not None:
-            continue
-        psi = spinor_field(traj.times[-1], traj.positions[-1])
-        try:
-            _, p, e = bohmian_observables(cayley_klein(psi), mass)
-        except DiracflowError:
-            continue
-        stats[traj.classification]["p"].append(p)
-        stats[traj.classification]["E"].append(e)
+        if traj.classification != UNRESOLVED:
+            obs = _bohmian_or_none(spinor_field(traj.times[-1], traj.positions[-1]), mass)
+            if obs is not None:
+                stats[traj.classification].append(obs)
     out = {}
-    for side, vals in stats.items():
-        if vals["p"]:
-            out[side] = {
-                "mean_p": float(np.mean(vals["p"])),
-                "mean_E": float(np.mean(vals["E"])),
-                "std_p": float(np.std(vals["p"])),
-                "std_E": float(np.std(vals["E"])),
-            }
+    for side, obs in stats.items():
+        if obs:
+            _, p, e = zip(*obs)
+            out[side] = {"mean_p": float(np.mean(p)), "mean_E": float(np.mean(e)),
+                         "std_p": float(np.std(p)), "std_E": float(np.std(e))}
     return out
 
 
 def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
     data = cfg.packet()
-    quad = cfg.quad()
-    sec = "trajectories"
-    n = cfg.get_int(sec, "n", 50)
-    t_final = cfg.get_float(sec, "t_final", 8.0)
-    mode = cfg.get_str(sec, "field", "SPA")
-    tol = cfg.get_float(sec, "tol", 1e-8)
     writer.notes["spa_regime"] = spa_regime_report(data)
-    with writer.phase("ensemble"):
-        trajs, summary = run_ensemble(n, data, t_final, field_mode=mode,
-                                      seed=seed, workers=workers, tol=tol, quad=quad)
-    spinor_field = _make_field(data, mode, quad).spinor
-    with writer.phase("bloch_series"):
-        for i, traj in enumerate(trajs):
-            if traj.error is not None:
+    run = _bloch_ensemble(cfg, writer, "trajectories", data, 50, seed, workers)
+    summary = run.summary
+    with writer.phase("summary"):
+        for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
+            if ck is None:
                 continue
-            ck = cayley_klein_along(traj, spinor_field)
             rows = zip(traj.times, traj.positions, traj.velocities,
                        ck["r"], ck["theta"], ck["omega"], ck["phi"])
             writer.write_csv(f"traj_{i:04d}.csv", "trajectory",
                              ["t", "q", "v", "R", "Theta", "Omega", "Phi"], rows)
-    with writer.phase("summary"):
         payload = {
             "n": summary.n,
             "v0": summary.v0,
@@ -445,43 +442,31 @@ def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int, workers: int)
             "classifications": [
                 {"index": i, "q0": t.q0, "classification": t.classification,
                  "asymptotic_velocity": t.asymptotic_velocity,
-                 "error": t.error} for i, t in enumerate(trajs)],
-            "asymptotic_observables": _asymptotic_stats(trajs, spinor_field, data.mass),
+                 "error": t.error} for i, t in enumerate(run.trajs)],
+            "asymptotic_observables": _asymptotic_stats(run.trajs, run.spinor, data.mass),
         }
         writer.write_json("summary.json", "trajectories", payload)
     return 3 if summary.n_failed else 0
 
 
 def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
-    data = cfg.packet()
-    quad = cfg.quad()
-    sec = "bloch"
-    n = cfg.get_int(sec, "n", 100)
-    t_final = cfg.get_float(sec, "t_final", 8.0)
-    mode = cfg.get_str(sec, "field", "SPA")
-    tol = cfg.get_float(sec, "tol", 1e-8)
-    with writer.phase("ensemble"):
-        trajs, _ = run_ensemble(n, data, t_final, field_mode=mode, seed=seed,
-                                workers=workers, tol=tol, quad=quad)
-    spinor_field = _make_field(data, mode, quad).spinor
+    run = _bloch_ensemble(cfg, writer, "bloch", cfg.packet(), 100, seed, workers)
     rows = []
     endpoints = []
-    with writer.phase("bloch"):
-        for i, traj in enumerate(trajs):
-            if traj.error is not None:
-                continue
-            ck = cayley_klein_along(traj, spinor_field)
-            st = np.sin(ck["theta"])
-            nx = st * np.cos(ck["omega"])
-            ny = st * np.sin(ck["omega"])
-            nz = np.cos(ck["theta"])
-            rows.extend(zip([i] * traj.times.size, traj.times, nx, ny, nz))
-            endpoints.append((nx[-1], ny[-1], nz[-1]))
+    for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
+        if ck is None:
+            continue
+        st = np.sin(ck["theta"])
+        nx = st * np.cos(ck["omega"])
+        ny = st * np.sin(ck["omega"])
+        nz = np.cos(ck["theta"])
+        rows.extend(zip([i] * traj.times.size, traj.times, nx, ny, nz))
+        endpoints.append((nx[-1], ny[-1], nz[-1]))
     writer.write_csv("bloch.csv", "bloch", ["traj", "t", "nx", "ny", "nz"], rows)
     report = antipodal_clusters(np.asarray(endpoints))
     writer.write_json("bloch_summary.json", "bloch", {
-        "n": n,
-        "t_final": t_final,
+        "n": run.summary.n,
+        "t_final": run.t_final,
         "n_clusters": report["n_clusters"],
         "angular_radii": report["angular_radii"],
         "antipodal_angle": report.get("antipodal_angle"),
@@ -491,7 +476,7 @@ def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int
     return 0
 
 
-def cmd_observables(cfg: RunConfig, writer: RunWriter) -> int:
+def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
     data = cfg.packet()
     quad = cfg.quad()
     sec = "observables"
@@ -499,6 +484,13 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter) -> int:
     if any(t < 0 for t in times):
         raise ValidationError("[observables] times must be >= 0")
     quad_tol = cfg.get_float(sec, "quad_tol", 1e-6)
+    q0 = cfg.get_float(sec, "trajectory_q0")
+    if q0 is not None:
+        mode = cfg.get_str(sec, "field", "SPA")
+        t_final = cfg.get_float(sec, "t_final", 4.0)
+        if not t_final > 0:
+            raise ValidationError(f"[observables] t_final must be > 0, got {t_final!r}")
+        fieldh = _make_field(data, mode, quad)
     payload: dict = {"times": times, "momentum": {}, "energy_t0": None}
     with writer.phase("expectations"):
         for t in times:
@@ -515,21 +507,14 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter) -> int:
         payload["energy_t0_analytic"] = (
             data.k0 * np.cos(data.theta0)
             + data.mass * np.sin(data.theta0) * np.cos(data.omega0))
-    q0 = cfg.get_float(sec, "trajectory_q0")
     if q0 is not None:
         from .trajectories import integrate_trajectory
-        mode = cfg.get_str(sec, "field", "SPA")
-        t_final = cfg.get_float(sec, "t_final", 4.0)
-        fieldh = _make_field(data, mode, quad)
+        undefined = (float("nan"),) * 3
         with writer.phase("trajectory"):
             traj = integrate_trajectory(q0, (0.0, t_final), fieldh, tol=1e-8)
             samples = []
             for t, s in zip(traj.times, traj.positions):
-                psi = fieldh.spinor(t, s)
-                try:
-                    v, p, e = bohmian_observables(cayley_klein(psi), data.mass)
-                except DiracflowError:
-                    v = p = e = float("nan")
+                v, p, e = _bohmian_or_none(fieldh.spinor(t, s), data.mass) or undefined
                 samples.append({"t": t, "q": s, "v": v, "p": p, "E": e})
             payload["trajectory"] = {"q0": q0, "field": mode.upper(),
                                      "samples": samples}
@@ -537,19 +522,14 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter) -> int:
     return 0
 
 
-def cmd_barriers(cfg: RunConfig, writer: RunWriter) -> int:
+def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
     sec = "barriers"
     theta_values = cfg.get_floats(sec, "theta0_values")
     if not theta_values:
         raise ValidationError("[barriers] needs theta0_values")
     a_omegas = cfg.get_floats(sec, "a_omegas", [1.0, 3.7, 10.0])
-    x_min = cfg.get_float(sec, "x_min", 0.2)
-    x_max = cfg.get_float(sec, "x_max", 5.0)
-    x_count = cfg.get_int(sec, "x_count", 50)
-    offset_max = cfg.get_float(sec, "offset_max", 3.0)
-    offset_count = cfg.get_int(sec, "offset_count", 50)
-    x = np.linspace(x_min, x_max, x_count)
-    offsets = np.linspace(0.0, offset_max, offset_count)
+    x = cfg.get_grid(sec, "x", cfg.get_float(sec, "x_min", 0.2), 5.0, 50)
+    offsets = cfg.get_grid(sec, "offset", 0.0, 3.0, 50)
     reports = []
     rows = []
     with writer.phase("barriers"):
@@ -572,6 +552,17 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter) -> int:
     return 3 if any(r["violations"] for r in reports) else 0
 
 
+# Each command takes (config, writer, seed, workers) and returns the exit code.
+COMMANDS: Dict[str, Callable[[RunConfig, RunWriter, int, int], int]] = {
+    "field": cmd_field,
+    "spa-compare": cmd_spa_compare,
+    "trajectories": cmd_trajectories,
+    "bloch": cmd_bloch,
+    "observables": cmd_observables,
+    "barriers": cmd_barriers,
+}
+
+
 # =============================================================================
 # Argument parsing and dispatch
 # =============================================================================
@@ -588,11 +579,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, help="output run directory")
     common.add_argument("--seed", type=int, help="master seed for ensembles")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for ensembles/ladders")
+                        help="parallel workers for ensembles/ladders (>= 1)")
     common.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                         help="override one config value (repeatable)")
-    for name in ("field", "spa-compare", "trajectories", "bloch", "observables",
-                 "barriers"):
+    for name in COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
 
@@ -618,8 +608,7 @@ def _resolve_out(args, cfg: RunConfig) -> Path:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.config is not None:
             if not args.config.exists():
@@ -629,29 +618,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = RunConfig(command=args.command)
         _apply_overrides(cfg, args.set)
         seed = args.seed if args.seed is not None else cfg.get_int("run", "seed", 0)
-        workers = args.workers or cfg.get_int("run", "workers", 1)
-        out_dir = _resolve_out(args, cfg)
-        writer = RunWriter(out_dir, cfg, seed)
-    except (ValidationError, DiracflowError) as exc:
+        if args.workers < 1:
+            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+        writer = RunWriter(_resolve_out(args, cfg), cfg, seed)
+    except DiracflowError as exc:
         print(f"diracflow: configuration error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if cfg.command == "field":
-            code = cmd_field(cfg, writer)
-        elif cfg.command == "spa-compare":
-            code = cmd_spa_compare(cfg, writer, workers)
-        elif cfg.command == "trajectories":
-            code = cmd_trajectories(cfg, writer, seed, workers)
-        elif cfg.command == "bloch":
-            code = cmd_bloch(cfg, writer, seed, workers)
-        elif cfg.command == "observables":
-            code = cmd_observables(cfg, writer)
-        elif cfg.command == "barriers":
-            code = cmd_barriers(cfg, writer)
-        else:
-            print(f"diracflow: unknown command {cfg.command}", file=sys.stderr)
-            return 2
+        code = COMMANDS[cfg.command](cfg, writer, seed, args.workers)
         writer.finish()
         return code
     except ValidationError as exc:

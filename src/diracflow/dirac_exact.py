@@ -100,9 +100,11 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     One theta-quadrature is shared by all positions, so the cost is
     O(n_theta * n_s) with fully vectorized inner arithmetic.
     """
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all(np.isfinite(s_arr)):
+        raise DomainError("s must be finite")
     cm, cp = spinor_amplitudes(data)
     sigma, k0, omega = data.sigma, data.k0, data.mass
 

@@ -387,7 +387,7 @@ def _spectral_expectation(psi_fn, half_width, quad_tol, mass=None, max_points=2*
 
 def expected_momentum(psi_fn, quad_tol: float, half_width: float) -> float:
     """<psi, P psi> with P = -i d/ds, by spectral differentiation on [-L, L]."""
-    if quad_tol <= 0:
+    if not quad_tol > 0:
         raise DomainError("quad_tol must be > 0")
     val, _ = _spectral_expectation(psi_fn, half_width, quad_tol)
     return val
@@ -395,7 +395,7 @@ def expected_momentum(psi_fn, quad_tol: float, half_width: float) -> float:
 
 def expected_energy(psi_fn, mass: float, quad_tol: float, half_width: float) -> float:
     """<psi, H psi> with H = ((P, m), (m, -P)), by spectral differentiation on [-L, L]."""
-    if quad_tol <= 0:
+    if not quad_tol > 0:
         raise DomainError("quad_tol must be > 0")
     val, _ = _spectral_expectation(psi_fn, half_width, quad_tol, mass=mass)
     return val

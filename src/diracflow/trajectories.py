@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution
 from scipy.special import ndtri
 
 from .dirac_exact import QuadConfig, evolve_exact, schrodinger_reference
@@ -62,7 +62,7 @@ _LOG_TINY = -744.0  # ln(smallest positive subnormal double), roughly
 
 @dataclass
 class Trajectory:
-    """Time-stamped trajectory with per-step velocity and optional Bloch data."""
+    """Accepted RK steps with their velocities, and the stepper's dense output."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -70,17 +70,15 @@ class Trajectory:
     q0: float
     classification: str = UNRESOLVED
     asymptotic_velocity: Optional[float] = None
-    ck_series: Optional[dict] = None
     node_events: List[Tuple[float, float]] = field(default_factory=list)
     error: Optional[str] = None
     dense: Optional[object] = field(default=None, repr=False, compare=False)
 
     def position_at(self, t):
+        if self.dense is None:
+            raise IntegrationError(f"no dense output for failed trajectory: {self.error}")
         t_arr = np.asarray(t, dtype=float)
-        if self.dense is not None:
-            vals = np.asarray(self.dense(t_arr))[0]
-        else:
-            vals = np.interp(t_arr, self.times, self.positions)
+        vals = np.asarray(self.dense(t_arr))[0]
         return float(vals) if t_arr.ndim == 0 else vals
 
 
@@ -222,42 +220,39 @@ def xy_ode_velocity(x, y, theta0: float, a_omega: float):
 
 def integrate_trajectory(q0: float, t_span: Tuple[float, float],
                          velocity_field: Callable[[float, float], float],
-                         tol: float = 1e-8,
-                         t_eval: Optional[Sequence[float]] = None) -> Trajectory:
+                         tol: float = 1e-8) -> Trajectory:
     """Integrate dq/dt = v(t, q) adaptively; returns the accepted-step history.
 
-    Node encounters (NodeError from the field) freeze the velocity to zero
-    for that evaluation and are recorded as events; integration proceeds.
+    RK45 is first-same-as-last, so the velocity recorded at each accepted
+    point is the one the stepper already evaluated there: the field is
+    called once per stage and never again.  Node encounters (NodeError from
+    the field) freeze the velocity to zero for that evaluation and are
+    recorded as events; integration proceeds.
     """
     if tol <= 0:
         raise ValidationError("tol must be > 0")
     events: List[Tuple[float, float]] = []
 
-    def guarded_velocity(t, q, record):
-        try:
-            return velocity_field(t, q)
-        except NodeError:
-            if record:
-                events.append((float(t), float(q)))
-            return 0.0
-
     def rhs(t, y):
-        return [guarded_velocity(t, y[0], record=True)]
+        try:
+            return [velocity_field(t, y[0])]
+        except NodeError:
+            events.append((float(t), float(y[0])))
+            return [0.0]
 
-    sol = solve_ivp(rhs, t_span, [q0], method="RK45", rtol=tol, atol=tol,
-                    dense_output=True, t_eval=t_eval)
-    if not sol.success:
-        raise IntegrationError(f"trajectory integration failed: {sol.message}")
-    velocities = np.array([guarded_velocity(t, q, record=False)
-                           for t, q in zip(sol.t, sol.y[0])])
-    return Trajectory(
-        times=sol.t.copy(),
-        positions=sol.y[0].copy(),
-        velocities=velocities,
-        q0=float(q0),
-        node_events=events,
-        dense=sol.sol,
-    )
+    t0, t1 = map(float, t_span)
+    solver = RK45(rhs, t0, [q0], t1, rtol=tol, atol=tol)
+    steps = [(t0, solver.y[0], solver.f[0])]
+    pieces = []
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"trajectory integration failed: {message}")
+        steps.append((solver.t, solver.y[0], solver.f[0]))
+        pieces.append(solver.dense_output())
+    times, positions, velocities = map(np.array, zip(*steps))
+    return Trajectory(times=times, positions=positions, velocities=velocities,
+                      q0=float(q0), node_events=events, dense=OdeSolution(times, pieces))
 
 
 def classify_trajectory(traj: Trajectory, v0: float, window_frac: float = 0.1,
@@ -311,7 +306,6 @@ def _ensemble_task(args):
         return Trajectory(times=np.array([0.0]), positions=np.array([q0]),
                           velocities=np.array([0.0]), q0=q0, error=str(exc))
     traj.classification, traj.asymptotic_velocity = classify_trajectory(traj, v0)
-    traj.dense = None  # keep results picklable and lean across process boundaries
     return traj
 
 

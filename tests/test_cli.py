@@ -91,23 +91,58 @@ NON_FINITE_CASES = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", sorted(NON_FINITE_CASES))
-def test_non_finite_values_rejected(tmp_path, key, value):
-    # A fresh process with a timeout, so a hang fails the test instead of the suite.
+def assert_rejected_in_subprocess(out: Path, args, name: str) -> None:
+    """Exit 2 naming ``name``, no traceback and no lockfile, from a fresh process.
+
+    The 30 s timeout makes a hang fail the test instead of the suite.
+    """
     import diracflow
     src = str(Path(diracflow.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "nf"
     proc = subprocess.run(
-        [sys.executable, "-m", "diracflow.cli", *NON_FINITE_CASES[key],
-         "--out", str(out), "--set", f"{key}={value}"],
+        [sys.executable, "-m", "diracflow.cli", *args, "--out", str(out)],
         capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert key.split(".")[1] in proc.stderr
+    assert name in proc.stderr
     assert not (out / LOCK_NAME).exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE_CASES))
+def test_non_finite_values_rejected(tmp_path, key, value):
+    assert_rejected_in_subprocess(
+        tmp_path / "nf", [*NON_FINITE_CASES[key], "--set", f"{key}={value}"],
+        key.split(".")[1])
+
+
+# Each bad grid count with a command that reads it; every other value is valid.
+BAD_GRID_CASES = {
+    "barriers.x_count=-1": ["barriers", "--set", "barriers.theta0_values=0.5"],
+    "barriers.offset_count=0": ["barriers", "--set", "barriers.theta0_values=0.5"],
+    "spa_compare.s_count=0": ["spa-compare", "--set", "spa_compare.p0=1.0",
+                              "--set", "spa_compare.sigma=0.2",
+                              "--set", "spa_compare.t=1.0",
+                              "--set", "spa_compare.omega_ladder=60"],
+}
+
+
+@pytest.mark.parametrize("override", sorted(BAD_GRID_CASES))
+def test_bad_grid_counts_rejected(tmp_path, override):
+    key = override.split("=")[0].split(".")[1]
+    assert_rejected_in_subprocess(
+        tmp_path / "grid", [*BAD_GRID_CASES[override], "--set", override], key)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"], ids=["flag-0", "flag-neg"])
+def test_bad_worker_counts_rejected(tmp_path, capsys, workers):
+    out = tmp_path / "w"
+    code = run_cli("trajectories", "--out", out, *FIG3, "--set", "trajectories.n=2",
+                   "--set", "trajectories.t_final=0.5", "--workers", workers)
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_grid_rejected(tmp_path, capsys):
@@ -340,6 +375,18 @@ def test_observables_trajectory_block(tmp_path):
     late = samples[-1]
     assert late["p"] == pytest.approx(10.0, rel=0.01)
     assert late["E"] == pytest.approx(np.sqrt(109.0), rel=0.01)
+
+
+@pytest.mark.parametrize("t_final", ["-1", "0"])
+def test_observables_rejects_non_positive_t_final(tmp_path, capsys, t_final):
+    out = tmp_path / "obsback"
+    code = run_cli("observables", "--out", out, *FIG3,
+                   "--set", "observables.trajectory_q0=0.1",
+                   "--set", f"observables.t_final={t_final}")
+    assert code == 2
+    assert "t_final" in capsys.readouterr().err
+    assert not (out / LOCK_NAME).exists()
+    assert not (out / "observables.json").exists()
 
 
 def test_observables_unknown_field_rejected(tmp_path, capsys):

@@ -39,6 +39,17 @@ def test_negative_time_rejected():
     p = PacketParams(sigma=1.0, k0=1.0, theta0=0.5, omega0=0.0, mass=1.0)
     with pytest.raises(DomainError):
         evolve_exact(-0.5, 0.0, p)
+    # Non-finite times and positions are rejected up front, not refined to
+    # the panel budget.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="t must"):
+            evolve_exact(bad, 0.0, p)
+        with pytest.raises(DomainError, match="t must"):
+            evolve_exact_grid(bad, [0.0, 1.0], p)
+        with pytest.raises(DomainError, match="s must"):
+            evolve_exact(0.5, bad, p)
+        with pytest.raises(DomainError, match="s must"):
+            evolve_exact_grid(0.5, [0.0, bad], p)
 
 
 def test_massless_evolution_is_pure_transport():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diracflow import (
+    DomainError,
     InfiniteMomentumError,
     NodeError,
     PacketParams,
@@ -232,6 +233,16 @@ def test_expected_energy_of_eigen_packets():
         got = expected_energy(make_initial_packet(p), m, 1e-9,
                               truncation_half_width(p, 0))
         assert got == pytest.approx(sign * energy, abs=1e-8)
+
+
+@pytest.mark.parametrize("quad_tol", [0.0, -1e-6, np.nan])
+def test_expectations_reject_bad_quad_tol(quad_tol):
+    p = PacketParams(sigma=1.0, k0=3.0, theta0=0.8, omega0=0.4, mass=1.0)
+    half = truncation_half_width(p, 0)
+    with pytest.raises(DomainError, match="quad_tol"):
+        expected_momentum(make_initial_packet(p), quad_tol, half)
+    with pytest.raises(DomainError, match="quad_tol"):
+        expected_energy(make_initial_packet(p), p.mass, quad_tol, half)
 
 
 def test_momentum_conserved_under_evolution():

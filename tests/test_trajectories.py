@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from diracflow import (
     LEFT,
     RIGHT,
     UNRESOLVED,
     BracketingError,
+    DiracflowError,
     DomainError,
     ExactVelocityField,
     NodeError,
     PacketParams,
+    QuadConfig,
     SchrodingerField,
     SpaVelocityField,
     ValidationError,
@@ -177,6 +180,62 @@ def test_trajectories_preserve_order():
     ts = np.linspace(0.0, 2.0, 50)
     paths = np.array([tr.position_at(ts) for tr in trajs])
     assert np.all(np.diff(paths, axis=0) > -1e-6)
+
+
+class _CountingField:
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+
+    def __call__(self, t, s):
+        self.calls += 1
+        return self.field(t, s)
+
+
+def _reference_fields():
+    fig3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    return [SpaVelocityField(SpaParams.from_packet(fig3)), SchrodingerField(1.5)]
+
+
+@pytest.mark.parametrize("field", _reference_fields(), ids=["spa", "schrodinger"])
+def test_integrator_calls_field_once_per_stage(field):
+    # RK45 is first-same-as-last: recording the accepted-step velocities must
+    # not cost a field call beyond the stepper's own.
+    counted = _CountingField(field)
+    traj = integrate_trajectory(0.3, (0.0, 6.0), counted, tol=1e-8)
+    ref = solve_ivp(lambda t, y: [field(t, y[0])], (0.0, 6.0), [0.3], method="RK45",
+                    rtol=1e-8, atol=1e-8)
+    assert counted.calls == ref.nfev
+    assert np.array_equal(traj.times, ref.t)
+    assert np.array_equal(traj.positions, ref.y[0])
+
+
+@pytest.mark.parametrize("field", _reference_fields(), ids=["spa", "schrodinger"])
+def test_recorded_velocities_are_the_field_values(field):
+    traj = integrate_trajectory(-0.4, (0.0, 6.0), field, tol=1e-8)
+    fresh = [field(t, q) for t, q in zip(traj.times, traj.positions)]
+    assert np.array_equal(traj.velocities, fresh)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_members_keep_dense_output(fig3_packet, workers):
+    trajs, _ = run_ensemble(4, fig3_packet, 4.0, field_mode="SPA", seed=3,
+                            workers=workers)
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    ts = np.linspace(0.0, 4.0, 41)
+    for tr in trajs:
+        single = integrate_trajectory(tr.q0, (0.0, 4.0), field)
+        assert np.array_equal(tr.position_at(ts), single.position_at(ts))
+
+
+def test_failed_member_has_no_positions(fig3_packet):
+    # A panel budget of 8 makes every exact-field evaluation fail.
+    trajs, _ = run_ensemble(2, fig3_packet, 0.5, field_mode="EXACT", seed=3,
+                            quad=QuadConfig(max_panels=8))
+    for tr in trajs:
+        assert tr.error is not None
+        with pytest.raises(DiracflowError):
+            tr.position_at(0.25)
 
 
 def test_velocity_bound_on_recorded_steps(fig3_packet):
