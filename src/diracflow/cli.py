@@ -319,6 +319,7 @@ def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, sec: str, data: PacketPar
     with writer.phase("ensemble"):
         trajs, summary = run_ensemble(n, data, t_final, field_mode=mode,
                                       seed=seed, workers=workers, tol=tol, quad=quad)
+    writer.notes["failed_trajectories"] = summary.n_failed
     spinor = _make_field(data, mode, quad).spinor
     with writer.phase("bloch_series"):
         series = [None if traj.error is not None else cayley_klein_along(traj, spinor)
@@ -463,17 +464,20 @@ def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int
         rows.extend(zip([i] * traj.times.size, traj.times, nx, ny, nz))
         endpoints.append((nx[-1], ny[-1], nz[-1]))
     writer.write_csv("bloch.csv", "bloch", ["traj", "t", "nx", "ny", "nz"], rows)
-    report = antipodal_clusters(np.asarray(endpoints))
+    # When every member failed there are no endpoints to cluster.
+    report = antipodal_clusters(np.asarray(endpoints)) if endpoints else {
+        "n_clusters": 0, "angular_radii": [], "centers": []}
     writer.write_json("bloch_summary.json", "bloch", {
         "n": run.summary.n,
         "t_final": run.t_final,
         "n_clusters": report["n_clusters"],
         "angular_radii": report["angular_radii"],
         "antipodal_angle": report.get("antipodal_angle"),
-        "max_norm_error": float(np.max(np.abs(np.asarray(report["norms"]) - 1.0))),
+        "max_norm_error": (float(np.max(np.abs(report["norms"] - 1.0)))
+                           if endpoints else None),
         "centers": [list(c) for c in report["centers"]],
     })
-    return 0
+    return 3 if run.summary.n_failed else 0
 
 
 def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:

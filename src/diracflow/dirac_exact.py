@@ -87,7 +87,10 @@ def _initial_panels(rate: float, length: float, q: QuadConfig) -> int:
 
 
 def _node_chunk(n_cols: int) -> int:
-    return max(128, 2_000_000 // max(1, 3 * n_cols))
+    # About 16k Gaussian-basis entries per integrand call keep the block in
+    # cache, and keep the (6, N) @ (N, n_cols) product below the size at which
+    # OpenBLAS starts threads (which cost more than they save on a busy machine).
+    return max(16, 2**14 // max(1, n_cols))
 
 
 # =============================================================================
@@ -119,20 +122,21 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
 
     wt = omega * t
 
+    # The plane wave factors out of psi0(s - t cos):
+    # e^{i k0 (s - t cos)} = e^{i k0 s} e^{-i k0 t cos}, so each node's value is
+    # a complex (3,) kernel times the real Gaussian row f_sigma(s - t cos),
+    # and the theta sum is one real matrix product (see integrate_panels).
     def integrand(theta):
         ct = np.cos(theta)
         st = np.sin(theta)
-        j1 = specfun.bessel_j1(wt * st)
-        j0 = specfun.bessel_j0(wt * st)
-        vals = phi(s_arr[None, :] - t * ct[:, None])
-        return np.stack(
-            [
-                (j1 * (1 + ct))[:, None] * vals,
-                (j1 * (1 - ct))[:, None] * vals,
-                (j0 * st)[:, None] * vals,
-            ],
-            axis=1,
-        )
+        x = wt * st
+        j1 = specfun.bessel_j1(x)
+        kernel = np.empty((theta.size, 3), dtype=complex)
+        kernel[:, 0] = j1 * (1 + ct)
+        kernel[:, 1] = j1 * (1 - ct)
+        kernel[:, 2] = specfun.bessel_j0(x) * st
+        kernel *= np.exp(-1j * k0 * t * ct)[:, None]
+        return kernel, gaussian_amplitude(sigma, s_arr[None, :] - t * ct[:, None])
 
     n0 = _initial_panels(rate=(omega + abs(k0)) * t, length=np.pi, q=q)
     value, err, _ = integrate_panels(
@@ -145,7 +149,7 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
         max_panels=q.max_panels,
         node_chunk=_node_chunk(s_arr.size),
     )
-    a1m, a1p, a0 = value
+    a1m, a1p, a0 = value * np.exp(1j * k0 * s_arr)
     e1m, e1p, e0 = err
     psi_m = transport_m - 0.5 * wt * cm * a1m - 0.5j * wt * cp * a0
     psi_p = transport_p - 0.5 * wt * cp * a1p - 0.5j * wt * cm * a0

@@ -9,7 +9,10 @@ so the first estimate already resolves every oscillation of the integrand.
 Integrands are vectorized: ``f(nodes)`` receives a 1-D array of abscissas
 and may return an array whose leading axis matches ``nodes`` with any
 trailing shape (e.g. one column per field point), so whole grids integrate
-in one pass.
+in one pass.  An integrand whose value at node j is an outer product
+kernel_j (x) basis_j may instead return the pair ``(kernel, basis)`` with
+shapes (N, c) and (N, n): the weighted sum is then the matrix product
+(w*kernel)^T @ basis, a (c, n) result that never forms the (N, c, n) array.
 """
 
 from __future__ import annotations
@@ -32,6 +35,20 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
+def _weighted_sum(w, vals):
+    """Sum_j w_j vals_j over the leading axis, for an array or a (kernel, basis) pair."""
+    if not isinstance(vals, tuple):
+        return np.tensordot(w, np.asarray(vals), axes=1)
+    kernel, basis = vals
+    wk = w[:, None] * kernel
+    if np.iscomplexobj(wk) and not np.iscomplexobj(basis):
+        # Real and imaginary parts side by side in one real product, so the
+        # real basis is never cast to complex.
+        re_im = np.ascontiguousarray(wk).view(wk.real.dtype).T @ basis
+        return re_im[0::2] + 1j * re_im[1::2]
+    return wk.T @ basis
+
+
 def _composite(f, a: float, b: float, n_panels: int, order: int, node_chunk: int):
     """Composite Gauss-Legendre estimate over [a, b] with n_panels panels."""
     base, wts = _gl_rule(order)
@@ -43,9 +60,7 @@ def _composite(f, a: float, b: float, n_panels: int, order: int, node_chunk: int
     total = None
     for lo in range(0, nodes.size, node_chunk):
         hi = min(lo + node_chunk, nodes.size)
-        vals = np.asarray(f(nodes[lo:hi]))
-        w = weights[lo:hi].reshape((hi - lo,) + (1,) * (vals.ndim - 1))
-        part = np.sum(w * vals, axis=0)
+        part = _weighted_sum(weights[lo:hi], f(nodes[lo:hi]))
         total = part if total is None else total + part
     return total
 
@@ -68,8 +83,7 @@ def integrate_panels(
     panel budget is exhausted before the tolerance is met.
     """
     if b <= a:
-        zero = np.asarray(f(np.array([a]))) * 0.0
-        return np.sum(zero, axis=0), 0.0, 0
+        return _weighted_sum(np.zeros(1), f(np.array([a]))), 0.0, 0
     n = max(1, int(initial_panels))
     if 2 * n > max_panels:
         # The oscillation guard alone exceeds the budget: no refinement (and

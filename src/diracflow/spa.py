@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,11 +72,13 @@ class SpaParams:
         if not (0.0 <= self.vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
 
-    @property
+    # Computed once per instance: cached_property stores into the instance
+    # __dict__ directly, which a frozen dataclass allows.
+    @cached_property
     def e0(self) -> float:
         return float(np.sqrt(1.0 + self.p0 * self.p0))
 
-    @property
+    @cached_property
     def v0(self) -> float:
         return float(self.p0 / np.sqrt(1.0 + self.p0 * self.p0))
 

@@ -91,18 +91,20 @@ NON_FINITE_CASES = {
 }
 
 
-def assert_rejected_in_subprocess(out: Path, args, name: str) -> None:
-    """Exit 2 naming ``name``, no traceback and no lockfile, from a fresh process.
-
-    The 30 s timeout makes a hang fail the test instead of the suite.
-    """
+def run_cli_subprocess(out: Path, args) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh process; the 30 s timeout makes a hang fail the test."""
     import diracflow
     src = str(Path(diracflow.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "diracflow.cli", *args, "--out", str(out)],
         capture_output=True, text=True, timeout=30, env=env)
+
+
+def assert_rejected_in_subprocess(out: Path, args, name: str) -> None:
+    """Exit 2 naming ``name``, no traceback and no lockfile, from a fresh process."""
+    proc = run_cli_subprocess(out, args)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert name in proc.stderr
@@ -330,6 +332,21 @@ def test_bloch_norms_and_clusters(tmp_path):
     doc = json.loads((out / "bloch_summary.json").read_text())
     assert doc["n_clusters"] == 2
     assert doc["antipodal_angle"] <= 0.1
+
+
+def test_bloch_with_every_member_failed(tmp_path):
+    # A panel budget of 8 fails every EXACT trajectory: nothing to cluster.
+    out = tmp_path / "bloch-failed"
+    proc = run_cli_subprocess(out, [
+        "bloch", *FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5",
+        "--set", "bloch.field=EXACT", "--set", "quadrature.max_panels=8"])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"]["failed_trajectories"] == 2
+    doc = json.loads((out / "bloch_summary.json").read_text())
+    assert doc["n_clusters"] == 0
+    assert not (out / LOCK_NAME).exists()
 
 
 # =============================================================================

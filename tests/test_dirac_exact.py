@@ -85,6 +85,28 @@ def test_matches_spectral_propagator():
     assert np.max(np.abs(psi.plus - plus_ref[idx])) <= 1e-9
 
 
+FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+
+
+@pytest.mark.parametrize("data, t, s_lo, s_hi", [
+    (FIG3, 0.5, -5.4, 5.4),
+    (FIG3, 8.0, -12.7, 12.7),
+    (PacketParams.macroscopic(0.2, 1.0, 50.0), 1.0, -1.5, 1.5),
+    (PacketParams.macroscopic(0.2, 1.0, 400.0), 1.0, -1.5, 1.5),
+], ids=["fig3-t0.5", "fig3-t8", "macro-w50", "macro-w400"])
+def test_matches_spectral_propagator_over_benchmark_range(data, t, s_lo, s_hi):
+    # omega * t from 1.5 to 400, as in the benchmark's field grids.  The FFT
+    # band pi * n / (2 * half_width) must cover |k0| + 12 / sigma.
+    half_width = 60.0
+    band = abs(data.k0) + 12 / data.sigma
+    n = max(2**14, 1 << int(np.ceil(np.log2(band * 2 * half_width / np.pi))))
+    s_ref, minus_ref, plus_ref = dirac_spectral(t, data, half_width, n)
+    idx = np.searchsorted(s_ref, np.linspace(s_lo, s_hi, 33))
+    psi, _ = evolve_exact_grid(t, s_ref[idx], data)
+    assert np.max(np.abs(psi.minus - minus_ref[idx])) <= 1e-9
+    assert np.max(np.abs(psi.plus - plus_ref[idx])) <= 1e-9
+
+
 def test_error_estimate_contract(fig3_packet):
     q = QuadConfig()
     for s in (-2.0, 0.0, 1.5, 3.0):
