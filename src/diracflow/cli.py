@@ -12,9 +12,9 @@ barriers      hyperbola constants, zero curve, and sign checks beyond barriers
 A run is configured by an INI file (section/key-value) and/or command-line
 flags; flags override file values.  Every run owns its output directory
 (guarded by a lockfile) and emits a manifest listing each artifact with a
-sha256 checksum.  Artifacts are deterministic: a repeated run with the same
-config and seed is byte-identical regardless of worker count (wall-times
-live only in the manifest).
+sha256 checksum.  Runs compute in one process (``--workers`` has no effect)
+and are deterministic: a repeated run with the same config and seed is
+byte-identical (wall-times live only in the manifest).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -308,9 +308,9 @@ def _spinor_rows(t: float, s: np.ndarray, psi, err: np.ndarray):
 _Ensemble = namedtuple("_Ensemble", "t_final trajs summary spinor series")
 
 
-def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, sec: str, data: PacketParams,
-                    n_default: int, seed: int, workers: int) -> _Ensemble:
-    """Run the [sec] ensemble and take each trajectory's Cayley-Klein series once."""
+def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, seed: int, sec: str,
+                    data: PacketParams, n_default: int) -> _Ensemble:
+    """Run the [sec] ensemble, report failed members on stderr, take each series once."""
     quad = cfg.quad()
     n = cfg.get_int(sec, "n", n_default)
     t_final = cfg.get_float(sec, "t_final", 8.0)
@@ -318,8 +318,12 @@ def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, sec: str, data: PacketPar
     tol = cfg.get_float(sec, "tol", 1e-8)
     with writer.phase("ensemble"):
         trajs, summary = run_ensemble(n, data, t_final, field_mode=mode,
-                                      seed=seed, workers=workers, tol=tol, quad=quad)
+                                      seed=seed, tol=tol, quad=quad)
     writer.notes["failed_trajectories"] = summary.n_failed
+    if summary.n_failed:
+        first = next(traj.error for traj in trajs if traj.error is not None)
+        print(f"diracflow: numerical failure: {summary.n_failed} of {summary.n} "
+              f"trajectories failed: {first}", file=sys.stderr)
     spinor = _make_field(data, mode, quad).spinor
     with writer.phase("bloch_series"):
         series = [None if traj.error is not None else cayley_klein_along(traj, spinor)
@@ -335,7 +339,7 @@ def _bohmian_or_none(psi, mass: float):
         return None
 
 
-def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
+def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     data = cfg.packet()
     quad = cfg.quad()
     t_values = cfg.get_floats("grid", "t_values")
@@ -365,7 +369,7 @@ def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int
     return 3 if failures else 0
 
 
-def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
+def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     sec = "spa_compare"
     p0 = cfg.get_float(sec, "p0")
     sigma = cfg.get_float(sec, "sigma")
@@ -384,7 +388,7 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) 
     payload: dict = {"omegas": ladder, "t": t}
     with writer.phase("spa_compare"):
         if len(ladder) >= 4:
-            result = error_scaling(params, t, ladder, s_grid, quad, workers=workers)
+            result = error_scaling(params, t, ladder, s_grid, quad)
             sups = list(result.sup_errors)
             payload["slope"] = result.slope
             payload["intercept"] = result.intercept
@@ -418,10 +422,10 @@ def _asymptotic_stats(trajs, spinor_field, mass: float) -> dict:
     return out
 
 
-def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
+def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     data = cfg.packet()
     writer.notes["spa_regime"] = spa_regime_report(data)
-    run = _bloch_ensemble(cfg, writer, "trajectories", data, 50, seed, workers)
+    run = _bloch_ensemble(cfg, writer, seed, "trajectories", data, 50)
     summary = run.summary
     with writer.phase("summary"):
         for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
@@ -450,8 +454,8 @@ def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int, workers: int)
     return 3 if summary.n_failed else 0
 
 
-def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
-    run = _bloch_ensemble(cfg, writer, "bloch", cfg.packet(), 100, seed, workers)
+def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
+    run = _bloch_ensemble(cfg, writer, seed, "bloch", cfg.packet(), 100)
     rows = []
     endpoints = []
     for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
@@ -480,7 +484,7 @@ def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int
     return 3 if run.summary.n_failed else 0
 
 
-def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
+def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     data = cfg.packet()
     quad = cfg.quad()
     sec = "observables"
@@ -526,7 +530,7 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) 
     return 0
 
 
-def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> int:
+def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     sec = "barriers"
     theta_values = cfg.get_floats(sec, "theta0_values")
     if not theta_values:
@@ -556,8 +560,8 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int, workers: int) -> 
     return 3 if any(r["violations"] for r in reports) else 0
 
 
-# Each command takes (config, writer, seed, workers) and returns the exit code.
-COMMANDS: Dict[str, Callable[[RunConfig, RunWriter, int, int], int]] = {
+# Each command takes (config, writer, seed) and returns the exit code.
+COMMANDS: Dict[str, Callable[[RunConfig, RunWriter, int], int]] = {
     "field": cmd_field,
     "spa-compare": cmd_spa_compare,
     "trajectories": cmd_trajectories,
@@ -583,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, help="output run directory")
     common.add_argument("--seed", type=int, help="master seed for ensembles")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for ensembles/ladders (>= 1)")
+                        help="accepted for compatibility; has no effect (>= 1)")
     common.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                         help="override one config value (repeatable)")
     for name in COMMANDS:
@@ -615,9 +619,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            if not args.config.exists():
-                raise ValidationError(f"config file {args.config} does not exist")
-            cfg = RunConfig.from_ini(args.config.read_text(), command=args.command)
+            cfg = RunConfig.from_ini(args.config.read_text(encoding="utf-8"),
+                                     command=args.command)
         else:
             cfg = RunConfig(command=args.command)
         _apply_overrides(cfg, args.set)
@@ -625,12 +628,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         writer = RunWriter(_resolve_out(args, cfg), cfg, seed)
-    except DiracflowError as exc:
+    except (DiracflowError, OSError, UnicodeDecodeError) as exc:
+        # An unreadable config or an uncreatable run directory is an input error.
         print(f"diracflow: configuration error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        code = COMMANDS[cfg.command](cfg, writer, seed, args.workers)
+        code = COMMANDS[cfg.command](cfg, writer, seed)
         writer.finish()
         return code
     except ValidationError as exc:

@@ -35,7 +35,7 @@ from typing import Tuple
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, ValidationError
+from .errors import DomainError, IntegrationError, ValidationError
 from .packets import PacketParams, Spinor, gaussian_amplitude, spinor_amplitudes
 from .quadrature import integrate_panels
 
@@ -138,24 +138,38 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
         kernel *= np.exp(-1j * k0 * t * ct)[:, None]
         return kernel, gaussian_amplitude(sigma, s_arr[None, :] - t * ct[:, None])
 
+    def assemble(value, err):
+        """The spinor and its error bound (2, n) from the theta-integrals (3, n)."""
+        a1m, a1p, a0 = value * np.exp(1j * k0 * s_arr)
+        e1m, e1p, e0 = np.broadcast_to(err, value.shape)
+        psi_m = transport_m - 0.5 * wt * cm * a1m - 0.5j * wt * cp * a0
+        psi_p = transport_p - 0.5 * wt * cp * a1p - 0.5j * wt * cm * a0
+        err_m = 0.5 * wt * (abs(cm) * e1m + abs(cp) * e0)
+        err_p = 0.5 * wt * (abs(cp) * e1p + abs(cm) * e0)
+        return Spinor(minus=psi_m, plus=psi_p), np.stack([err_m, err_p])
+
     n0 = _initial_panels(rate=(omega + abs(k0)) * t, length=np.pi, q=q)
-    value, err, _ = integrate_panels(
-        integrand,
-        0.0,
-        np.pi,
-        rel_tol=q.rel_tol,
-        abs_tol=q.abs_tol / max(1.0, wt),
-        initial_panels=n0,
-        max_panels=q.max_panels,
-        node_chunk=_node_chunk(s_arr.size),
-    )
-    a1m, a1p, a0 = value * np.exp(1j * k0 * s_arr)
-    e1m, e1p, e0 = err
-    psi_m = transport_m - 0.5 * wt * cm * a1m - 0.5j * wt * cp * a0
-    psi_p = transport_p - 0.5 * wt * cp * a1p - 0.5j * wt * cm * a0
-    err_m = 0.5 * wt * (abs(cm) * e1m + abs(cp) * e0)
-    err_p = 0.5 * wt * (abs(cp) * e1p + abs(cm) * e0)
-    return Spinor(minus=psi_m, plus=psi_p), np.stack([err_m, err_p])
+    try:
+        value, err, _ = integrate_panels(
+            integrand,
+            0.0,
+            np.pi,
+            rel_tol=q.rel_tol,
+            abs_tol=q.abs_tol / max(1.0, wt),
+            initial_panels=n0,
+            max_panels=q.max_panels,
+            node_chunk=_node_chunk(s_arr.size),
+        )
+    except IntegrationError as exc:
+        # The partial theta-integrals assemble into a partial field.  With no
+        # error estimate (the panel budget leaves no room to refine the
+        # starting panels) the field's residual is inf at every position.
+        if np.ndim(exc.residual):
+            partial, residual = assemble(exc.partial, exc.residual)
+        else:
+            partial, residual = assemble(exc.partial, 0.0)[0], np.full((2, s_arr.size), np.inf)
+        raise IntegrationError(str(exc), partial=partial, residual=residual) from exc
+    return assemble(value, err)
 
 
 def evolve_exact(t: float, s: float, data: PacketParams,

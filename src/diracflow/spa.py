@@ -11,7 +11,7 @@ data (cos(vartheta/2), sin(vartheta/2))^T f(s) e^{i omega p0 s}.  phi_- has
 energy +E0 and travels with the momentum; phi_+ has energy -E0 and travels
 against it.  The sup error of the approximation decays like omega^{-1/2}
 (times a |p0|^5 e^{B t / sigma} prefactor), which ``error_scaling`` measures
-against the exact Bessel-kernel solver.
+against the exact Bessel-kernel solver, one omega rung after another.
 
 Supporting pieces: the transport-cancellation root beta(alpha) solving
 1 - J0(2 omega t sqrt(beta)) = alpha, the critical points y_+- of the
@@ -22,7 +22,6 @@ generic leading-order stationary-phase term they assemble from.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -327,12 +326,6 @@ def sup_error_at_omega(params: SpaParams, omega: float, t: float, s_grid,
     return float(np.max(diff))
 
 
-def _sup_error_at(args):
-    p0, sigma, vartheta, omega, t, s_grid, quad = args
-    params = SpaParams(p0=p0, sigma=sigma, omega=omega, vartheta=vartheta)
-    return sup_error_at_omega(params, omega, t, s_grid, quad)
-
-
 def error_scaling(params: SpaParams, t_fixed: float, omega_ladder: Sequence[float],
                   s_grid, quad: QuadConfig = QuadConfig(),
                   workers: int = 1) -> ErrorScaling:
@@ -340,8 +333,8 @@ def error_scaling(params: SpaParams, t_fixed: float, omega_ladder: Sequence[floa
 
     The ladder must be geometric with at least 4 points and every rung must
     satisfy omega * t > j0 * E0 so both critical points contribute.  Rungs
-    evaluate independently (optionally in a process pool); results are
-    deterministic and ordered by the ladder.
+    evaluate one after another, in ladder order; ``workers`` is accepted for
+    compatibility and has no effect.
     """
     ladder = [float(w) for w in omega_ladder]
     if len(ladder) < 4:
@@ -356,13 +349,7 @@ def error_scaling(params: SpaParams, t_fixed: float, omega_ladder: Sequence[floa
             raise ValidationError(
                 f"omega*t = {w * t_fixed:g} must exceed j0*E0 = {j0 * e0:g}")
     s_grid = np.asarray(s_grid, dtype=float)
-    tasks = [(params.p0, params.sigma, params.vartheta, w, t_fixed, s_grid, quad)
-             for w in ladder]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sups = list(pool.map(_sup_error_at, tasks))
-    else:
-        sups = [_sup_error_at(task) for task in tasks]
+    sups = [sup_error_at_omega(params, w, t_fixed, s_grid, quad) for w in ladder]
     slope, intercept = np.polyfit(np.log(ladder), np.log(sups), 1)
     return ErrorScaling(
         omegas=tuple(ladder),

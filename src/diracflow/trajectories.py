@@ -6,8 +6,8 @@ fields are supplied as handles so the expensive quadrature-backed exact
 field and the closed-form SPA field share one integrator.
 
 Ensembles draw initial positions from quantum equilibrium N(0, sigma^2) by
-inverse CDF, with a per-trajectory seed derived from (seed, index), so
-results are bit-identical for a fixed seed no matter how many workers run.
+inverse CDF, with a per-trajectory seed derived from (seed, index), and
+integrate the members in turn, so results are bit-identical for a seed.
 
 The rescaled-ODE barrier analysis lives here too: the zero curve y0(x),
 the hyperbola constants C_+- with their barrier curves B_+-(x) = C_+- / x,
@@ -16,7 +16,6 @@ and grid checks that the velocity sign is uniform beyond the barriers.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -295,20 +294,6 @@ def _reference_v0(data: PacketParams) -> float:
     return abs(data.k0) / np.sqrt(data.k0**2 + data.mass**2)
 
 
-def _ensemble_task(args):
-    (index, seed, data, t_final, field_mode, tol, quad) = args
-    q0 = _draw_initial_position(seed, index, data.sigma)
-    field_fn = _make_field(data, field_mode, quad)
-    v0 = _reference_v0(data)
-    try:
-        traj = integrate_trajectory(q0, (0.0, t_final), field_fn, tol=tol)
-    except IntegrationError as exc:
-        return Trajectory(times=np.array([0.0]), positions=np.array([q0]),
-                          velocities=np.array([0.0]), q0=q0, error=str(exc))
-    traj.classification, traj.asymptotic_velocity = classify_trajectory(traj, v0)
-    return traj
-
-
 def run_ensemble(n: int, data: PacketParams, t_final: float,
                  field_mode: str = "SPA", seed: int = 0, workers: int = 1,
                  tol: float = 1e-8, quad: Optional[QuadConfig] = None):
@@ -317,19 +302,26 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
     Initial positions are i.i.d. N(0, sigma^2) drawn by inverse CDF with
     per-trajectory seeds derived from (seed, index).  Individual integrator
     failures are recorded on the trajectory and do not abort the run.
+    Members run in turn in this process; ``workers`` has no effect.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
-    _make_field(data, field_mode, quad)  # validate mode and parameters up front
-    tasks = [(i, seed, data, t_final, field_mode, tol, quad) for i in range(n)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(_ensemble_task, tasks))
-    else:
-        trajectories = [_ensemble_task(task) for task in tasks]
-    return trajectories, summarize_ensemble(trajectories, _reference_v0(data), data.k0)
+    field_fn = _make_field(data, field_mode, quad)
+    v0 = _reference_v0(data)
+    trajectories = []
+    for i in range(n):
+        q0 = _draw_initial_position(seed, i, data.sigma)
+        try:
+            traj = integrate_trajectory(q0, (0.0, t_final), field_fn, tol=tol)
+        except IntegrationError as exc:
+            traj = Trajectory(times=np.array([0.0]), positions=np.array([q0]),
+                              velocities=np.array([0.0]), q0=q0, error=str(exc))
+        else:
+            traj.classification, traj.asymptotic_velocity = classify_trajectory(traj, v0)
+        trajectories.append(traj)
+    return trajectories, summarize_ensemble(trajectories, v0, data.k0)
 
 
 def summarize_ensemble(trajectories: Sequence[Trajectory], v0: float,

@@ -137,6 +137,25 @@ def test_bad_grid_counts_rejected(tmp_path, override):
         tmp_path / "grid", [*BAD_GRID_CASES[override], "--set", override], key)
 
 
+@pytest.mark.parametrize("case", ["out-is-file", "config-is-dir", "config-not-utf8",
+                                  "config-missing"])
+def test_unreadable_inputs_rejected(tmp_path, case):
+    # OS-level failures reading the config or creating the run directory are
+    # configuration errors: exit 2 with one line, no traceback.
+    out = tmp_path / "run"
+    config = tmp_path / "run.ini"
+    if case == "out-is-file":
+        out.write_text("not a directory\n")
+        config.write_text("[barriers]\ntheta0_values = 0.5\n")
+    elif case == "config-is-dir":
+        config.mkdir()
+    elif case == "config-not-utf8":
+        config.write_bytes(b"[barriers]\ntheta0_values = 0.5 \xff\xfe\n")
+    name = {"out-is-file": str(out), "config-not-utf8": "utf-8"}.get(case, str(config))
+    assert_rejected_in_subprocess(out, ["barriers", "--config", str(config)], name)
+    assert not (out.is_dir() and any(out.iterdir()))
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"], ids=["flag-0", "flag-neg"])
 def test_bad_worker_counts_rejected(tmp_path, capsys, workers):
     out = tmp_path / "w"
@@ -334,18 +353,25 @@ def test_bloch_norms_and_clusters(tmp_path):
     assert doc["antipodal_angle"] <= 0.1
 
 
-def test_bloch_with_every_member_failed(tmp_path):
+@pytest.mark.parametrize("command", ["bloch", "trajectories"])
+def test_bloch_with_every_member_failed(tmp_path, command):
     # A panel budget of 8 fails every EXACT trajectory: nothing to cluster.
-    out = tmp_path / "bloch-failed"
+    out = tmp_path / f"{command}-failed"
     proc = run_cli_subprocess(out, [
-        "bloch", *FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5",
-        "--set", "bloch.field=EXACT", "--set", "quadrature.max_panels=8"])
+        command, *FIG3, "--set", f"{command}.n=2", "--set", f"{command}.t_final=0.5",
+        "--set", f"{command}.field=EXACT", "--set", "quadrature.max_panels=8"])
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert ("diracflow: numerical failure: 2 of 2 trajectories failed: "
+            "panel budget 8") in proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["notes"]["failed_trajectories"] == 2
-    doc = json.loads((out / "bloch_summary.json").read_text())
-    assert doc["n_clusters"] == 0
+    if command == "bloch":
+        doc = json.loads((out / "bloch_summary.json").read_text())
+        assert doc["n_clusters"] == 0
+    else:
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["counts"]["FAILED"] == 2
     assert not (out / LOCK_NAME).exists()
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracflow import (
     DomainError,
     IntegrationError,
     PacketParams,
     QuadConfig,
+    Spinor,
     ValidationError,
     continuity_residual,
     evolve_exact,
@@ -105,6 +108,61 @@ def test_matches_spectral_propagator_over_benchmark_range(data, t, s_lo, s_hi):
     psi, _ = evolve_exact_grid(t, s_ref[idx], data)
     assert np.max(np.abs(psi.minus - minus_ref[idx])) <= 1e-9
     assert np.max(np.abs(psi.plus - plus_ref[idx])) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_budget_failure_partial_is_the_field(t):
+    # A budget of eight panels leaves no room to refine: no error estimate, but
+    # the eight-panel theta-integrals assemble into the field itself.
+    s = np.linspace(-4.0, 4.0 + 10 * t, 41)
+    psi, _ = evolve_exact_grid(t, s, FIG3)
+    with pytest.raises(IntegrationError) as info:
+        evolve_exact_grid(t, s, FIG3, QuadConfig(max_panels=8))
+    partial = info.value.partial
+    assert isinstance(partial, Spinor)
+    assert np.max(np.abs(partial.minus - psi.minus)) <= 1e-12
+    assert np.max(np.abs(partial.plus - psi.plus)) <= 1e-12
+    assert info.value.residual.shape == (2, s.size)
+    assert np.all(np.isinf(info.value.residual))
+
+
+def test_unconverged_partial_carries_field_residual():
+    # One doubling is allowed but the tolerance is out of reach: the residual
+    # is the field's error bound, in the units of the converged err.
+    t = 0.5
+    s = np.linspace(-4.0, 9.0, 27)
+    psi, err = evolve_exact_grid(t, s, FIG3)
+    q = QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=64)
+    with pytest.raises(IntegrationError) as info:
+        evolve_exact_grid(t, s, FIG3, q)
+    partial, residual = info.value.partial, info.value.residual
+    assert isinstance(partial, Spinor)
+    assert np.max(np.abs(partial.minus - psi.minus)) <= 1e-12
+    assert np.max(np.abs(partial.plus - psi.plus)) <= 1e-12
+    assert residual.shape == err.shape
+    assert np.all(np.isfinite(residual))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(sigma=st.floats(0.4, 2.0), k0=st.floats(-8.0, 8.0), mass=st.floats(0.0, 4.0),
+       theta0=st.floats(0.0, np.pi), omega0=st.floats(0.0, 6.28),
+       t=st.floats(0.0, 3.0))
+def test_parity_mirror(sigma, k0, mass, theta0, omega0, t):
+    # Parity swaps the components and reflects s: the packet with k0 -> -k0,
+    # theta0 -> pi - theta0 and omega0 -> 2 pi - omega0 evolves into
+    # psi'_-+(t, s) = psi_+-(t, -s).  Writing omega0' as 2 pi - omega0 flips
+    # the sign of both components, which phase0 = 2 pi undoes; where it wraps
+    # to 0 (omega0 = 0, or too small to move 2 pi) there is nothing to undo.
+    data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=omega0, mass=mass)
+    omega0_mirror = (2 * np.pi - omega0) % (2 * np.pi)
+    mirror = PacketParams(sigma=sigma, k0=-k0, theta0=np.pi - theta0,
+                          omega0=omega0_mirror, mass=mass,
+                          phase0=2 * np.pi if omega0_mirror > 0 else 0.0)
+    s = np.linspace(-4.0 * sigma - t, 4.0 * sigma + t, 17)
+    psi, _ = evolve_exact_grid(t, -s, data)
+    psi_mirror, _ = evolve_exact_grid(t, s, mirror)
+    assert np.max(np.abs(psi_mirror.minus - psi.plus)) <= 1e-12
+    assert np.max(np.abs(psi_mirror.plus - psi.minus)) <= 1e-12
 
 
 def test_error_estimate_contract(fig3_packet):
