@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -424,7 +425,12 @@ def _asymptotic_stats(trajs, spinor_field, mass: float) -> dict:
 
 def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     data = cfg.packet()
-    writer.notes["spa_regime"] = spa_regime_report(data)
+    # The report goes to the manifest; its warning, unless filtered out,
+    # becomes one stderr line.
+    with warnings.catch_warnings(record=True) as caught:
+        writer.notes["spa_regime"] = spa_regime_report(data)
+    for w in caught[:1]:
+        print(f"diracflow: warning: {w.message}", file=sys.stderr)
     run = _bloch_ensemble(cfg, writer, seed, "trajectories", data, 50)
     summary = run.summary
     with writer.phase("summary"):

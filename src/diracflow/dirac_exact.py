@@ -37,7 +37,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError
 from .packets import PacketParams, Spinor, gaussian_amplitude, spinor_amplitudes
-from .quadrature import integrate_panels
+from .quadrature import _GL_ORDER, integrate_panels
 
 __all__ = [
     "QuadConfig",
@@ -55,7 +55,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and oscillation handling for the kernel quadratures."""
+    """Tolerances and oscillation handling for the kernel quadratures.
+
+    ``oscillation_guard`` is the number of Gauss-Legendre nodes per 2*pi of
+    integrand phase in the starting estimate (never fewer than 8 panels).
+    Gauss rules resolve a wave with about pi nodes per wavelength, so the
+    default 8 starts above that; the doubling test decides convergence.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -82,8 +88,8 @@ class FieldSample:
 
 
 def _initial_panels(rate: float, length: float, q: QuadConfig) -> int:
-    """Panels needed so each panel sees at most 2*pi/guard of phase."""
-    return max(8, ceil(q.oscillation_guard * rate * length / (2 * np.pi)))
+    """Starting panels: ``oscillation_guard`` Gauss nodes per 2*pi of phase, at least 8."""
+    return max(8, ceil(q.oscillation_guard * rate * length / (2 * np.pi * _GL_ORDER)))
 
 
 def _node_chunk(n_cols: int) -> int:

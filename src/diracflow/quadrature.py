@@ -3,8 +3,8 @@
 Composite Gauss-Legendre panels with global doubling: the integral is
 evaluated on N panels, N is doubled until two successive estimates agree
 within tolerance, and the last difference is kept as the error estimate.
-The starting panel count honors a minimum number of panels per oscillation
-so the first estimate already resolves every oscillation of the integrand.
+The caller sets the starting panel count, typically from the integrand's
+phase rate so the first estimate already samples every oscillation.
 
 Integrands are vectorized: ``f(nodes)`` receives a 1-D array of abscissas
 and may return an array whose leading axis matches ``nodes`` with any
@@ -86,12 +86,12 @@ def integrate_panels(
         return _weighted_sum(np.zeros(1), f(np.array([a]))), 0.0, 0
     n = max(1, int(initial_panels))
     if 2 * n > max_panels:
-        # The oscillation guard alone exceeds the budget: no refinement (and
+        # One doubling of the start exceeds the budget: no refinement (and
         # hence no error estimate) is possible within max_panels.
         partial = _composite(f, a, b, min(n, max_panels), order, node_chunk)
         raise IntegrationError(
-            f"panel budget {max_panels} below the {n} panels required to "
-            "resolve the integrand's oscillations",
+            f"panel budget {max_panels} leaves no room to double the {n} "
+            f"starting panels (one doubling needs {2 * n})",
             partial=partial,
             residual=np.inf,
         )

@@ -375,6 +375,22 @@ def test_bloch_with_every_member_failed(tmp_path, command):
     assert not (out / LOCK_NAME).exists()
 
 
+def test_trajectories_reports_spa_regime_without_python_warning(tmp_path):
+    # FIG3 is outside the SPA regime: the manifest records the report and
+    # stderr carries one diracflow line, not the interpreter's warning.
+    out = tmp_path / "regime"
+    proc = run_cli_subprocess(out, ["trajectories", *FIG3, "--set", "trajectories.n=2",
+                                    "--set", "trajectories.t_final=1.0"])
+    assert proc.returncode == 0, proc.stderr
+    assert "UserWarning" not in proc.stderr
+    assert ".py:" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("diracflow: warning: packet violates the SPA regime")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"]["spa_regime"]["ok"] is False
+
+
 # =============================================================================
 # observables
 # =============================================================================

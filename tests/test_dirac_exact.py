@@ -11,6 +11,7 @@ from diracflow import (
     Spinor,
     ValidationError,
     continuity_residual,
+    dirac_exact,
     evolve_exact,
     evolve_exact_grid,
     evolve_exact_spherical,
@@ -20,6 +21,7 @@ from diracflow import (
     schrodinger_trajectory,
     spherical_cut,
 )
+from diracflow.quadrature import integrate_panels
 
 from _oracles import dirac_spectral
 
@@ -110,6 +112,60 @@ def test_matches_spectral_propagator_over_benchmark_range(data, t, s_lo, s_hi):
     assert np.max(np.abs(psi.plus - plus_ref[idx])) <= 1e-9
 
 
+def assert_converged_to_oracle(data, t, s_lo, s_hi):
+    """Within 1e-12 of the FFT oracle, and never beyond max(err_est, 1e-13).
+
+    A coarse starting panel count can let two under-resolved estimates agree
+    by accident; that shows here as a true error above the estimate.
+    """
+    half_width = 60.0
+    band = abs(data.k0) + 12 / data.sigma
+    n = max(2**14, 1 << int(np.ceil(np.log2(band * 2 * half_width / np.pi))))
+    s_ref, minus_ref, plus_ref = dirac_spectral(t, data, half_width, n)
+    idx = np.searchsorted(s_ref, np.linspace(s_lo, s_hi, 33))
+    psi, err = evolve_exact_grid(t, s_ref[idx], data)
+    true_err = np.stack([np.abs(psi.minus - minus_ref[idx]),
+                         np.abs(psi.plus - plus_ref[idx])])
+    assert np.max(true_err) <= 1e-12
+    assert np.all(true_err <= np.maximum(err, 1e-13))
+
+
+@pytest.mark.parametrize("data, t, s_lo, s_hi", [
+    (FIG3, 0.5, -5.4, 5.4),
+    (FIG3, 2.0, -6.9, 6.9),
+    (FIG3, 8.0, -12.7, 12.7),
+    *[(PacketParams.macroscopic(0.2, 1.0, w), 1.0, -1.5, 1.5) for w in (50.0, 100.0, 200.0, 400.0)],
+], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w50", "macro-w100", "macro-w200", "macro-w400"])
+def test_converged_field_within_1e12_of_oracle(data, t, s_lo, s_hi):
+    assert_converged_to_oracle(data, t, s_lo, s_hi)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
+       theta0=st.floats(0.0, np.pi), omega0=st.floats(0.0, 6.28),
+       t=st.floats(0.0, 8.0))
+def test_no_false_convergence(sigma, k0, mass, theta0, omega0, t):
+    # The band s in [-6 sigma - t, 6 sigma + t] holds both packets.
+    data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=omega0, mass=mass)
+    assert_converged_to_oracle(data, t, -6.0 * sigma - t, 6.0 * sigma + t)
+
+
+def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
+    # FIG3 at t = 8 converges at 52 panels (26 to start, one doubling).  A
+    # start that counts panels rather than nodes per 2 pi of phase needs 832.
+    used = []
+
+    def counting(*args, **kwargs):
+        value, err, n = integrate_panels(*args, **kwargs)
+        used.append(n)
+        return value, err, n
+
+    monkeypatch.setattr(dirac_exact, "integrate_panels", counting)
+    evolve_exact_grid(8.0, np.linspace(-12.7, 12.7, 64), FIG3)
+    assert len(used) == 1
+    assert used[0] <= 64
+
+
 @pytest.mark.parametrize("t", [0.5, 2.0])
 def test_budget_failure_partial_is_the_field(t):
     # A budget of eight panels leaves no room to refine: no error estimate, but
@@ -189,11 +245,14 @@ def test_light_cone_support(fig3_packet):
 
 
 def test_quadrature_budget_error_carries_partial(fig3_packet):
-    q = QuadConfig(rel_tol=1e-13, abs_tol=1e-16, max_panels=16)
+    # Tolerances out of reach, so the 16-panel budget (one doubling of the
+    # 8-panel start) really is exhausted.
+    q = QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=16)
     with pytest.raises(IntegrationError) as info:
         evolve_exact(1.0, 0.0, fig3_packet, q)
     assert info.value.partial is not None
     assert info.value.residual is not None
+    assert np.all(np.isfinite(info.value.residual))
 
 
 def test_quad_config_validation():

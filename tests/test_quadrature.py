@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracflow import IntegrationError
-from diracflow.quadrature import integrate_panels
+from diracflow.quadrature import _GL_ORDER, _NODE_CHUNK, _composite, integrate_panels
 
 S = np.linspace(-1.0, 2.0, 7)
 
@@ -68,15 +68,33 @@ def test_pair_integrand_empty_interval(complex_kernel, complex_basis):
         assert value.shape == integrate_panels(plain, a, b)[0].shape
 
 
-# initial_panels 2 refines until the budget runs out; 8 exceeds it at once.
+NO_DOUBLING = "panel budget {} leaves no room to double the {} starting panels"
+
+
+# initial_panels 2 refines until the budget runs out; 8 cannot double at once.
 @pytest.mark.parametrize("initial_panels", [2, 8])
 @pytest.mark.parametrize("complex_kernel, complex_basis", FORMS)
 def test_pair_integrand_partial_on_failure(complex_kernel, complex_basis, initial_panels):
     pair, plain = integrands(complex_kernel, complex_basis)
+    match = NO_DOUBLING.format(8, 8) if initial_panels == 8 else "did not converge within 8"
     partials = []
     for f in (pair, plain):
-        with pytest.raises(IntegrationError) as info:
+        with pytest.raises(IntegrationError, match=match) as info:
             integrate_panels(f, 0.0, np.pi, rel_tol=1e-15, abs_tol=1e-300,
                              initial_panels=initial_panels, max_panels=8)
         partials.append(info.value.partial)
     assert_close(*partials)
+
+
+@pytest.mark.parametrize("initial_panels, max_panels", [(12, 16), (9, 17)])
+def test_start_without_room_to_double(initial_panels, max_panels):
+    # A start within the budget but above half of it cannot double: the
+    # partial is the starting estimate and there is no error estimate.
+    pair, _ = integrands(True, False)
+    with pytest.raises(IntegrationError,
+                       match=NO_DOUBLING.format(max_panels, initial_panels)) as info:
+        integrate_panels(pair, 0.0, np.pi, initial_panels=initial_panels,
+                         max_panels=max_panels)
+    want = _composite(pair, 0.0, np.pi, initial_panels, _GL_ORDER, _NODE_CHUNK)
+    assert_close(info.value.partial, want)
+    assert info.value.residual == np.inf
