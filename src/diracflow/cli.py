@@ -305,6 +305,18 @@ def _spinor_rows(t: float, s: np.ndarray, psi, err: np.ndarray):
                err_total[i])
 
 
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Collect the warnings raised inside; print the first as one stderr line.
+
+    Warning filters still apply, so a filtered-out warning prints nothing.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        yield caught
+    for w in caught[:1]:
+        print(f"diracflow: warning: {w.message}", file=sys.stderr)
+
+
 # ``series`` holds each trajectory's Cayley-Klein series, None where it failed.
 _Ensemble = namedtuple("_Ensemble", "t_final trajs summary spinor series")
 
@@ -317,9 +329,11 @@ def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, seed: int, sec: str,
     t_final = cfg.get_float(sec, "t_final", 8.0)
     mode = cfg.get_str(sec, "field", "SPA")
     tol = cfg.get_float(sec, "tol", 1e-8)
-    with writer.phase("ensemble"):
+    with writer.phase("ensemble"), _warnings_to_stderr() as caught:
         trajs, summary = run_ensemble(n, data, t_final, field_mode=mode,
                                       seed=seed, tol=tol, quad=quad)
+    if caught:
+        writer.notes["ensemble_warnings"] = [str(w.message) for w in caught]
     writer.notes["failed_trajectories"] = summary.n_failed
     if summary.n_failed:
         first = next(traj.error for traj in trajs if traj.error is not None)
@@ -425,12 +439,9 @@ def _asymptotic_stats(trajs, spinor_field, mass: float) -> dict:
 
 def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     data = cfg.packet()
-    # The report goes to the manifest; its warning, unless filtered out,
-    # becomes one stderr line.
-    with warnings.catch_warnings(record=True) as caught:
+    # The report goes to the manifest, its warning to one stderr line.
+    with _warnings_to_stderr():
         writer.notes["spa_regime"] = spa_regime_report(data)
-    for w in caught[:1]:
-        print(f"diracflow: warning: {w.message}", file=sys.stderr)
     run = _bloch_ensemble(cfg, writer, seed, "trajectories", data, 50)
     summary = run.summary
     with writer.phase("summary"):

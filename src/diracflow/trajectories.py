@@ -1,13 +1,17 @@
 """Bohmian trajectories under the exact and stationary-phase velocity fields.
 
-The guiding equation dq/dt = v(t, q) is integrated with an adaptive
-embedded Runge-Kutta 5(4) scheme (scipy's RK45) with dense output.  Velocity
-fields are supplied as handles so the expensive quadrature-backed exact
-field and the closed-form SPA field share one integrator.
+The guiding equation dq/dt = v(t, q) is integrated with the Dormand-Prince
+5(4) pair with dense output, in one array loop that steps every member of an
+ensemble in lockstep; a single trajectory is the one-member case.  The loop
+reproduces scipy's RK45 bit for bit: the same field calls, accepted steps,
+dense output and failure message as ``RK45(rtol=tol, atol=tol)`` per member.
+A field with ``velocities(t[], q[]) -> (v[], node_mask[])`` (the SPA field)
+is called once per stage for all members; any other callable (the
+quadrature-backed exact field, user functions) once per point.
 
 Ensembles draw initial positions from quantum equilibrium N(0, sigma^2) by
-inverse CDF, with a per-trajectory seed derived from (seed, index), and
-integrate the members in turn, so results are bit-identical for a seed.
+inverse CDF, with a per-trajectory seed derived from (seed, index), so
+results are bit-identical for a seed.
 
 The rescaled-ODE barrier analysis lives here too: the zero curve y0(x),
 the hyperbola constants C_+- with their barrier curves B_+-(x) = C_+- / x,
@@ -16,11 +20,15 @@ and grid checks that the velocity sign is uniform beyond the barriers.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import RK45, OdeSolution
+from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.special import ndtri
 
 from .dirac_exact import QuadConfig, evolve_exact, schrodinger_reference
@@ -141,29 +149,50 @@ class SpaVelocityField:
         self._da = float(a[0] ** 2 - a[1] ** 2)
         self._db = float(b[0] ** 2 - b[1] ** 2)
         self._dc = 2.0 * float(a[0] * b[0] - a[1] * b[1])
+        self._weights = np.array([[self._na, self._da], [self._nb, self._db],
+                                  [self._nc, self._dc]])[:, :, None]
+        self._sigma2 = params.sigma**2
+        self._chi_rate = 2 * params.omega * params.e0
+        # ln of the envelopes' common peak, 1 / (sqrt(2 pi) sigma).
+        self._log_peak = -np.log(np.sqrt(2 * np.pi) * params.sigma)
 
-    def log_peak_density(self, t: float, s: float) -> float:
-        p = self.params
-        lead = -np.log(np.sqrt(2 * np.pi) * p.sigma)
-        gm = -((s - p.v0 * t) ** 2) / (2 * p.sigma**2)
-        gp = -((s + p.v0 * t) ** 2) / (2 * p.sigma**2)
-        return lead + max(gm, gp)
+    def velocities(self, t, s):
+        """Velocities at the paired points (t[i], s[i]) of two 1-D arrays, and the node mask.
+
+        A point is a node where both envelopes underflow or, for |w| <= 350,
+        the density is not positive; its velocity is 0.  Beyond |w| = 350
+        the velocity has saturated to its one-packet value.
+        """
+        t = np.asarray(t, dtype=float)
+        s = np.asarray(s, dtype=float)
+        vt = self.params.v0 * t
+        w = vt * s / self._sigma2
+        wc = np.minimum(np.maximum(w, -350.0), 350.0)
+        ew = np.exp(wc)
+        emw = np.exp(-wc)
+        cos_chi = np.cos(self._chi_rate * t)
+        # Rows: density and current, each a {e^w, e^-w, cos chi} combination.
+        rho, cur = self._weights[0] * ew + self._weights[1] * emw + self._weights[2] * cos_chi
+        # Both envelopes underflow where the nearer packet center is too far.
+        d = np.abs(s) - np.abs(vt)
+        node = self._log_peak - d * d / (2 * self._sigma2) < _LOG_TINY
+        empty = rho <= 0
+        if np.count_nonzero(empty):
+            node |= empty & (w == wc)
+            rho[empty] = 1.0
+        v = cur / rho
+        if np.count_nonzero(w != wc):
+            v[w > 350.0] = self._da / self._na
+            v[w < -350.0] = self._db / self._nb
+        if np.count_nonzero(node):
+            v[node] = 0.0
+        return v, node
 
     def __call__(self, t: float, s: float) -> float:
-        p = self.params
-        if self.log_peak_density(t, s) < _LOG_TINY:
-            raise NodeError("both SPA envelopes underflow at this point")
-        w = p.v0 * t * s / p.sigma**2
-        if w > 350.0:
-            return self._da / self._na
-        if w < -350.0:
-            return self._db / self._nb
-        ew, emw = np.exp(w), np.exp(-w)
-        cos_chi = np.cos(2 * p.omega * p.e0 * t)
-        den = self._na * ew + self._nb * emw + self._nc * cos_chi
-        if den <= 0:
-            raise NodeError("SPA density vanishes at this point")
-        return float((self._da * ew + self._db * emw + self._dc * cos_chi) / den)
+        v, node = self.velocities(np.array([t]), np.array([s]))
+        if node[0]:
+            raise NodeError("SPA density vanishes or both envelopes underflow at this point")
+        return float(v[0])
 
     def spinor(self, t: float, s: float) -> Spinor:
         u = spa_spinor_grid(t, np.array([s]), self.params)
@@ -217,41 +246,204 @@ def xy_ode_velocity(x, y, theta0: float, a_omega: float):
 # Guiding-equation integration
 # =============================================================================
 
+# scipy's RK45 (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
+# ODEs I, Sec. II.4): the tableau is read from scipy, the step control is a
+# transcription of its select_initial_step, rk_step and RungeKutta._step_impl.
+_C, _A, _B, _E, _P = RK45.C, RK45.A, RK45.B, RK45.E, RK45.P
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_ORDER = RK45.error_estimator_order
+_MIN_RTOL = 100 * np.finfo(float).eps
+
+
+def _rms(x):
+    """scipy's RMS norm of a one-component state, member by member."""
+    return np.sqrt(x * x)
+
+
+def _pow(x, exponent: float):
+    """libm's pow elementwise, as scipy's scalar step control computes it."""
+    return np.array([math.pow(v, exponent) for v in x.tolist()])
+
+
+def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
+                       tol: float) -> list:
+    """Step every initial position in lockstep with scipy's RK45 arithmetic.
+
+    Each member keeps its own t, step size, rejection flag and history and
+    sees exactly what ``RK45(rtol=tol, atol=tol)`` does for it alone: the
+    same field calls in the same order, accepted steps, dense output and
+    too-small-step failure.  Every sum is a stacked product, so each
+    member's sum is the same BLAS dot product as scipy's.  Returns, per
+    member, its Trajectory or the IntegrationError that stopped it; the
+    other members carry on.
+    """
+    t0, t1 = (float(x) for x in t_span)
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValidationError(f"t_span must be finite, got {t_span!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    q0s = np.asarray(q0s, dtype=float)
+    if not np.all(np.isfinite(q0s)):
+        raise ValidationError("initial positions must be finite")
+    atol = rtol = tol
+    if tol < _MIN_RTOL:
+        warnings.warn(f"tol = {tol:g} is below 100 machine epsilons; the relative "
+                      f"tolerance is raised to {_MIN_RTOL:.3g}", stacklevel=3)
+        rtol = _MIN_RTOL
+    n = q0s.size
+    direction = np.sign(t1 - t0) if t1 != t0 else 1.0
+    events: List[list] = [[] for _ in range(n)]
+    errors: list = [None] * n
+    batch = getattr(velocity_field, "velocities", None)
+
+    def evaluate(t, q, failed):
+        """One stage's velocities at (t[i], q[i]) of the stepping members ``ids``.
+
+        A field with ``velocities(t[], q[]) -> (v[], node_mask[])`` takes
+        all points in one call.  Any other callable goes point by point:
+        NodeError gives velocity 0; IntegrationError fails that member
+        alone, marks it in ``failed`` and skips it for the rest of the
+        round.  Node points are appended to their member's events.
+        """
+        if batch is not None:
+            v, node = batch(t, q)
+        else:
+            v = np.zeros(t.size)
+            node = np.zeros(t.size, dtype=bool)
+            for k in np.flatnonzero(~failed):
+                try:
+                    v[k] = velocity_field(t[k], q[k])
+                except NodeError:
+                    node[k] = True
+                except IntegrationError as exc:
+                    errors[ids[k]] = exc
+                    failed[k] = True
+        if np.count_nonzero(node):
+            for k in np.flatnonzero(node):
+                events[ids[k]].append((float(t[k]), float(q[k])))
+        return v
+
+    ids = np.arange(n)
+    failed = np.zeros(n, dtype=bool)
+    y0 = q0s.copy()
+    f0 = evaluate(np.full(n, t0), y0, failed)
+    if t0 == t1:
+        return [errors[i] or Trajectory(
+            times=np.array([t0, t0]), positions=y0[[i, i]], velocities=f0[[i, i]],
+            q0=float(q0s[i]), node_events=events[i],
+            dense=OdeSolution([t0, t0], [ConstantDenseOutput(t0, t0, y0[i:i + 1])]))
+            for i in range(n)]
+
+    # select_initial_step; Python's min and max keep the first of equals.
+    span = abs(t1 - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.where(span < h0, span, h0)
+        f1 = evaluate(t0 + h0 * direction, y0 + h0 * direction * f0, failed)
+        d2 = _rms((f1 - f0) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6),
+                      _pow(0.01 / np.where(d2 > d1, d2, d1), 1 / (_ERROR_ORDER + 1)))
+    h_abs = np.where(h1 < 100 * h0, h1, 100 * h0)
+    h_abs = np.where(span < h_abs, span, h_abs)
+
+    # The members still stepping and their state, compacted as they leave.
+    keep = ~failed
+    ids, t, y, f, h_abs = ids[keep], np.full(n, t0)[keep], y0[keep], f0[keep], h_abs[keep]
+    rejected = np.zeros(ids.size, dtype=bool)
+    history = [(np.empty(0, dtype=int), *np.empty((3, 0)), np.empty((0, RK45.n_stages + 1)))]
+    K = np.empty((n, RK45.n_stages + 1))
+    while ids.size:
+        failed = np.zeros(ids.size, dtype=bool)
+        # A step starts at least at min_step; a rejected retry below it fails.
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        small = h_abs < min_step
+        if np.count_nonzero(small):
+            h_abs = np.where(small & ~rejected, min_step, h_abs)
+            failed |= small & rejected
+            for i in ids[failed]:
+                errors[i] = IntegrationError(
+                    f"trajectory integration failed: {RK45.TOO_SMALL_STEP}")
+        t_new = t + h_abs * direction
+        past = direction * (t_new - t1) > 0
+        if np.count_nonzero(past):
+            t_new[past] = t1
+        h = t_new - t
+        h_abs = np.abs(h)
+        stage_t = t + np.multiply.outer(_C, h)  # row s: t + C[s] h; C[-1] = 1
+        k = K[:ids.size]
+        k[:, 0] = f
+        for s in range(1, RK45.n_stages):
+            dy = np.matmul(k[:, None, :s], _A[s, :s])[:, 0] * h
+            k[:, s] = evaluate(stage_t[s], y + dy, failed)
+        y_new = y + h * np.matmul(k[:, None, :-1], _B)[:, 0]
+        k[:, -1] = f_new = evaluate(stage_t[-1], y_new, failed)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _rms(np.matmul(k[:, None, :], _E)[:, 0] * h / scale)
+        accept = (error_norm < 1) & ~failed
+        zero = error_norm == 0
+        factor = _SAFETY * _pow(np.where(zero, 1.0, error_norm), -1 / (_ERROR_ORDER + 1))
+        # fmin and fmax pick the number over a NaN, as Python's min and max do here.
+        grow = np.where(zero, _MAX_FACTOR, np.fmin(factor, _MAX_FACTOR))
+        grow = np.where(rejected, np.fmin(grow, 1.0), grow)
+        h_abs = h_abs * np.where(accept, grow, np.fmax(factor, _MIN_FACTOR))
+        rejected = ~accept
+        if np.count_nonzero(rejected):
+            history.append((ids[accept], t_new[accept], y_new[accept], f_new[accept],
+                            k[accept]))
+            t = np.where(accept, t_new, t)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, f_new, f)
+        else:
+            history.append((ids, t_new, y_new, f_new, k.copy()))
+            t, y, f = t_new, y_new, f_new
+        # t_new never passes t1, so a member is done when it lands on t1.
+        leave = failed | (accept & (t_new == t1))
+        if np.count_nonzero(leave):
+            keep = ~leave
+            ids, t, y, f, h_abs, rejected = (
+                x[keep] for x in (ids, t, y, f, h_abs, rejected))
+
+    # Each member's accepted steps, in order, with one RkDenseOutput each.
+    member, times, positions, velocities, stages = (np.concatenate(c) for c in zip(*history))
+    q = np.matmul(stages[:, None, :], _P)[:, 0]
+    order = np.argsort(member, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(member, minlength=n))))
+    results = []
+    for i in range(n):
+        if errors[i] is not None:
+            results.append(errors[i])
+            continue
+        rows = order[bounds[i]:bounds[i + 1]]
+        ts = np.concatenate(([t0], times[rows]))
+        ys = np.concatenate((y0[i:i + 1], positions[rows]))
+        qs = q[rows]
+        pieces = [RkDenseOutput(ts[j], ts[j + 1], ys[j:j + 1], qs[j:j + 1])
+                  for j in range(rows.size)]
+        results.append(Trajectory(
+            times=ts, positions=ys, velocities=np.concatenate((f0[i:i + 1], velocities[rows])),
+            q0=float(q0s[i]), node_events=events[i], dense=OdeSolution(ts, pieces)))
+    return results
+
+
 def integrate_trajectory(q0: float, t_span: Tuple[float, float],
                          velocity_field: Callable[[float, float], float],
                          tol: float = 1e-8) -> Trajectory:
     """Integrate dq/dt = v(t, q) adaptively; returns the accepted-step history.
 
-    RK45 is first-same-as-last, so the velocity recorded at each accepted
-    point is the one the stepper already evaluated there: the field is
-    called once per stage and never again.  Node encounters (NodeError from
-    the field) freeze the velocity to zero for that evaluation and are
+    The one-member case of the ensemble loop, so it matches scipy's RK45 bit
+    for bit.  RK45 is first-same-as-last, so the velocity recorded at each
+    accepted point is the one the stepper already evaluated there: the field
+    is called once per stage and never again.  Node encounters (NodeError
+    from the field) freeze the velocity to zero for that evaluation and are
     recorded as events; integration proceeds.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
-    events: List[Tuple[float, float]] = []
-
-    def rhs(t, y):
-        try:
-            return [velocity_field(t, y[0])]
-        except NodeError:
-            events.append((float(t), float(y[0])))
-            return [0.0]
-
-    t0, t1 = map(float, t_span)
-    solver = RK45(rhs, t0, [q0], t1, rtol=tol, atol=tol)
-    steps = [(t0, solver.y[0], solver.f[0])]
-    pieces = []
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"trajectory integration failed: {message}")
-        steps.append((solver.t, solver.y[0], solver.f[0]))
-        pieces.append(solver.dense_output())
-    times, positions, velocities = map(np.array, zip(*steps))
-    return Trajectory(times=times, positions=positions, velocities=velocities,
-                      q0=float(q0), node_events=events, dense=OdeSolution(times, pieces))
+    (result,) = _integrate_members([q0], t_span, velocity_field, tol)
+    if isinstance(result, IntegrationError):
+        raise result
+    return result
 
 
 def classify_trajectory(traj: Trajectory, v0: float, window_frac: float = 0.1,
@@ -300,9 +492,10 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
     """Integrate n quantum-equilibrium trajectories; returns (trajectories, summary).
 
     Initial positions are i.i.d. N(0, sigma^2) drawn by inverse CDF with
-    per-trajectory seeds derived from (seed, index).  Individual integrator
-    failures are recorded on the trajectory and do not abort the run.
-    Members run in turn in this process; ``workers`` has no effect.
+    per-trajectory seeds derived from (seed, index).  All members step in one
+    lockstep loop in this process; ``workers`` has no effect.  Individual
+    integrator failures are recorded on the trajectory and do not abort the
+    run.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -310,14 +503,12 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
     field_fn = _make_field(data, field_mode, quad)
     v0 = _reference_v0(data)
+    q0s = [_draw_initial_position(seed, i, data.sigma) for i in range(n)]
     trajectories = []
-    for i in range(n):
-        q0 = _draw_initial_position(seed, i, data.sigma)
-        try:
-            traj = integrate_trajectory(q0, (0.0, t_final), field_fn, tol=tol)
-        except IntegrationError as exc:
+    for q0, traj in zip(q0s, _integrate_members(q0s, (0.0, t_final), field_fn, tol)):
+        if isinstance(traj, IntegrationError):
             traj = Trajectory(times=np.array([0.0]), positions=np.array([q0]),
-                              velocities=np.array([0.0]), q0=q0, error=str(exc))
+                              velocities=np.array([0.0]), q0=q0, error=str(traj))
         else:
             traj.classification, traj.asymptotic_velocity = classify_trajectory(traj, v0)
         trajectories.append(traj)
@@ -364,8 +555,10 @@ def find_bifurcation(data: PacketParams, t_final: float, tol_s: float,
                      field_mode: str = "SPA", bracket: Optional[Tuple[float, float]] = None,
                      tol: float = 1e-8, quad: Optional[QuadConfig] = None) -> float:
     """Bisect on q0 for the initial position separating LEFT from RIGHT escape."""
-    if tol_s <= 0:
-        raise ValidationError("tol_s must be > 0")
+    if not (np.isfinite(t_final) and t_final > 0):
+        raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
+    if not (np.isfinite(tol_s) and tol_s > 0):
+        raise ValidationError(f"tol_s must be finite and > 0, got {tol_s!r}")
     field_fn = _make_field(data, field_mode, quad)
     v0 = _reference_v0(data)
 
@@ -466,7 +659,15 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
 # =============================================================================
 
 def cayley_klein_along(traj: Trajectory, spinor_field) -> dict:
-    """Cayley-Klein series (R, Theta, Omega, Phi unwrapped) along a trajectory."""
+    """Cayley-Klein series (R, Theta, Omega, Phi unwrapped) along a trajectory.
+
+    An SPA field's ``spinor`` is evaluated at all (t, q) pairs in one call;
+    any other spinor callable point by point.
+    """
+    owner = getattr(spinor_field, "__self__", None)
+    if isinstance(owner, SpaVelocityField):
+        u = spa_spinor_grid(traj.times, traj.positions, owner.params)
+        return cayley_klein_series(u.minus, u.plus)
     minus = np.empty(traj.times.size, dtype=complex)
     plus = np.empty(traj.times.size, dtype=complex)
     for i, (t, s) in enumerate(zip(traj.times, traj.positions)):

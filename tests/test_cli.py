@@ -391,6 +391,23 @@ def test_trajectories_reports_spa_regime_without_python_warning(tmp_path):
     assert manifest["notes"]["spa_regime"]["ok"] is False
 
 
+def test_tiny_tol_warns_once_without_python_warning(tmp_path):
+    # A tol below 100 machine epsilons is clamped for the relative tolerance;
+    # the four members share one warning line and one manifest note.
+    out = tmp_path / "tiny-tol"
+    proc = run_cli_subprocess(out, ["trajectories", *FIG3, "--set", "trajectories.n=4",
+                                    "--set", "trajectories.t_final=1.0",
+                                    "--set", "trajectories.tol=1e-30"])
+    assert proc.returncode == 0, proc.stderr
+    assert "UserWarning" not in proc.stderr
+    assert ".py:" not in proc.stderr
+    tol_lines = [line for line in proc.stderr.splitlines() if "tol = 1e-30" in line]
+    assert len(tol_lines) == 1
+    assert tol_lines[0].startswith("diracflow: warning: ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["notes"]["ensemble_warnings"]) == 1
+
+
 # =============================================================================
 # observables
 # =============================================================================

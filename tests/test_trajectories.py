@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution, solve_ivp
 
 from diracflow import (
     LEFT,
@@ -10,6 +16,7 @@ from diracflow import (
     DiracflowError,
     DomainError,
     ExactVelocityField,
+    IntegrationError,
     NodeError,
     PacketParams,
     QuadConfig,
@@ -25,11 +32,13 @@ from diracflow import (
     integrate_trajectory,
     run_ensemble,
     schrodinger_trajectory,
+    spa_spinor_grid,
     spa_velocity_field,
     trajectory_closeness,
     xy_ode_velocity,
 )
-from diracflow.spa import SpaParams
+from diracflow.spa import SpaParams, has_both_critical_points
+from diracflow.trajectories import _integrate_members
 
 
 def _macro(p0=1.0, sigma=0.2, omega=60.0, vartheta=0.0):
@@ -424,3 +433,243 @@ def test_antipodal_cluster_report():
     assert report["n_clusters"] == 2
     assert report["antipodal"]
     assert max(report["angular_radii"]) < 0.1
+
+
+# =============================================================================
+# The lockstep RK45 loop against scipy
+# =============================================================================
+
+def _scipy_run(field, q0, t_span, tol=1e-8):
+    """scipy's RK45 on a scalar field, with node points recorded as the loop does.
+
+    Returns (times, positions, velocities, node events, OdeSolution, nfev),
+    or the failure message.
+    """
+    events = []
+
+    def rhs(t, y):
+        try:
+            return [field(t, y[0])]
+        except NodeError:
+            events.append((float(t), float(y[0])))
+            return [0.0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solver = RK45(rhs, t_span[0], [q0], t_span[1], rtol=tol, atol=tol)
+    steps = [(solver.t, solver.y[0], solver.f[0])]
+    pieces = []
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            return message
+        steps.append((solver.t, solver.y[0], solver.f[0]))
+        pieces.append(solver.dense_output())
+    times, positions, velocities = map(np.array, zip(*steps))
+    return times, positions, velocities, events, OdeSolution(times, pieces), solver.nfev
+
+
+def _assert_matches_scipy(traj, ref, t_check):
+    times, positions, velocities, events, dense, _ = ref
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.positions, positions)
+    assert np.array_equal(traj.velocities, velocities)
+    assert traj.node_events == events
+    assert np.array_equal(traj.position_at(t_check), dense(t_check)[0])
+
+
+@pytest.mark.parametrize("seed", [1, 77])
+def test_ensemble_members_match_scipy_rk45(fig3_packet, seed, monkeypatch):
+    points = []
+    batch = SpaVelocityField.velocities
+
+    def counted(self, t, s):
+        points.append(np.size(t))
+        return batch(self, t, s)
+
+    monkeypatch.setattr(SpaVelocityField, "velocities", counted)
+    trajs, _ = run_ensemble(50, fig3_packet, 8.0, field_mode="SPA", seed=seed)
+    field_points = sum(points)
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    t_check = np.linspace(0.0, 8.0, 997)
+    nfev = 0
+    for tr in trajs:
+        ref = _scipy_run(field, tr.q0, (0.0, 8.0))
+        _assert_matches_scipy(tr, ref, t_check)
+        nfev += ref[-1]
+    assert field_points == nfev
+
+
+def test_underflowing_member_keeps_scalar_node_events(fig3_packet):
+    # At q0 = 40 sigma both SPA envelopes underflow: the member sees node
+    # events, stepped alongside ordinary members.
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    q0s = [-0.5, 40.0 * fig3_packet.sigma, 0.7]
+    t_check = np.linspace(0.0, 2.0, 997)
+    members = _integrate_members(q0s, (0.0, 2.0), field, 1e-8)
+    assert members[1].node_events
+    for q0, tr in zip(q0s, members):
+        _assert_matches_scipy(tr, _scipy_run(field, q0, (0.0, 2.0)), t_check)
+
+
+class _FailsRightOfOrigin:
+    """A scalar field that cannot be evaluated at s > 0."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __call__(self, t, s):
+        if s > 0:
+            raise IntegrationError(f"no field at s = {s:.3f}")
+        return self.field(t, s)
+
+
+def test_failing_members_leave_the_rest_untouched(fig3_packet):
+    field = _FailsRightOfOrigin(SpaVelocityField(SpaParams.from_packet(fig3_packet)))
+    q0s = [-2.0, 0.5, -1.5, 1.25, -3.0]
+    members = _integrate_members(q0s, (0.0, 2.0), field, 1e-8)
+    for q0, member in zip(q0s, members):
+        if q0 > 0:
+            assert isinstance(member, IntegrationError)
+            assert str(member) == f"no field at s = {q0:.3f}"
+            continue
+        solo = integrate_trajectory(q0, (0.0, 2.0), field)
+        assert np.all(solo.positions < 0)
+        assert np.array_equal(member.times, solo.times)
+        assert np.array_equal(member.positions, solo.positions)
+        assert np.array_equal(member.velocities, solo.velocities)
+
+
+def test_too_small_step_fails_with_scipys_message():
+    # dq/dt = q^2 from q = 1 blows up at t = 1.
+    def blow_up(t, q):
+        return q * q
+
+    message = _scipy_run(blow_up, 1.0, (0.0, 2.0))
+    assert message == "Required step size is less than spacing between numbers."
+    with pytest.raises(IntegrationError, match=f"trajectory integration failed: {message}"):
+        integrate_trajectory(1.0, (0.0, 2.0), blow_up)
+    # In a loop with a member that stays finite, only the blow-up fails.
+    members = _integrate_members([1.0, -1.0], (0.0, 2.0), blow_up, 1e-8)
+    assert str(members[0]) == f"trajectory integration failed: {message}"
+    _assert_matches_scipy(members[1], _scipy_run(blow_up, -1.0, (0.0, 2.0)),
+                          np.linspace(0.0, 2.0, 97))
+
+
+@pytest.mark.parametrize("t_span", [(3.0, 0.5), (1.0, 1.0)], ids=["backward", "empty"])
+def test_backward_and_empty_spans_match_scipy(fig3_packet, t_span):
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    tr = integrate_trajectory(0.4, t_span, field)
+    _assert_matches_scipy(tr, _scipy_run(field, 0.4, t_span), np.linspace(*t_span, 97))
+
+
+def test_tiny_tol_warns_once_and_clamps_like_scipy(fig3_packet):
+    with pytest.warns(UserWarning, match="below 100 machine epsilons") as caught:
+        trajs, _ = run_ensemble(3, fig3_packet, 0.5, field_mode="SPA", seed=4, tol=1e-30)
+    assert len(caught) == 1
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    for tr in trajs:
+        _assert_matches_scipy(tr, _scipy_run(field, tr.q0, (0.0, 0.5), tol=1e-30),
+                              np.linspace(0.0, 0.5, 97))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_span": (0.0, np.inf)}, {"t_span": (np.nan, 1.0)}, {"tol": np.nan},
+    {"tol": np.inf}, {"tol": 0.0}, {"tol": -1e-8}, {"q0": np.nan}, {"q0": -np.inf},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_integrate_trajectory_rejects_bad_inputs(kwargs):
+    args = {"q0": 0.3, "t_span": (0.0, 1.0), "tol": 1e-8, **kwargs}
+    with pytest.raises(ValidationError):
+        integrate_trajectory(args["q0"], args["t_span"], SchrodingerField(1.0),
+                             tol=args["tol"])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_final": np.inf}, {"t_final": np.nan}, {"tol_s": np.nan}, {"tol_s": np.inf},
+    {"tol_s": 0.0},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_find_bifurcation_rejects_bad_inputs(fig3_packet, kwargs):
+    args = {"t_final": 8.0, "tol_s": 1e-3, **kwargs}
+    with pytest.raises(ValidationError):
+        find_bifurcation(fig3_packet, args["t_final"], args["tol_s"])
+
+
+# Inputs that hung before they were validated; a fresh process with a
+# timeout turns a regression into a failure rather than a stuck suite.
+HANG_CASES = {
+    "infinite_t_span": "integrate_trajectory(0.3, (0.0, float('inf')), SchrodingerField(1.0))",
+    "nan_tol": "integrate_trajectory(0.3, (0.0, 1.0), SchrodingerField(1.0), tol=float('nan'))",
+    "ensemble_nan_tol": "run_ensemble(2, FIG3, 1.0, tol=float('nan'))",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANG_CASES))
+def test_formerly_hanging_inputs_rejected_in_subprocess(case):
+    import diracflow
+    src = str(Path(diracflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "from diracflow import *\n"
+        "FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=1.5707963267948966, omega0=0.0, mass=3.0)\n"
+        "try:\n"
+        f"    {HANG_CASES[case]}\n"
+        "except ValidationError as exc:\n"
+        "    print('rejected:', exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:")
+
+
+# =============================================================================
+# The array SPA field and the paired spinor
+# =============================================================================
+
+def _spa_points(rng, n=4000):
+    t = rng.uniform(0.0, 20.0, n)
+    s = rng.uniform(-60.0, 60.0, n)
+    # Saturated points (|w| > 350) and deep-tail nodes, both signs.
+    t[:200], s[:200] = rng.uniform(8.0, 20.0, 200), rng.uniform(45.0, 60.0, 200)
+    t[200:400], s[200:400] = rng.uniform(8.0, 20.0, 200), -rng.uniform(45.0, 60.0, 200)
+    t[400:600], s[400:600] = rng.uniform(0.0, 0.5, 200), rng.choice([-1, 1], 200) * 50.0
+    return t, s
+
+
+def test_array_spa_field_equals_scalar_calls(fig3_packet):
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    t, s = _spa_points(np.random.default_rng(5))
+    v, node = field.velocities(t, s)
+    w = field.params.v0 * t * s / fig3_packet.sigma**2
+    assert np.count_nonzero(np.abs(w) > 350) >= 300
+    assert np.count_nonzero(node) >= 100
+    for ti, si, vi, ni in zip(t, s, v, node):
+        if ni:
+            assert vi == 0.0
+            with pytest.raises(NodeError):
+                field(ti, si)
+        else:
+            assert field(ti, si) == vi
+
+
+def test_array_spa_field_matches_spinor_current(fig3_packet):
+    # The field always carries both critical points' weights; the spinor
+    # does once omega t > j0 E0.
+    params = SpaParams.from_packet(fig3_packet)
+    t, s = _spa_points(np.random.default_rng(6))
+    v, _ = SpaVelocityField(params).velocities(t, s)
+    psi = spa_spinor_grid(t, s, params)
+    dense = (psi.density > 1e-250) & has_both_critical_points(t, params)
+    assert np.count_nonzero(dense) >= 1000
+    ref = psi.current[dense] / psi.density[dense]
+    assert np.max(np.abs(v[dense] - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
+
+
+def test_paired_bloch_series_equals_pointwise(fig3_packet):
+    trajs, _ = run_ensemble(4, fig3_packet, 8.0, field_mode="SPA", seed=21)
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    for tr in trajs:
+        paired = cayley_klein_along(tr, field.spinor)
+        pointwise = cayley_klein_along(tr, lambda t, s: field.spinor(t, s))
+        for key in ("r", "theta", "omega", "phi"):
+            assert np.array_equal(paired[key], pointwise[key])
