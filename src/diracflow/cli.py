@@ -214,12 +214,9 @@ class RunConfig:
 # Artifact writing
 # =============================================================================
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _stack_blocks(blocks, width: int):
+    """Concatenate row blocks given as column tuples; ``width`` empty columns if none."""
+    return [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * width
 
 
 def _dump_json(doc: dict) -> bytes:
@@ -256,13 +253,16 @@ class RunWriter:
         (self.dir / name).write_bytes(data)
         self.artifacts[name] = hashlib.sha256(data).hexdigest()
 
-    def write_csv(self, name: str, label: str, columns: Sequence[str], rows) -> None:
-        buf = io.StringIO()
-        buf.write(f"# {CSV_SCHEMA} {label}\n")
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        self._register(name, buf.getvalue().encode())
+    def write_csv(self, name: str, label: str, header: Sequence[str], columns) -> None:
+        """One row per index of the equal-length ``columns`` (arrays or sequences).
+
+        Each column becomes Python floats or ints in one ``tolist()`` call;
+        ``str`` of a float is its shortest round-trip repr.
+        """
+        cells = [map(str, np.asarray(col).tolist()) for col in columns]
+        lines = [f"# {CSV_SCHEMA} {label}", ",".join(header)]
+        lines.extend(map(",".join, zip(*cells)))
+        self._register(name, ("\n".join(lines) + "\n").encode())
 
     def write_json(self, name: str, label: str, payload: dict) -> None:
         self._register(name, _dump_json({"schema": f"{JSON_SCHEMA} {label}", **payload}))
@@ -294,15 +294,12 @@ class RunWriter:
 # Commands
 # =============================================================================
 
-def _spinor_rows(t: float, s: np.ndarray, psi, err: np.ndarray):
+def _spinor_columns(t: float, s: np.ndarray, psi, err: np.ndarray):
     rho = psi.density
     cur = psi.current
     v = np.where(rho > 0, cur / np.where(rho > 0, rho, 1.0), 0.0)
-    err_total = err.sum(axis=0)
-    for i in range(s.size):
-        yield (t, s[i], psi.minus[i].real, psi.minus[i].imag,
-               psi.plus[i].real, psi.plus[i].imag, rho[i], cur[i], v[i],
-               err_total[i])
+    return (np.full(s.size, t), s, psi.minus.real, psi.minus.imag,
+            psi.plus.real, psi.plus.imag, rho, cur, v, err.sum(axis=0))
 
 
 @contextlib.contextmanager
@@ -363,23 +360,21 @@ def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     if any(t < 0 for t in t_values):
         raise ValidationError("[grid] t_values must be >= 0")
     s = cfg.get_grid("grid", "s", cfg.get_float("grid", "s_min"))
-    rows = []
+    blocks = []
     failures = 0
     with writer.phase("field"):
         for t in t_values:
             try:
                 psi, err = evolve_exact_grid(t, s, data, quad)
-                rows.extend(_spinor_rows(t, s, psi, err))
+                blocks.append(_spinor_columns(t, s, psi, err))
             except IntegrationError as exc:
                 failures += 1
-                nan = float("nan")
                 if exc.partial is not None:
                     writer.notes[f"partial_failure_t={t!r}"] = str(exc)
-                rows.extend((t, si, nan, nan, nan, nan, nan, nan, nan, nan)
-                            for si in s)
+                blocks.append((np.full(s.size, t), s, *[np.full(s.size, np.nan)] * 8))
     writer.write_csv("field.csv", "field",
                      ["t", "s", "re_minus", "im_minus", "re_plus", "im_plus",
-                      "rho", "j", "v", "err_est"], rows)
+                      "rho", "j", "v", "err_est"], _stack_blocks(blocks, 10))
     writer.notes["failed_slices"] = failures
     return 3 if failures else 0
 
@@ -415,7 +410,7 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
             payload["flagged"] = "ladder too short for a slope fit (need >= 4 rungs)"
     payload["sup_errors"] = sups
     writer.write_csv("spa_compare.csv", "spa-compare", ["omega", "sup_err"],
-                     zip(ladder, sups))
+                     [ladder, sups])
     writer.write_json("spa_compare.json", "spa-compare", payload)
     return 0
 
@@ -448,10 +443,10 @@ def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
         for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
             if ck is None:
                 continue
-            rows = zip(traj.times, traj.positions, traj.velocities,
-                       ck["r"], ck["theta"], ck["omega"], ck["phi"])
+            columns = [traj.times, traj.positions, traj.velocities,
+                       ck["r"], ck["theta"], ck["omega"], ck["phi"]]
             writer.write_csv(f"traj_{i:04d}.csv", "trajectory",
-                             ["t", "q", "v", "R", "Theta", "Omega", "Phi"], rows)
+                             ["t", "q", "v", "R", "Theta", "Omega", "Phi"], columns)
         payload = {
             "n": summary.n,
             "v0": summary.v0,
@@ -473,7 +468,7 @@ def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
 
 def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     run = _bloch_ensemble(cfg, writer, seed, "bloch", cfg.packet(), 100)
-    rows = []
+    blocks = []
     endpoints = []
     for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
         if ck is None:
@@ -482,9 +477,10 @@ def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
         nx = st * np.cos(ck["omega"])
         ny = st * np.sin(ck["omega"])
         nz = np.cos(ck["theta"])
-        rows.extend(zip([i] * traj.times.size, traj.times, nx, ny, nz))
+        blocks.append((np.full(traj.times.size, i), traj.times, nx, ny, nz))
         endpoints.append((nx[-1], ny[-1], nz[-1]))
-    writer.write_csv("bloch.csv", "bloch", ["traj", "t", "nx", "ny", "nz"], rows)
+    writer.write_csv("bloch.csv", "bloch", ["traj", "t", "nx", "ny", "nz"],
+                     _stack_blocks(blocks, 5))
     # When every member failed there are no endpoints to cluster.
     report = antipodal_clusters(np.asarray(endpoints)) if endpoints else {
         "n_clusters": 0, "angular_radii": [], "centers": []}
@@ -556,7 +552,7 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     x = cfg.get_grid(sec, "x", cfg.get_float(sec, "x_min", 0.2), 5.0, 50)
     offsets = cfg.get_grid(sec, "offset", 0.0, 3.0, 50)
     reports = []
-    rows = []
+    blocks = []
     with writer.phase("barriers"):
         for theta0 in theta_values:
             spec = barrier_curves(theta0)
@@ -568,11 +564,12 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
             for a_omega in a_omegas[:1]:
                 c = np.cos(a_omega * x)
                 y0 = np.log(eta / (tan0 * c + np.sqrt(1 + tan0**2 * c**2))) / x
-                for xi, b_m, b_p, y0i in zip(x, spec.b_minus(x), spec.b_plus(x), y0):
-                    rows.append((theta0, xi, b_m, b_p, y0i,
-                                 xy_ode_velocity(xi, y0i, theta0, a_omega)))
+                f_at_y0 = [xy_ode_velocity(xi, y0i, theta0, a_omega) for xi, y0i in zip(x, y0)]
+                blocks.append((np.full(x.size, theta0), x, spec.b_minus(x), spec.b_plus(x),
+                               y0, f_at_y0))
     writer.write_csv("barriers.csv", "barriers",
-                     ["theta0", "x", "b_minus", "b_plus", "y0", "F_at_y0"], rows)
+                     ["theta0", "x", "b_minus", "b_plus", "y0", "F_at_y0"],
+                     _stack_blocks(blocks, 6))
     writer.write_json("barriers.json", "barriers", {"reports": reports})
     return 3 if any(r["violations"] for r in reports) else 0
 

@@ -1,11 +1,12 @@
 """Exact evolution of free 1D Dirac spinor packets, plus the nonrelativistic reference.
 
-Two independent evaluation routes are provided:
+Three evaluation routes are provided; the first two serve ``evolve_exact``
+and ``evolve_exact_grid``, which run the momentum route only where it starts
+from fewer panels than the Bessel route (``_grid_route``):
 
-* ``evolve_exact`` integrates the Bessel-kernel representation of the
-  solution.  The substitution ``sigma = s - t*cos(theta)`` removes the
-  square-root endpoint singularity of the J1 kernel, leaving smooth
-  oscillatory integrands over theta in [0, pi]:
+* The Bessel-kernel route.  The substitution ``sigma = s - t*cos(theta)``
+  removes the square-root endpoint singularity of the J1 kernel, leaving
+  smooth oscillatory integrands over theta in [0, pi]:
 
       psi_-(t,s) = psi0_-(s-t) - (w*t/2) Int J1(w*t*sin)(1+cos) psi0_-(s-t*cos)
                                  - (i*w*t/2) Int J0(w*t*sin) sin psi0_+(s-t*cos)
@@ -13,23 +14,30 @@ Two independent evaluation routes are provided:
                                  - (i*w*t/2) Int J0(w*t*sin) sin psi0_-(s-t*cos)
 
   with w = mass (microscopic) or the large parameter omega (macroscopic;
-  the rescaling is a pure reparametrization of PacketParams).
+  the rescaling is a pure reparametrization of PacketParams).  Its phase
+  grows with (w + |k0|) t, but its integrand is local in s.
+
+* The momentum route: the Fourier integral of the free propagator over the
+  Gaussian spectrum, k0 +- 8/sigma (see ``_kspace_grid``).  Its phase grows
+  with |s| + t, not with w, so it runs on the macroscopic ladder and at
+  single points near the packets; grids over both FIG3 packets start from
+  as many panels or more and stay on the Bessel route.
 
 * ``evolve_exact_spherical`` rewrites the kernels through their integral
   representation as a 2D quadrature over the unit sphere, with the polar
   cap theta > theta0 (the disk r < R after stereographic projection)
   removed from the psi_+ domain.  The removed cap exactly cancels the
   transport term up to a narrow remainder integral, which is evaluated
-  explicitly so the two routes agree to quadrature tolerance.
+  explicitly so the routes agree to quadrature tolerance.
 
-The grid evaluator shares one theta quadrature across every requested s,
-so field evaluation over (t, s) grids vectorizes.
+The grid evaluator shares one quadrature across every requested s, so
+field evaluation over (t, s) grids vectorizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, hypot
 from typing import Tuple
 
 import numpy as np
@@ -58,9 +66,12 @@ class QuadConfig:
     """Tolerances and oscillation handling for the kernel quadratures.
 
     ``oscillation_guard`` is the number of Gauss-Legendre nodes per 2*pi of
-    integrand phase in the starting estimate (never fewer than 8 panels).
+    integrand phase in the starting estimate (never fewer than 8 panels):
+    of the theta-phase, at rate (m + |k0|) t, on the Bessel route and of the
+    momentum phase, at rate max|s| + t max|v|, on the momentum route.
     Gauss rules resolve a wave with about pi nodes per wavelength, so the
     default 8 starts above that; the doubling test decides convergence.
+    The same counts choose the grid route (``_grid_route``).
     """
 
     rel_tol: float = 1e-9
@@ -87,45 +98,118 @@ class FieldSample:
     err_est: float
 
 
-def _initial_panels(rate: float, length: float, q: QuadConfig) -> int:
-    """Starting panels: ``oscillation_guard`` Gauss nodes per 2*pi of phase, at least 8."""
-    return max(8, ceil(q.oscillation_guard * rate * length / (2 * np.pi * _GL_ORDER)))
+# =============================================================================
+# Grid evaluation and the choice of route
+# =============================================================================
+
+def _initial_panels(rate: float, length: float, q: QuadConfig) -> float:
+    """Starting panels: ``oscillation_guard`` Gauss nodes per 2*pi of phase, at least 8.
+
+    A whole number as a float, inf where the phase overflows, so that
+    ``_grid_route`` can compare the counts of both routes for any input.
+    """
+    return max(8.0, float(np.ceil(q.oscillation_guard * rate * length / (2 * np.pi * _GL_ORDER))))
 
 
 def _node_chunk(n_cols: int) -> int:
-    # About 16k Gaussian-basis entries per integrand call keep the block in
-    # cache, and keep the (6, N) @ (N, n_cols) product below the size at which
-    # OpenBLAS starts threads (which cost more than they save on a busy machine).
+    # About 16k basis entries per integrand call keep the block in cache, and
+    # keep the (6, N) @ (N, n_cols) product below the size at which OpenBLAS
+    # starts threads (which cost more than they save on a busy machine).
     return max(16, 2**14 // max(1, n_cols))
 
 
-# =============================================================================
-# Bessel-kernel route
-# =============================================================================
+def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_chunk):
+    """Run the quadrature and ``assemble`` its integrals into (Spinor, err[2, n]).
+
+    On a budget failure the partial integrals assemble into a partial field.
+    With no error estimate (the panel budget leaves no room to refine the
+    starting panels) the field's residual is inf at every position.
+    """
+    try:
+        value, err, _ = integrate_panels(
+            integrand, a, b,
+            rel_tol=q.rel_tol, abs_tol=abs_tol,
+            initial_panels=n0, max_panels=q.max_panels, node_chunk=node_chunk,
+        )
+    except IntegrationError as exc:
+        if np.ndim(exc.residual):
+            partial, residual = assemble(exc.partial, exc.residual)
+        else:
+            partial, residual = assemble(exc.partial, 0.0)[0], np.full((2, n_points), np.inf)
+        raise IntegrationError(str(exc), partial=partial, residual=residual) from exc
+    return assemble(value, err)
+
+
+def _transport(t: float, s_arr, data: PacketParams):
+    """The transport terms c_-+ psi0(s -+ t) of both components."""
+    cm, cp = spinor_amplitudes(data)
+
+    def phi(x):
+        return gaussian_amplitude(data.sigma, x) * np.exp(1j * data.k0 * x)
+
+    return cm * phi(s_arr - t), cp * phi(s_arr + t)
+
 
 def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfig()):
     """Evaluate psi(t, s) on an array of positions; returns (Spinor, err[2, n]).
 
-    One theta-quadrature is shared by all positions, so the cost is
-    O(n_theta * n_s) with fully vectorized inner arithmetic.
+    One quadrature is shared by all positions, so the cost is
+    O(n_nodes * n_s) with fully vectorized inner arithmetic.  The Bessel
+    route integrates over theta and the momentum route over k; the
+    momentum route runs where it starts from fewer panels (``_grid_route``).
     """
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(s_arr)):
         raise DomainError("s must be finite")
+    if t == 0 or data.mass * t == 0:
+        transport_m, transport_p = _transport(t, s_arr, data)
+        return Spinor(minus=transport_m, plus=transport_p), np.zeros((2, s_arr.size))
+    return _grid_route(t, s_arr, data, q)(t, s_arr, data, q)
+
+
+def evolve_exact(t: float, s: float, data: PacketParams,
+                 q: QuadConfig = QuadConfig()) -> FieldSample:
+    """Exact evolved spinor at a single spacetime point."""
+    psi, err = evolve_exact_grid(t, [s], data, q)
+    return FieldSample(
+        t=float(t),
+        s=float(s),
+        psi=Spinor(minus=complex(psi.minus[0]), plus=complex(psi.plus[0])),
+        err_est=float(err[:, 0].sum()),
+    )
+
+
+def _grid_route(t: float, s_arr, data: PacketParams, q: QuadConfig):
+    """The momentum route if it starts from fewer panels, else the Bessel route.
+
+    Both counts come from ``_initial_panels``.  The Bessel route's phase
+    rate is (m + |k0|) t over theta in [0, pi]: it grows with the mass but
+    its integrand is local in s.  The momentum route's is |s -+ v(k) t| over
+    a window of width 16 / sigma: it does not grow with the mass but does
+    with the farthest position.  A tie goes to Bessel: per panel, the
+    momentum route's complex basis costs more on grids of tens of points.
+    """
+    if _kspace_panels(t, s_arr, data, q) < _bessel_panels(t, data, q):
+        return _kspace_grid
+    return _bessel_grid
+
+
+# =============================================================================
+# Bessel-kernel route
+# =============================================================================
+
+def _bessel_panels(t: float, data: PacketParams, q: QuadConfig) -> float:
+    """Starting panels of the Bessel route: theta-phase rate (m + |k0|) t over [0, pi]."""
+    return _initial_panels((data.mass + abs(data.k0)) * t, np.pi, q)
+
+
+def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
+    """psi(t, s) from the Bessel-kernel theta-integrals (module docstring)."""
     cm, cp = spinor_amplitudes(data)
     sigma, k0, omega = data.sigma, data.k0, data.mass
-
-    def phi(x):
-        return gaussian_amplitude(sigma, x) * np.exp(1j * k0 * x)
-
-    transport_m = cm * phi(s_arr - t)
-    transport_p = cp * phi(s_arr + t)
-    if t == 0 or omega * t == 0:
-        zeros = np.zeros((2, s_arr.size))
-        return Spinor(minus=transport_m, plus=transport_p), zeros
-
+    transport_m, transport_p = _transport(t, s_arr, data)
     wt = omega * t
 
     # The plane wave factors out of psi0(s - t cos):
@@ -154,40 +238,79 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
         err_p = 0.5 * wt * (abs(cp) * e1p + abs(cm) * e0)
         return Spinor(minus=psi_m, plus=psi_p), np.stack([err_m, err_p])
 
-    n0 = _initial_panels(rate=(omega + abs(k0)) * t, length=np.pi, q=q)
-    try:
-        value, err, _ = integrate_panels(
-            integrand,
-            0.0,
-            np.pi,
-            rel_tol=q.rel_tol,
-            abs_tol=q.abs_tol / max(1.0, wt),
-            initial_panels=n0,
-            max_panels=q.max_panels,
-            node_chunk=_node_chunk(s_arr.size),
-        )
-    except IntegrationError as exc:
-        # The partial theta-integrals assemble into a partial field.  With no
-        # error estimate (the panel budget leaves no room to refine the
-        # starting panels) the field's residual is inf at every position.
-        if np.ndim(exc.residual):
-            partial, residual = assemble(exc.partial, exc.residual)
-        else:
-            partial, residual = assemble(exc.partial, 0.0)[0], np.full((2, s_arr.size), np.inf)
-        raise IntegrationError(str(exc), partial=partial, residual=residual) from exc
-    return assemble(value, err)
+    return _integrate_field(integrand, 0.0, np.pi, assemble, s_arr.size, q,
+                            abs_tol=q.abs_tol / max(1.0, wt), n0=_bessel_panels(t, data, q),
+                            node_chunk=_node_chunk(s_arr.size))
 
 
-def evolve_exact(t: float, s: float, data: PacketParams,
-                 q: QuadConfig = QuadConfig()) -> FieldSample:
-    """Exact evolved spinor at a single spacetime point."""
-    psi, err = evolve_exact_grid(t, [s], data, q)
-    return FieldSample(
-        t=float(t),
-        s=float(s),
-        psi=Spinor(minus=complex(psi.minus[0]), plus=complex(psi.plus[0])),
-        err_est=float(err[:, 0].sum()),
-    )
+# =============================================================================
+# Momentum-space route
+# =============================================================================
+
+# Half-width of the momentum window in units of 1/sigma: the Gaussian
+# spectrum e^{-sigma^2 u^2} leaves e^{-64} ~ 1.6e-28 of its peak outside it.
+_K_WINDOW = 8.0
+
+
+def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
+    """Starting panels of the momentum route.
+
+    The phase of e^{i(u s -+ E t)} changes at the rate |s -+ v(k) t|, at most
+    max|s| + t max|v| with |v| = |k| / E largest at the window's far edge.
+    """
+    half = _K_WINDOW / data.sigma
+    k_edge = abs(data.k0) + half
+    v_edge = k_edge / hypot(k_edge, data.mass)
+    return _initial_panels(float(np.max(np.abs(s_arr), initial=0.0)) + t * v_edge, 2 * half, q)
+
+
+def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
+    """psi(t, s) as the momentum integral over the window |u| <= 8 / sigma.
+
+        psi(t, s) = e^{i k0 s} Int du g(k0 + u) e^{i u s},
+        g(k) = phi_hat(k) / (2 pi) [cos(E t) - i sin(E t) H(k) / E] c,
+
+    with H(k) = ((k, m), (m, -k)), E = sqrt(k^2 + m^2), c the initial spinor
+    and phi_hat(k) = 2 sigma sqrt(pi) (2 pi sigma^2)^{-1/4} e^{-sigma^2 (k - k0)^2}
+    (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.
+    """
+    cm, cp = spinor_amplitudes(data)
+    sigma, k0, m = data.sigma, data.k0, data.mass
+    half = _K_WINDOW / sigma
+    scale = 2 * sigma * np.sqrt(np.pi) * (2 * np.pi * sigma**2) ** -0.25 / (2 * np.pi)
+
+    # Each call gets whole panels, so its nodes are u_pr = c_p + o_r with
+    # panel centres c_p and in-panel offsets o_r shared by every panel, and
+    # the basis e^{i u s} = e^{i c_p s} e^{i o_r s} costs P + 16 complex
+    # exponentials per position instead of 16 P.  The kernel is evaluated at
+    # the same c_p + o_r, which differ from the nodes by rounding only.
+    def integrand(nodes):
+        panels = nodes.reshape(-1, _GL_ORDER)
+        centre = 0.5 * (panels[:, 0] + panels[:, -1])
+        offset = panels[0] - centre[0]
+        u = (centre[:, None] + offset).ravel()
+        k = k0 + u
+        energy = np.hypot(k, m)
+        cos_et = np.cos(energy * t)
+        sinc_et = np.sin(energy * t) / energy
+        g = scale * np.exp(-(sigma * u) ** 2)
+        kernel = np.empty((u.size, 2), dtype=complex)
+        kernel[:, 0] = g * (cos_et * cm - 1j * sinc_et * (k * cm + m * cp))
+        kernel[:, 1] = g * (cos_et * cp - 1j * sinc_et * (m * cm - k * cp))
+        basis = (np.exp(1j * np.outer(centre, s_arr))[:, None, :]
+                 * np.exp(1j * np.outer(offset, s_arr))[None, :, :])
+        return kernel, basis.reshape(u.size, s_arr.size)
+
+    phase = np.exp(1j * k0 * s_arr)
+
+    def assemble(value, err):
+        return Spinor(minus=value[0] * phase, plus=value[1] * phase), err
+
+    # A multiple of the order, so that each call gets whole panels.
+    chunk = _GL_ORDER * max(1, _node_chunk(s_arr.size) // _GL_ORDER)
+    return _integrate_field(integrand, -half, half, assemble, s_arr.size, q,
+                            abs_tol=q.abs_tol, n0=_kspace_panels(t, s_arr, data, q),
+                            node_chunk=chunk)
 
 
 # =============================================================================

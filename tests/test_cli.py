@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diracflow import PacketParams, make_initial_packet
-from diracflow.cli import LOCK_NAME, RunConfig, main
+from diracflow.cli import LOCK_NAME, RunConfig, RunWriter, main
 
 FIG3 = [
     "--set", "packet.sigma=1.0",
@@ -211,6 +211,21 @@ def test_field_rerun_is_byte_identical(tmp_path):
     assert run_cli(*args, "--out", tmp_path / "a") == 0
     assert run_cli(*args, "--out", tmp_path / "b") == 0
     assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
+
+
+def test_csv_cells_match_per_value_repr(tmp_path):
+    # Columns are formatted whole; every cell must read exactly as the
+    # per-value repr(float(v)) or str(int(v)) of the row-by-row writer.
+    x = np.array([0.1, -0.0, 1e-300, 2.0 / 3.0, np.nan, np.inf, -np.inf, 1.2345678901234567e16])
+    i = np.arange(x.size)
+    writer = RunWriter(tmp_path, RunConfig("field"), seed=None)
+    try:
+        writer.write_csv("x.csv", "test", ["i", "x", "y"], [i, x, [float(v) for v in x]])
+    finally:
+        writer.release()
+    lines = (tmp_path / "x.csv").read_text().splitlines()
+    assert lines[:2] == ["# diracflow-csv-v1 test", "i,x,y"]
+    assert lines[2:] == [f"{int(a)},{float(b)!r},{float(b)!r}" for a, b in zip(i, x)]
 
 
 def test_field_norm_column(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracflow import (
@@ -182,21 +182,101 @@ def test_budget_failure_partial_is_the_field(t):
     assert np.all(np.isinf(info.value.residual))
 
 
-def test_unconverged_partial_carries_field_residual():
+MACRO_W400 = PacketParams.macroscopic(0.2, 1.0, 400.0)
+
+
+@pytest.mark.parametrize("data, t, s", [
+    (FIG3, 0.5, np.linspace(-4.0, 9.0, 27)),
+    # The momentum route, which starts here from 15 panels.
+    (MACRO_W400, 1.0, np.linspace(-1.5, 1.5, 33)),
+], ids=["fig3-bessel", "macro-w400-kspace"])
+def test_unconverged_partial_carries_field_residual(data, t, s):
     # One doubling is allowed but the tolerance is out of reach: the residual
     # is the field's error bound, in the units of the converged err.
-    t = 0.5
-    s = np.linspace(-4.0, 9.0, 27)
-    psi, err = evolve_exact_grid(t, s, FIG3)
+    psi, err = evolve_exact_grid(t, s, data)
     q = QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=64)
     with pytest.raises(IntegrationError) as info:
-        evolve_exact_grid(t, s, FIG3, q)
+        evolve_exact_grid(t, s, data, q)
     partial, residual = info.value.partial, info.value.residual
     assert isinstance(partial, Spinor)
     assert np.max(np.abs(partial.minus - psi.minus)) <= 1e-12
     assert np.max(np.abs(partial.plus - psi.plus)) <= 1e-12
     assert residual.shape == err.shape
     assert np.all(np.isfinite(residual))
+
+
+def test_kspace_budget_failure_has_no_residual():
+    # Eight panels leave no room to double the momentum route's start of 15.
+    s = np.linspace(-1.5, 1.5, 33)
+    with pytest.raises(IntegrationError) as info:
+        evolve_exact_grid(1.0, s, MACRO_W400, QuadConfig(max_panels=8))
+    assert isinstance(info.value.partial, Spinor)
+    assert info.value.partial.minus.shape == s.shape
+    assert info.value.residual.shape == (2, s.size)
+    assert np.all(np.isinf(info.value.residual))
+
+
+# =============================================================================
+# Momentum route against the Bessel route
+# =============================================================================
+
+def assert_routes_agree(data, t, s):
+    """Both grid routes, called directly, within 1e-12 of each other."""
+    q = QuadConfig()
+    bessel, _ = dirac_exact._bessel_grid(t, s, data, q)
+    kspace, _ = dirac_exact._kspace_grid(t, s, data, q)
+    assert np.max(np.abs(kspace.minus - bessel.minus)) <= 1e-12
+    assert np.max(np.abs(kspace.plus - bessel.plus)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
+       theta0=st.floats(0.0, np.pi), omega0=st.floats(0.0, 6.28),
+       t=st.floats(0.0, 8.0))
+def test_grid_routes_agree(sigma, k0, mass, theta0, omega0, t):
+    # The ranges of test_no_false_convergence; both routes need m t > 0.
+    assume(mass * t > 0)
+    data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=omega0, mass=mass)
+    assert_routes_agree(data, t, np.linspace(-6.0 * sigma - t, 6.0 * sigma + t, 33))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(omega=st.sampled_from([50.0, 100.0, 200.0, 400.0]), vartheta=st.floats(0.0, np.pi),
+       t=st.floats(0.05, 1.0))
+def test_grid_routes_agree_on_macroscopic_ladder(omega, vartheta, t):
+    data = PacketParams.macroscopic(0.2, 1.0, omega, vartheta)
+    assert_routes_agree(data, t, np.linspace(-1.5, 1.5, 33))
+
+
+def test_grid_route_choice():
+    # Pinned to timings of both routes forced on the benchmark's grids: the
+    # momentum route runs only where it starts from fewer panels.
+    q = QuadConfig()
+    route = dirac_exact._grid_route
+    v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
+    # FIG3 grids over both packets: Bessel at 8, 8 and 27 panels against 8,
+    # 12 and 27 (a tie goes to Bessel).
+    for t in (0.5, 2.0, 8.0):
+        half = v0 * t + 5.0
+        assert route(t, np.linspace(-half, half, 64), FIG3, q) is dirac_exact._bessel_grid
+    # The macroscopic ladder: 15 or 16 panels against 25 to 200.
+    for omega in (50.0, 100.0, 200.0, 400.0):
+        data = PacketParams.macroscopic(0.2, 1.0, omega)
+        assert route(1.0, np.linspace(-1.5, 1.5, 33), data, q) is dirac_exact._kspace_grid
+    # Single points on the FIG3 packets' centres once (m + |k0|) t outgrows
+    # |s| + t: 10 against 14 panels at t = 4, 20 against 27 at t = 8.
+    for t in (4.0, 8.0):
+        for s in (-v0 * t, v0 * t):
+            assert route(t, np.array([s]), FIG3, q) is dirac_exact._kspace_grid
+
+
+def test_far_position_takes_bessel_route():
+    # The momentum route's panel count overflows to inf at |s| = 1e307; the
+    # Bessel route runs and the packets are negligible there.
+    with np.errstate(over="ignore"):
+        sample = evolve_exact(1.0, 1e307, FIG3)
+    assert sample.psi.minus == 0 and sample.psi.plus == 0
+    assert np.isfinite(sample.err_est)
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -231,6 +311,15 @@ def test_error_estimate_contract(fig3_packet):
 
 def test_norm_conserved(fig3_packet):
     norm, err = integrate_density(0.6, fig3_packet)
+    assert norm == pytest.approx(1.0, abs=1e-6)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
+       theta0=st.floats(0.0, np.pi), t=st.floats(0.0, 8.0))
+def test_norm_conserved_property(sigma, k0, mass, theta0, t):
+    data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=0.0, mass=mass)
+    norm, _ = integrate_density(t, data)
     assert norm == pytest.approx(1.0, abs=1e-6)
 
 
