@@ -361,21 +361,24 @@ def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
         raise ValidationError("[grid] t_values must be >= 0")
     s = cfg.get_grid("grid", "s", cfg.get_float("grid", "s_min"))
     blocks = []
-    failures = 0
+    failures = []
     with writer.phase("field"):
         for t in t_values:
             try:
                 psi, err = evolve_exact_grid(t, s, data, quad)
                 blocks.append(_spinor_columns(t, s, psi, err))
             except IntegrationError as exc:
-                failures += 1
+                failures.append(exc)
                 if exc.partial is not None:
                     writer.notes[f"partial_failure_t={t!r}"] = str(exc)
                 blocks.append((np.full(s.size, t), s, *[np.full(s.size, np.nan)] * 8))
     writer.write_csv("field.csv", "field",
                      ["t", "s", "re_minus", "im_minus", "re_plus", "im_plus",
                       "rho", "j", "v", "err_est"], _stack_blocks(blocks, 10))
-    writer.notes["failed_slices"] = failures
+    writer.notes["failed_slices"] = len(failures)
+    if failures:
+        print(f"diracflow: numerical failure: {len(failures)} of {len(t_values)} "
+              f"time slices failed: {failures[0]}", file=sys.stderr)
     return 3 if failures else 0
 
 

@@ -15,7 +15,8 @@ from fewer panels than the Bessel route (``_grid_route``):
 
   with w = mass (microscopic) or the large parameter omega (macroscopic;
   the rescaling is a pure reparametrization of PacketParams).  Its phase
-  grows with (w + |k0|) t, but its integrand is local in s.
+  -k0 t cos(theta) +- w t sin(theta) changes at most at the rate
+  t*hypot(w, k0) in theta, but its integrand is local in s.
 
 * The momentum route: the Fourier integral of the free propagator over the
   Gaussian spectrum, k0 +- 8/sigma (see ``_kspace_grid``).  Its phase grows
@@ -67,8 +68,9 @@ class QuadConfig:
 
     ``oscillation_guard`` is the number of Gauss-Legendre nodes per 2*pi of
     integrand phase in the starting estimate (never fewer than 8 panels):
-    of the theta-phase, at rate (m + |k0|) t, on the Bessel route and of the
-    momentum phase, at rate max|s| + t max|v|, on the momentum route.
+    of the theta-phase -k0 t cos(theta) +- m t sin(theta), at rate at most
+    t hypot(m, k0), on the Bessel route and of the momentum phase, at rate
+    max|s| + t max|v|, on the momentum route.
     Gauss rules resolve a wave with about pi nodes per wavelength, so the
     default 8 starts above that; the doubling test decides convergence.
     The same counts choose the grid route (``_grid_route``).
@@ -123,8 +125,14 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_c
 
     On a budget failure the partial integrals assemble into a partial field.
     With no error estimate (the panel budget leaves no room to refine the
-    starting panels) the field's residual is inf at every position.
+    starting panels) the field's residual is inf at every position.  Where
+    the phase overflows (an inf starting count) no rule resolves it and
+    there is no partial field.
     """
+    if not np.isfinite(n0):
+        raise IntegrationError(
+            "integrand phase overflows a float: no panel count resolves it",
+            partial=None, residual=np.full((2, n_points), np.inf))
     try:
         value, err, _ = integrate_panels(
             integrand, a, b,
@@ -185,7 +193,7 @@ def _grid_route(t: float, s_arr, data: PacketParams, q: QuadConfig):
     """The momentum route if it starts from fewer panels, else the Bessel route.
 
     Both counts come from ``_initial_panels``.  The Bessel route's phase
-    rate is (m + |k0|) t over theta in [0, pi]: it grows with the mass but
+    rate is t hypot(m, k0) over theta in [0, pi]: it grows with the mass but
     its integrand is local in s.  The momentum route's is |s -+ v(k) t| over
     a window of width 16 / sigma: it does not grow with the mass but does
     with the farthest position.  A tie goes to Bessel: per panel, the
@@ -201,15 +209,19 @@ def _grid_route(t: float, s_arr, data: PacketParams, q: QuadConfig):
 # =============================================================================
 
 def _bessel_panels(t: float, data: PacketParams, q: QuadConfig) -> float:
-    """Starting panels of the Bessel route: theta-phase rate (m + |k0|) t over [0, pi]."""
-    return _initial_panels((data.mass + abs(data.k0)) * t, np.pi, q)
+    """Starting panels of the Bessel route over theta in [0, pi].
+
+    The integrand's phase -k0 t cos(theta) +- m t sin(theta) (the plane wave
+    times the Bessel kernels' oscillation) has the theta-derivative
+    t (k0 sin(theta) +- m cos(theta)), at most t hypot(m, k0) in magnitude.
+    """
+    return _initial_panels(t * hypot(data.mass, data.k0), np.pi, q)
 
 
 def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
     """psi(t, s) from the Bessel-kernel theta-integrals (module docstring)."""
     cm, cp = spinor_amplitudes(data)
     sigma, k0, omega = data.sigma, data.k0, data.mass
-    transport_m, transport_p = _transport(t, s_arr, data)
     wt = omega * t
 
     # The plane wave factors out of psi0(s - t cos):
@@ -232,6 +244,9 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
         """The spinor and its error bound (2, n) from the theta-integrals (3, n)."""
         a1m, a1p, a0 = value * np.exp(1j * k0 * s_arr)
         e1m, e1p, e0 = np.broadcast_to(err, value.shape)
+        # Formed here, so that a phase too large to integrate fails before
+        # any value overflows.
+        transport_m, transport_p = _transport(t, s_arr, data)
         psi_m = transport_m - 0.5 * wt * cm * a1m - 0.5j * wt * cp * a0
         psi_p = transport_p - 0.5 * wt * cp * a1p - 0.5j * wt * cm * a0
         err_m = 0.5 * wt * (abs(cm) * e1m + abs(cp) * e0)

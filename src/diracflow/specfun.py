@@ -7,14 +7,19 @@ arguments raise ``DomainError``, and a scalar argument gives a Python float.
 Absolute error stays below 1e-12 for |x| <= 1e4; the test suite checks this
 against direct quadrature of the integral representation
 J_n(x) = (1/2pi) Int e^{i(n*phi - x*sin(phi))} dphi.
+
+``scipy.special`` (with the array-API layer it imports, the larger part of
+a fresh process's start-up) loads on the first Bessel call, not with the
+package: a run that evaluates no kernel, such as the barrier analysis or a
+rejected config, does not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -40,11 +45,19 @@ class BesselEval:
     abs_err_est: float
 
 
-def _apply(kernel, x):
+@cache
+def _special():
+    """``scipy.special``, imported on first use; later calls cost one cache hit."""
+    from scipy import special
+
+    return special
+
+
+def _apply(name: str, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("Bessel argument must be finite")
-    out = kernel(arr)
+    out = getattr(_special(), name)(arr)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -52,12 +65,12 @@ def _apply(kernel, x):
 
 def bessel_j0(x):
     """J0(x) for real x (scalar or array). Even in x; abs error <= 1e-12 on |x| <= 1e4."""
-    return _apply(special.j0, x)
+    return _apply("j0", x)
 
 
 def bessel_j1(x):
     """J1(x) for real x (scalar or array). Odd in x; |J1(x)/x| <= 1/2 for x != 0."""
-    return _apply(special.j1, x)
+    return _apply("j1", x)
 
 
 def _err_estimate(x: float) -> float:

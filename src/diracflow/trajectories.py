@@ -13,6 +13,11 @@ Ensembles draw initial positions from quantum equilibrium N(0, sigma^2) by
 inverse CDF, with a per-trajectory seed derived from (seed, index), so
 results are bit-identical for a seed.
 
+``scipy.integrate`` (the RK45 tableau and dense-output classes, with the
+optimize/sparse/linalg tree it imports) and ``scipy.special.ndtri`` load on
+the first integration or draw, not with the package, so the exact field and
+the barrier analysis run without them.
+
 The rescaled-ODE barrier analysis lives here too: the zero curve y0(x),
 the hyperbola constants C_+- with their barrier curves B_+-(x) = C_+- / x,
 and grid checks that the velocity sign is uniform beyond the barriers.
@@ -26,10 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
-from scipy.integrate._ivp.base import ConstantDenseOutput
-from scipy.integrate._ivp.rk import RkDenseOutput
-from scipy.special import ndtri
 
 from .dirac_exact import QuadConfig, evolve_exact, schrodinger_reference
 from .errors import BracketingError, DomainError, IntegrationError, NodeError, ValidationError
@@ -247,11 +248,10 @@ def xy_ode_velocity(x, y, theta0: float, a_omega: float):
 # =============================================================================
 
 # scipy's RK45 (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-# ODEs I, Sec. II.4): the tableau is read from scipy, the step control is a
-# transcription of its select_initial_step, rk_step and RungeKutta._step_impl.
-_C, _A, _B, _E, _P = RK45.C, RK45.A, RK45.B, RK45.E, RK45.P
+# ODEs I, Sec. II.4): the tableau is read from scipy on the first
+# integration, the step control is a transcription of its
+# select_initial_step, rk_step and RungeKutta._step_impl.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_ORDER = RK45.error_estimator_order
 _MIN_RTOL = 100 * np.finfo(float).eps
 
 
@@ -277,6 +277,10 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     member, its Trajectory or the IntegrationError that stopped it; the
     other members carry on.
     """
+    from scipy.integrate import RK45, OdeSolution
+    from scipy.integrate._ivp.base import ConstantDenseOutput
+    from scipy.integrate._ivp.rk import RkDenseOutput
+
     t0, t1 = (float(x) for x in t_span)
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValidationError(f"t_span must be finite, got {t_span!r}")
@@ -286,6 +290,7 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     if not np.all(np.isfinite(q0s)):
         raise ValidationError("initial positions must be finite")
     atol = rtol = tol
+    exponent = 1 / (RK45.error_estimator_order + 1)
     if tol < _MIN_RTOL:
         warnings.warn(f"tol = {tol:g} is below 100 machine epsilons; the relative "
                       f"tolerance is raised to {_MIN_RTOL:.3g}", stacklevel=3)
@@ -345,7 +350,7 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
         d2 = _rms((f1 - f0) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6),
-                      _pow(0.01 / np.where(d2 > d1, d2, d1), 1 / (_ERROR_ORDER + 1)))
+                      _pow(0.01 / np.where(d2 > d1, d2, d1), exponent))
     h_abs = np.where(h1 < 100 * h0, h1, 100 * h0)
     h_abs = np.where(span < h_abs, span, h_abs)
 
@@ -372,19 +377,19 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
             t_new[past] = t1
         h = t_new - t
         h_abs = np.abs(h)
-        stage_t = t + np.multiply.outer(_C, h)  # row s: t + C[s] h; C[-1] = 1
+        stage_t = t + np.multiply.outer(RK45.C, h)  # row s: t + C[s] h; C[-1] = 1
         k = K[:ids.size]
         k[:, 0] = f
         for s in range(1, RK45.n_stages):
-            dy = np.matmul(k[:, None, :s], _A[s, :s])[:, 0] * h
+            dy = np.matmul(k[:, None, :s], RK45.A[s, :s])[:, 0] * h
             k[:, s] = evaluate(stage_t[s], y + dy, failed)
-        y_new = y + h * np.matmul(k[:, None, :-1], _B)[:, 0]
+        y_new = y + h * np.matmul(k[:, None, :-1], RK45.B)[:, 0]
         k[:, -1] = f_new = evaluate(stage_t[-1], y_new, failed)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.matmul(k[:, None, :], _E)[:, 0] * h / scale)
+        error_norm = _rms(np.matmul(k[:, None, :], RK45.E)[:, 0] * h / scale)
         accept = (error_norm < 1) & ~failed
         zero = error_norm == 0
-        factor = _SAFETY * _pow(np.where(zero, 1.0, error_norm), -1 / (_ERROR_ORDER + 1))
+        factor = _SAFETY * _pow(np.where(zero, 1.0, error_norm), -exponent)
         # fmin and fmax pick the number over a NaN, as Python's min and max do here.
         grow = np.where(zero, _MAX_FACTOR, np.fmin(factor, _MAX_FACTOR))
         grow = np.where(rejected, np.fmin(grow, 1.0), grow)
@@ -408,7 +413,7 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
 
     # Each member's accepted steps, in order, with one RkDenseOutput each.
     member, times, positions, velocities, stages = (np.concatenate(c) for c in zip(*history))
-    q = np.matmul(stages[:, None, :], _P)[:, 0]
+    q = np.matmul(stages[:, None, :], RK45.P)[:, 0]
     order = np.argsort(member, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(member, minlength=n))))
     results = []
@@ -468,6 +473,8 @@ def classify_trajectory(traj: Trajectory, v0: float, window_frac: float = 0.1,
 # =============================================================================
 
 def _draw_initial_position(seed: int, index: int, sigma: float) -> float:
+    from scipy.special import ndtri
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     u = np.random.default_rng(ss).random()
     return float(sigma * ndtri(u))
@@ -554,7 +561,16 @@ def summarize_ensemble(trajectories: Sequence[Trajectory], v0: float,
 def find_bifurcation(data: PacketParams, t_final: float, tol_s: float,
                      field_mode: str = "SPA", bracket: Optional[Tuple[float, float]] = None,
                      tol: float = 1e-8, quad: Optional[QuadConfig] = None) -> float:
-    """Bisect on q0 for the initial position separating LEFT from RIGHT escape."""
+    """Bisect on q0 for the initial position separating LEFT from RIGHT escape.
+
+    A point still UNRESOLVED at ``t_final`` is integrated again to twice,
+    then four times, that horizon.  One lockstep call classifies both
+    bracket ends, and each later call a midpoint together with the two
+    points the next step may visit, so it covers two bisection levels.
+    Members do not affect each other in the loop, so the result is that of
+    bisecting one trajectory at a time, and a point bisection does not
+    visit raises nothing.
+    """
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
     if not (np.isfinite(tol_s) and tol_s > 0):
@@ -562,26 +578,42 @@ def find_bifurcation(data: PacketParams, t_final: float, tol_s: float,
     field_fn = _make_field(data, field_mode, quad)
     v0 = _reference_v0(data)
 
-    def classify(q0: float) -> str:
+    def classify(q0s: list) -> dict:
+        """Each point's class, or the IntegrationError that stopped it."""
+        found = {}
+        pending = q0s
         horizon = t_final
         for _ in range(3):
-            traj = integrate_trajectory(q0, (0.0, horizon), field_fn, tol=tol)
-            cls, _ = classify_trajectory(traj, v0)
-            if cls != UNRESOLVED:
-                return cls
+            trajs = _integrate_members(pending, (0.0, horizon), field_fn, tol)
+            for q0, traj in zip(pending, trajs):
+                found[q0] = (traj if isinstance(traj, IntegrationError)
+                             else classify_trajectory(traj, v0)[0])
+            pending = [q0 for q0 in pending if found[q0] == UNRESOLVED]
+            if not pending:
+                break
             horizon *= 2
-        return UNRESOLVED
+        return found
+
+    def known(cls):
+        """A visited point's class; its IntegrationError is raised only now."""
+        if isinstance(cls, IntegrationError):
+            raise cls
+        return cls
 
     lo, hi = bracket if bracket is not None else (-8 * data.sigma, 8 * data.sigma)
-    cls_lo = classify(lo)
-    cls_hi = classify(hi)
+    found = classify([lo, hi])
+    cls_lo = known(found[lo])
+    cls_hi = known(found[hi])
     if UNRESOLVED in (cls_lo, cls_hi) or cls_lo == cls_hi:
         raise BracketingError(
             f"no classification sign change over [{lo:g}, {hi:g}] "
             f"({cls_lo} vs {cls_hi})")
     while hi - lo > tol_s:
         mid = 0.5 * (lo + hi)
-        cls_mid = classify(mid)
+        if mid not in found:
+            found = classify([mid] + [0.5 * (a + b) for a, b in ((lo, mid), (mid, hi))
+                                      if b - a > tol_s])
+        cls_mid = known(found[mid])
         if cls_mid == UNRESOLVED:
             raise BracketingError(f"classification unresolved at q0 = {mid:g}")
         if cls_mid == cls_lo:

@@ -292,6 +292,25 @@ def test_field_numerical_failure_flags_rows(tmp_path):
     assert all(np.isnan(row[-1]) for row in rows)
 
 
+@pytest.mark.parametrize("t_values, budget, failed, message", [
+    ("0.5 1.0", ["--set", "quadrature.max_panels=8"], 2, "panel budget 8 leaves no room"),
+    # The phase overflows: an error, not an OverflowError traceback.
+    ("0.0 1e308", [], 1, "integrand phase overflows"),
+], ids=["budget", "huge-t"])
+def test_field_failure_is_reported_on_stderr(tmp_path, t_values, budget, failed, message):
+    out = tmp_path / "fail"
+    proc = run_cli_subprocess(out, [
+        "field", *FIG3, "--set", f"grid.t_values={t_values}", "--set", "grid.s_min=-1",
+        "--set", "grid.s_max=1", "--set", "grid.s_count=3", *budget])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(
+        f"diracflow: numerical failure: {failed} of 2 time slices failed: {message}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"]["failed_slices"] == failed
+    assert not (out / LOCK_NAME).exists()
+
+
 # =============================================================================
 # spa-compare
 # =============================================================================
@@ -507,3 +526,52 @@ def test_barriers_command(tmp_path):
     header, rows = read_csv(out / "barriers.csv")
     f_idx = header.index("F_at_y0")
     assert max(abs(r[f_idx]) for r in rows) <= 1e-12
+
+
+# =============================================================================
+# Start-up: each scipy stack loads on first use
+# =============================================================================
+
+def _scipy_modules_after(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; the scipy modules it printed as loaded, per stage."""
+    import diracflow
+    src = str(Path(diracflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import json, sys\n"
+              "def stage():\n"
+              "    print(json.dumps(sorted(m for m in sys.modules\n"
+              "                            if m == 'scipy' or m.startswith('scipy.'))))\n"
+              + code)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [set(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def test_library_loads_each_scipy_stack_on_first_use():
+    imported, field, ensemble = _scipy_modules_after(
+        "import numpy as np\n"
+        "import diracflow as df\n"
+        "stage()\n"
+        "fig3 = df.PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)\n"
+        "for t in (0.5, 2.0, 8.0):\n"
+        "    df.evolve_exact_grid(t, np.linspace(-12.7, 12.7, 64), fig3)\n"
+        "stage()\n"
+        "df.run_ensemble(2, fig3, 0.5)\n"
+        "stage()\n")
+    assert not imported
+    assert "scipy.special" in field and "scipy.integrate" not in field
+    assert "scipy.integrate" in ensemble
+
+
+@pytest.mark.parametrize("args, code", [
+    (["barriers", "--set", "barriers.theta0_values=0.5"], 0),
+    (["field", *FIG3, *GRID, "--set", "grid.t_values=nan"], 2),
+], ids=["barriers", "rejected"])
+def test_cli_runs_without_scipy(tmp_path, args, code):
+    (loaded,) = _scipy_modules_after(
+        "from diracflow.cli import main\n"
+        f"assert main({[*args, '--out', str(tmp_path / 'run')]!r}) == {code}\n"
+        "stage()\n")
+    assert not loaded

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -151,7 +153,7 @@ def test_no_false_convergence(sigma, k0, mass, theta0, omega0, t):
 
 
 def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
-    # FIG3 at t = 8 converges at 52 panels (26 to start, one doubling).  A
+    # FIG3 at t = 8 converges at 42 panels (21 to start, one doubling).  A
     # start that counts panels rather than nodes per 2 pi of phase needs 832.
     used = []
 
@@ -254,17 +256,17 @@ def test_grid_route_choice():
     q = QuadConfig()
     route = dirac_exact._grid_route
     v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
-    # FIG3 grids over both packets: Bessel at 8, 8 and 27 panels against 8,
+    # FIG3 grids over both packets: Bessel at 8, 8 and 21 panels against 8,
     # 12 and 27 (a tie goes to Bessel).
     for t in (0.5, 2.0, 8.0):
         half = v0 * t + 5.0
         assert route(t, np.linspace(-half, half, 64), FIG3, q) is dirac_exact._bessel_grid
-    # The macroscopic ladder: 15 or 16 panels against 25 to 200.
+    # The macroscopic ladder: 15 or 16 panels against 18 to 142.
     for omega in (50.0, 100.0, 200.0, 400.0):
         data = PacketParams.macroscopic(0.2, 1.0, omega)
         assert route(1.0, np.linspace(-1.5, 1.5, 33), data, q) is dirac_exact._kspace_grid
-    # Single points on the FIG3 packets' centres once (m + |k0|) t outgrows
-    # |s| + t: 10 against 14 panels at t = 4, 20 against 27 at t = 8.
+    # Single points on the FIG3 packets' centres once t hypot(m, k0) outgrows
+    # |s| + t: 10 against 11 panels at t = 4, 20 against 21 at t = 8.
     for t in (4.0, 8.0):
         for s in (-v0 * t, v0 * t):
             assert route(t, np.array([s]), FIG3, q) is dirac_exact._kspace_grid
@@ -277,6 +279,20 @@ def test_far_position_takes_bessel_route():
         sample = evolve_exact(1.0, 1e307, FIG3)
     assert sample.psi.minus == 0 and sample.psi.plus == 0
     assert np.isfinite(sample.err_est)
+
+
+def test_overflowing_phase_is_an_integration_error():
+    # At t = 1e308 both routes' starting counts overflow to inf: no panel
+    # count resolves the phase, and nothing is evaluated on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as single:
+            evolve_exact(1e308, 0.0, FIG3)
+        with pytest.raises(IntegrationError) as grid:
+            evolve_exact_grid(1e308, np.linspace(-5.0, 5.0, 7), FIG3)
+    assert single.value.partial is None
+    assert np.all(np.isinf(single.value.residual))
+    assert grid.value.residual.shape == (2, 7) and np.all(np.isinf(grid.value.residual))
 
 
 @settings(max_examples=20, deadline=None, database=None)

@@ -37,8 +37,9 @@ from diracflow import (
     trajectory_closeness,
     xy_ode_velocity,
 )
+from diracflow import trajectories
 from diracflow.spa import SpaParams, has_both_critical_points
-from diracflow.trajectories import _integrate_members
+from diracflow.trajectories import _integrate_members, classify_trajectory
 
 
 def _macro(p0=1.0, sigma=0.2, omega=60.0, vartheta=0.0):
@@ -332,6 +333,90 @@ def test_find_bifurcation_needs_bracket(fig3_packet):
     with pytest.raises(BracketingError):
         find_bifurcation(fig3_packet, 8.0, 1e-3,
                          bracket=(2 * fig3_packet.sigma, 8 * fig3_packet.sigma))
+
+
+def _bisect_one_at_a_time(field, data, t_final, tol_s, bracket):
+    """find_bifurcation as plain bisection with one trajectory per integration."""
+    v0 = abs(data.k0) / np.hypot(data.k0, data.mass)
+
+    def classify(q0):
+        horizon = t_final
+        for _ in range(3):
+            cls, _ = classify_trajectory(integrate_trajectory(q0, (0.0, horizon), field), v0)
+            if cls != UNRESOLVED:
+                return cls
+            horizon *= 2
+        return UNRESOLVED
+
+    lo, hi = bracket
+    cls_lo = classify(lo)
+    assert cls_lo != UNRESOLVED and classify(hi) not in (UNRESOLVED, cls_lo)
+    while hi - lo > tol_s:
+        mid = 0.5 * (lo + hi)
+        cls_mid = classify(mid)
+        assert cls_mid != UNRESOLVED
+        if cls_mid == cls_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _recording_horizons(monkeypatch):
+    """Record (members, horizon) of every lockstep call find_bifurcation makes."""
+    calls = []
+
+    def recorded(q0s, t_span, field, tol):
+        calls.append((len(q0s), t_span[1]))
+        return _integrate_members(q0s, t_span, field, tol)
+
+    monkeypatch.setattr(trajectories, "_integrate_members", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("t_final, tol_s", [(8.0, 1e-4), (3.0, 1e-2)])
+def test_find_bifurcation_equals_one_at_a_time_bisection(fig3_packet, monkeypatch,
+                                                         t_final, tol_s):
+    # At t_final = 3 members near the boundary are still unresolved and run
+    # again to twice the horizon.
+    bracket = (-8 * fig3_packet.sigma, 8 * fig3_packet.sigma)
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    expected = _bisect_one_at_a_time(field, fig3_packet, t_final, tol_s, bracket)
+    calls = _recording_horizons(monkeypatch)
+    assert find_bifurcation(fig3_packet, t_final, tol_s) == expected
+    levels = int(np.ceil(np.log2((bracket[1] - bracket[0]) / tol_s)))
+    first_pass = [n for n, horizon in calls if horizon == t_final]
+    # The bracket ends in one call, then two bisection levels per call.
+    assert first_pass[0] == 2 and len(first_pass) == 1 + int(np.ceil(levels / 2))
+    assert max(first_pass) == 3
+    assert any(horizon > t_final for _, horizon in calls) == (t_final == 3.0)
+
+
+class _SignField:
+    """v = +-v0 away from the origin, with a stalled and a failing start region."""
+
+    def __init__(self, v0):
+        self.v0 = v0
+
+    def __call__(self, t, s):
+        if -4.5 < s < -4.0:
+            return 0.0
+        if t < 0.1 and 5.0 < s < 5.25:
+            raise IntegrationError("failed off the bisection path")
+        return np.copysign(self.v0, s)
+
+
+def test_find_bifurcation_ignores_points_it_does_not_visit(fig3_packet, monkeypatch):
+    # Over [-8, 7] bisection visits -0.5, 3.25, 1.375, ...; the speculative
+    # points -4.25 (stalled, UNRESOLVED) and 5.125 (its integration fails)
+    # are classified alongside but never visited.
+    field = _SignField(abs(fig3_packet.k0) / np.hypot(fig3_packet.k0, fig3_packet.mass))
+    monkeypatch.setattr(trajectories, "_make_field", lambda *args: field)
+    expected = _bisect_one_at_a_time(field, fig3_packet, 1.0, 1e-3, (-8.0, 7.0))
+    calls = _recording_horizons(monkeypatch)
+    assert find_bifurcation(fig3_packet, 1.0, 1e-3, bracket=(-8.0, 7.0)) == expected
+    # The stalled point ran alone to twice and four times the horizon.
+    assert calls[2:4] == [(1, 2.0), (1, 4.0)]
 
 
 def test_rescaling_leaves_classification_invariant(fig3_packet):
