@@ -551,6 +551,8 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     theta_values = cfg.get_floats(sec, "theta0_values")
     if not theta_values:
         raise ValidationError("[barriers] needs theta0_values")
+    if not all(0.0 < theta0 < np.pi for theta0 in theta_values):
+        raise ValidationError(f"[barriers] theta0_values must lie in (0, pi), got {theta_values}")
     a_omegas = cfg.get_floats(sec, "a_omegas", [1.0, 3.7, 10.0])
     x = cfg.get_grid(sec, "x", cfg.get_float(sec, "x_min", 0.2), 5.0, 50)
     offsets = cfg.get_grid(sec, "offset", 0.0, 3.0, 50)

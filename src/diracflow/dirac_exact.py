@@ -126,8 +126,8 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_c
     On a budget failure the partial integrals assemble into a partial field.
     With no error estimate (the panel budget leaves no room to refine the
     starting panels) the field's residual is inf at every position.  Where
-    the phase overflows (an inf starting count) no rule resolves it and
-    there is no partial field.
+    the phase overflows (an inf starting count) or the start alone exceeds
+    the budget, nothing is evaluated and there is no partial field.
     """
     if not np.isfinite(n0):
         raise IntegrationError(
@@ -140,10 +140,11 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_c
             initial_panels=n0, max_panels=q.max_panels, node_chunk=node_chunk,
         )
     except IntegrationError as exc:
+        partial, residual = None, np.full((2, n_points), np.inf)
         if np.ndim(exc.residual):
             partial, residual = assemble(exc.partial, exc.residual)
-        else:
-            partial, residual = assemble(exc.partial, 0.0)[0], np.full((2, n_points), np.inf)
+        elif exc.partial is not None:
+            partial = assemble(exc.partial, 0.0)[0]
         raise IntegrationError(str(exc), partial=partial, residual=residual) from exc
     return assemble(value, err)
 
@@ -427,11 +428,14 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
     initial spinors are handled by linearity: the lower-component base
     problem plus its parity mirror (components swapped, s -> -s, p0 -> -p0).
     """
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
     omega = data.mass
     if omega <= 0:
         raise DomainError("spherical route requires mass > 0")
+    if not np.isfinite(omega * t):
+        raise IntegrationError("integrand phase overflows a float: no panel count resolves it",
+                               partial=None, residual=np.inf)
     spherical_cut(omega * t)  # raises below the domain cut
     p0 = data.k0 / omega
     cm, cp = spinor_amplitudes(data)

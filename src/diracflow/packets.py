@@ -100,6 +100,10 @@ class CayleyKlein:
     phi: float
 
 
+# Where sigma^2 and 2*pi*sigma^2 are normal doubles.
+_SIGMA_RANGE = (np.finfo(float).tiny ** 0.5, (np.finfo(float).max / (2 * np.pi)) ** 0.5)
+
+
 @dataclass(frozen=True)
 class PacketParams:
     """Initial-data descriptor for a Gaussian spinor packet.
@@ -123,8 +127,10 @@ class PacketParams:
     mixing_theta: Optional[float] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be > 0, got {self.sigma}")
+        if not (_SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
+            lo, hi = _SIGMA_RANGE
+            raise ValidationError(f"sigma must lie in [{lo:.3g}, {hi:.3g}] (sigma^2 and "
+                                  f"2*pi*sigma^2 normal doubles), got {self.sigma}")
         if not np.isfinite(self.k0):
             raise ValidationError("k0 must be finite")
         if not (0.0 <= self.theta0 <= np.pi):

@@ -80,15 +80,19 @@ def integrate_panels(
     """Integrate ``f`` over [a, b]; returns ``(value, err_est, panels_used)``.
 
     Raises IntegrationError (carrying the partial result and residual) if the
-    panel budget is exhausted before the tolerance is met.
+    panel budget is exhausted before the tolerance is met; if the starting
+    count alone exceeds it, before evaluating ``f``, with no partial result.
     """
     if b <= a:
         return _weighted_sum(np.zeros(1), f(np.array([a]))), 0.0, 0
     n = max(1, int(initial_panels))
+    if n > max_panels:
+        raise IntegrationError(f"panel budget {max_panels} is below the {n:.6g} starting panels",
+                               partial=None, residual=np.inf)
     if 2 * n > max_panels:
         # One doubling of the start exceeds the budget: no refinement (and
         # hence no error estimate) is possible within max_panels.
-        partial = _composite(f, a, b, min(n, max_panels), order, node_chunk)
+        partial = _composite(f, a, b, n, order, node_chunk)
         raise IntegrationError(
             f"panel budget {max_panels} leaves no room to double the {n} "
             f"starting panels (one doubling needs {2 * n})",

@@ -13,10 +13,10 @@ Ensembles draw initial positions from quantum equilibrium N(0, sigma^2) by
 inverse CDF, with a per-trajectory seed derived from (seed, index), so
 results are bit-identical for a seed.
 
-``scipy.integrate`` (the RK45 tableau and dense-output classes, with the
-optimize/sparse/linalg tree it imports) and ``scipy.special.ndtri`` load on
-the first integration or draw, not with the package, so the exact field and
-the barrier analysis run without them.
+The RK45 tableau and dense output live here, so integrating a trajectory
+imports nothing from ``scipy.integrate``.  ``scipy.special.ndtri`` loads on
+the first ensemble draw, not with the package, so the exact field and the
+barrier analysis run without it.
 
 The rescaled-ODE barrier analysis lives here too: the zero curve y0(x),
 the hyperbola constants C_+- with their barrier curves B_+-(x) = C_+- / x,
@@ -86,7 +86,7 @@ class Trajectory:
         if self.dense is None:
             raise IntegrationError(f"no dense output for failed trajectory: {self.error}")
         t_arr = np.asarray(t, dtype=float)
-        vals = np.asarray(self.dense(t_arr))[0]
+        vals = self.dense(t_arr)
         return float(vals) if t_arr.ndim == 0 else vals
 
 
@@ -248,11 +248,67 @@ def xy_ode_velocity(x, y, theta0: float, a_omega: float):
 # =============================================================================
 
 # scipy's RK45 (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-# ODEs I, Sec. II.4): the tableau is read from scipy on the first
-# integration, the step control is a transcription of its
+# ODEs I, Sec. II.4): the step control is a transcription of its
 # select_initial_step, rk_step and RungeKutta._step_impl.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _MIN_RTOL = 100 * np.finfo(float).eps
+
+
+class _RK45:
+    """scipy's RK45 tableau, written with its fraction literals so the doubles match."""
+
+    error_estimator_order, n_stages = 4, 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+                  [44/45, -56/15, 32/9, 0, 0], [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+                  [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+    # Shampine's dense output (Math. Comp. 46, 1986) at the optimum c_6.
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+class _DenseOutput:
+    """A trajectory's dense output, evaluated as scipy's OdeSolution over RkDenseOutputs.
+
+    Step j is y = ys[j] + h Q[j].(x, x^2, x^3, x^4) with x = (t - ts[j]) / h.  A time
+    on a step boundary takes the lower-index step; an empty span is the constant ys[0].
+    """
+
+    def __init__(self, ts, ys, Q):
+        self.ts, self.ys, self.Q = ts, ys, Q
+        self.ascending = ts[-1] >= ts[0]
+        self.ts_sorted, self.side = (ts, "left") if self.ascending else (ts[::-1], "right")
+
+    def _step(self, j, t):
+        h = self.ts[j + 1] - self.ts[j]
+        p = np.cumprod(np.tile((t - self.ts[j]) / h, (4, 1) if t.ndim else 4), axis=0)
+        # One (1, 4) dot per step, as scipy takes it, so the sums match bit for bit.
+        return (h * np.dot(self.Q[j:j + 1], p))[0] + self.ys[j]
+
+    def __call__(self, t):
+        steps = len(self.Q)
+        if not steps:
+            return np.full(t.shape, self.ys[0])
+        order = np.argsort(t.ravel())
+        t_sorted = t.ravel()[order]
+        j = np.clip(np.searchsorted(self.ts_sorted, t_sorted, side=self.side) - 1, 0, steps - 1)
+        j = j if self.ascending else steps - 1 - j
+        if not t.ndim:
+            return self._step(j[0], t)
+        out = np.empty(t.size)
+        starts = np.flatnonzero(np.diff(j, prepend=-1))
+        for a, b in zip(starts, [*starts[1:], t.size]):
+            out[order[a:b]] = self._step(j[a], t_sorted[a:b])
+        return out
 
 
 def _rms(x):
@@ -277,10 +333,6 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     member, its Trajectory or the IntegrationError that stopped it; the
     other members carry on.
     """
-    from scipy.integrate import RK45, OdeSolution
-    from scipy.integrate._ivp.base import ConstantDenseOutput
-    from scipy.integrate._ivp.rk import RkDenseOutput
-
     t0, t1 = (float(x) for x in t_span)
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValidationError(f"t_span must be finite, got {t_span!r}")
@@ -290,7 +342,7 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     if not np.all(np.isfinite(q0s)):
         raise ValidationError("initial positions must be finite")
     atol = rtol = tol
-    exponent = 1 / (RK45.error_estimator_order + 1)
+    exponent = 1 / (_RK45.error_estimator_order + 1)
     if tol < _MIN_RTOL:
         warnings.warn(f"tol = {tol:g} is below 100 machine epsilons; the relative "
                       f"tolerance is raised to {_MIN_RTOL:.3g}", stacklevel=3)
@@ -336,7 +388,7 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
         return [errors[i] or Trajectory(
             times=np.array([t0, t0]), positions=y0[[i, i]], velocities=f0[[i, i]],
             q0=float(q0s[i]), node_events=events[i],
-            dense=OdeSolution([t0, t0], [ConstantDenseOutput(t0, t0, y0[i:i + 1])]))
+            dense=_DenseOutput(np.array([t0, t0]), y0[[i, i]], np.empty((0, 4))))
             for i in range(n)]
 
     # select_initial_step; Python's min and max keep the first of equals.
@@ -358,8 +410,8 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     keep = ~failed
     ids, t, y, f, h_abs = ids[keep], np.full(n, t0)[keep], y0[keep], f0[keep], h_abs[keep]
     rejected = np.zeros(ids.size, dtype=bool)
-    history = [(np.empty(0, dtype=int), *np.empty((3, 0)), np.empty((0, RK45.n_stages + 1)))]
-    K = np.empty((n, RK45.n_stages + 1))
+    history = [(np.empty(0, dtype=int), *np.empty((3, 0)), np.empty((0, _RK45.n_stages + 1)))]
+    K = np.empty((n, _RK45.n_stages + 1))
     while ids.size:
         failed = np.zeros(ids.size, dtype=bool)
         # A step starts at least at min_step; a rejected retry below it fails.
@@ -370,23 +422,23 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
             failed |= small & rejected
             for i in ids[failed]:
                 errors[i] = IntegrationError(
-                    f"trajectory integration failed: {RK45.TOO_SMALL_STEP}")
+                    f"trajectory integration failed: {_RK45.TOO_SMALL_STEP}")
         t_new = t + h_abs * direction
         past = direction * (t_new - t1) > 0
         if np.count_nonzero(past):
             t_new[past] = t1
         h = t_new - t
         h_abs = np.abs(h)
-        stage_t = t + np.multiply.outer(RK45.C, h)  # row s: t + C[s] h; C[-1] = 1
+        stage_t = t + np.multiply.outer(_RK45.C, h)  # row s: t + C[s] h; C[-1] = 1
         k = K[:ids.size]
         k[:, 0] = f
-        for s in range(1, RK45.n_stages):
-            dy = np.matmul(k[:, None, :s], RK45.A[s, :s])[:, 0] * h
+        for s in range(1, _RK45.n_stages):
+            dy = np.matmul(k[:, None, :s], _RK45.A[s, :s])[:, 0] * h
             k[:, s] = evaluate(stage_t[s], y + dy, failed)
-        y_new = y + h * np.matmul(k[:, None, :-1], RK45.B)[:, 0]
+        y_new = y + h * np.matmul(k[:, None, :-1], _RK45.B)[:, 0]
         k[:, -1] = f_new = evaluate(stage_t[-1], y_new, failed)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.matmul(k[:, None, :], RK45.E)[:, 0] * h / scale)
+        error_norm = _rms(np.matmul(k[:, None, :], _RK45.E)[:, 0] * h / scale)
         accept = (error_norm < 1) & ~failed
         zero = error_norm == 0
         factor = _SAFETY * _pow(np.where(zero, 1.0, error_norm), -exponent)
@@ -411,9 +463,9 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
             ids, t, y, f, h_abs, rejected = (
                 x[keep] for x in (ids, t, y, f, h_abs, rejected))
 
-    # Each member's accepted steps, in order, with one RkDenseOutput each.
+    # Each member's accepted steps, in order, with their dense-output rows.
     member, times, positions, velocities, stages = (np.concatenate(c) for c in zip(*history))
-    q = np.matmul(stages[:, None, :], RK45.P)[:, 0]
+    q = np.matmul(stages[:, None, :], _RK45.P)[:, 0]
     order = np.argsort(member, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(member, minlength=n))))
     results = []
@@ -424,12 +476,9 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
         rows = order[bounds[i]:bounds[i + 1]]
         ts = np.concatenate(([t0], times[rows]))
         ys = np.concatenate((y0[i:i + 1], positions[rows]))
-        qs = q[rows]
-        pieces = [RkDenseOutput(ts[j], ts[j + 1], ys[j:j + 1], qs[j:j + 1])
-                  for j in range(rows.size)]
         results.append(Trajectory(
             times=ts, positions=ys, velocities=np.concatenate((f0[i:i + 1], velocities[rows])),
-            q0=float(q0s[i]), node_events=events[i], dense=OdeSolution(ts, pieces)))
+            q0=float(q0s[i]), node_events=events[i], dense=_DenseOutput(ts, ys, q[rows])))
     return results
 
 

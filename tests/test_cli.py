@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,7 @@ def assert_rejected_in_subprocess(out: Path, args, name: str) -> None:
     assert "Traceback" not in proc.stderr
     assert name in proc.stderr
     assert not (out / LOCK_NAME).exists()
+    return proc
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -135,6 +137,25 @@ def test_bad_grid_counts_rejected(tmp_path, override):
     key = override.split("=")[0].split(".")[1]
     assert_rejected_in_subprocess(
         tmp_path / "grid", [*BAD_GRID_CASES[override], "--set", override], key)
+
+
+# Each out-of-range value with a command that reads it; every other value is valid.
+OUT_OF_RANGE_CASES = {
+    # 2 pi sigma^2 underflows to 0, or sigma^2 overflows.
+    "packet.sigma=1e-300": ["field", *FIG3, *GRID, "--set", "grid.t_values=0.5"],
+    "packet.sigma=1e200": ["trajectories", *FIG3, "--set", "trajectories.n=2"],
+    "barriers.theta0_values=0": ["barriers"],
+    "barriers.theta0_values=0.5 3.141592653589793": ["barriers"],
+}
+
+
+@pytest.mark.parametrize("override", sorted(OUT_OF_RANGE_CASES))
+def test_out_of_range_values_rejected(tmp_path, override):
+    key = override.split("=")[0].split(".")[1]
+    proc = assert_rejected_in_subprocess(
+        tmp_path / "range", [*OUT_OF_RANGE_CASES[override], "--set", override], key)
+    assert proc.stderr.startswith("diracflow: configuration error:")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", ["out-is-file", "config-is-dir", "config-not-utf8",
@@ -308,6 +329,20 @@ def test_field_failure_is_reported_on_stderr(tmp_path, t_values, budget, failed,
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["notes"]["failed_slices"] == failed
+    assert not (out / LOCK_NAME).exists()
+
+
+@pytest.mark.parametrize("override", ["grid.t_values=1e6", "quadrature.oscillation_guard=1e300"])
+def test_start_beyond_panel_budget_fails_before_evaluating(tmp_path, capsys, override):
+    # The starting panel count alone exceeds the 2^20-panel budget.
+    out = tmp_path / "over"
+    start = time.perf_counter()
+    code = run_cli("field", "--out", out, *FIG3, *GRID, "--set", "grid.t_values=0.5",
+                   "--set", override)
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "panel budget 1048576 is below the" in capsys.readouterr().err
+    assert elapsed < 1.0
     assert not (out / LOCK_NAME).exists()
 
 
@@ -559,10 +594,13 @@ def test_library_loads_each_scipy_stack_on_first_use():
         "    df.evolve_exact_grid(t, np.linspace(-12.7, 12.7, 64), fig3)\n"
         "stage()\n"
         "df.run_ensemble(2, fig3, 0.5)\n"
+        "df.integrate_trajectory(0.3, (0.0, 0.5), df.SchrodingerField(10.0))\n"
+        "df.find_bifurcation(fig3, 8.0, 0.5)\n"
         "stage()\n")
     assert not imported
     assert "scipy.special" in field and "scipy.integrate" not in field
-    assert "scipy.integrate" in ensemble
+    # Trajectories need only scipy.special's ndtri for the ensemble draw.
+    assert "scipy.special" in ensemble and "scipy.integrate" not in ensemble
 
 
 @pytest.mark.parametrize("args, code", [
@@ -575,3 +613,17 @@ def test_cli_runs_without_scipy(tmp_path, args, code):
         f"assert main({[*args, '--out', str(tmp_path / 'run')]!r}) == {code}\n"
         "stage()\n")
     assert not loaded
+
+
+@pytest.mark.parametrize("args", [
+    ["trajectories", *FIG3, "--set", "trajectories.n=2", "--set", "trajectories.t_final=0.5"],
+    ["bloch", *FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5"],
+    ["observables", *FIG3, "--set", "observables.trajectory_q0=0.5",
+     "--set", "observables.t_final=0.5", "--set", "observables.field=EXACT"],
+], ids=["trajectories", "bloch", "observables"])
+def test_cli_integrates_without_scipy_integrate(tmp_path, args):
+    (loaded,) = _scipy_modules_after(
+        "from diracflow.cli import main\n"
+        f"assert main({[*args, '--out', str(tmp_path / 'run')]!r}) == 0\n"
+        "stage()\n")
+    assert "scipy.special" in loaded and "scipy.integrate" not in loaded

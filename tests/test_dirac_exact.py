@@ -208,12 +208,23 @@ def test_unconverged_partial_carries_field_residual(data, t, s):
 
 
 def test_kspace_budget_failure_has_no_residual():
-    # Eight panels leave no room to double the momentum route's start of 15.
+    # Sixteen panels leave no room to double the momentum route's start of 15.
     s = np.linspace(-1.5, 1.5, 33)
     with pytest.raises(IntegrationError) as info:
-        evolve_exact_grid(1.0, s, MACRO_W400, QuadConfig(max_panels=8))
+        evolve_exact_grid(1.0, s, MACRO_W400, QuadConfig(max_panels=16))
     assert isinstance(info.value.partial, Spinor)
     assert info.value.partial.minus.shape == s.shape
+    assert info.value.residual.shape == (2, s.size)
+    assert np.all(np.isinf(info.value.residual))
+
+
+def test_start_beyond_budget_has_no_partial():
+    # Eight panels are fewer than the momentum route's start of 15: nothing
+    # is evaluated, so there is neither a partial field nor a residual.
+    s = np.linspace(-1.5, 1.5, 33)
+    with pytest.raises(IntegrationError, match="panel budget 8 is below the 15 starting") as info:
+        evolve_exact_grid(1.0, s, MACRO_W400, QuadConfig(max_panels=8))
+    assert info.value.partial is None
     assert info.value.residual.shape == (2, s.size)
     assert np.all(np.isinf(info.value.residual))
 
@@ -397,6 +408,15 @@ def test_domain_cut_geometry():
     assert all(a > b for a, b in zip(radii, radii[1:]))
     with pytest.raises(DomainError):
         spherical_cut(1.0)
+
+
+def test_spherical_phase_overflow_is_an_integration_error(fig3_packet):
+    # omega * t overflows: no trapezoid or panel count resolves the phase.
+    with pytest.raises(IntegrationError, match="phase overflows") as info:
+        evolve_exact_spherical(1e308, 0.0, fig3_packet)
+    assert info.value.partial is None
+    with pytest.raises(DomainError):
+        evolve_exact_spherical(np.inf, 0.0, fig3_packet)
 
 
 def test_spherical_needs_domain_cut():

@@ -86,6 +86,17 @@ def test_pair_integrand_partial_on_failure(complex_kernel, complex_basis, initia
     assert_close(*partials)
 
 
+def test_start_beyond_budget_raises_before_evaluating():
+    def never(nodes):
+        raise AssertionError("the integrand was evaluated")
+
+    with pytest.raises(IntegrationError,
+                       match="panel budget 16 is below the 17 starting panels") as info:
+        integrate_panels(never, 0.0, np.pi, initial_panels=17, max_panels=16)
+    assert info.value.partial is None
+    assert info.value.residual == np.inf
+
+
 @pytest.mark.parametrize("initial_panels, max_panels", [(12, 16), (9, 17)])
 def test_start_without_room_to_double(initial_panels, max_panels):
     # A start within the budget but above half of it cannot double: the

@@ -39,7 +39,7 @@ from diracflow import (
 )
 from diracflow import trajectories
 from diracflow.spa import SpaParams, has_both_critical_points
-from diracflow.trajectories import _integrate_members, classify_trajectory
+from diracflow.trajectories import _RK45, _integrate_members, classify_trajectory
 
 
 def _macro(p0=1.0, sigma=0.2, omega=60.0, vartheta=0.0):
@@ -656,6 +656,30 @@ def test_tiny_tol_warns_once_and_clamps_like_scipy(fig3_packet):
     for tr in trajs:
         _assert_matches_scipy(tr, _scipy_run(field, tr.q0, (0.0, 0.5), tol=1e-30),
                               np.linspace(0.0, 0.5, 97))
+
+
+def test_tableau_is_scipys():
+    for name in ("C", "A", "B", "E", "P"):
+        ours, theirs = getattr(_RK45, name), getattr(RK45, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+    assert _RK45.n_stages == RK45.n_stages
+    assert _RK45.error_estimator_order == RK45.error_estimator_order
+    assert _RK45.TOO_SMALL_STEP == RK45.TOO_SMALL_STEP
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 2.0), (3.0, 0.5), (1.0, 1.0)],
+                         ids=["forward", "backward", "empty"])
+def test_position_queries_match_scipy_dense_output(fig3_packet, t_span):
+    # Scalar and shuffled array queries, on step boundaries and outside the span.
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
+    tr = integrate_trajectory(0.4, t_span, field)
+    dense = _scipy_run(field, 0.4, t_span)[4]
+    lo, hi = sorted(t_span)
+    ts = np.concatenate((tr.times, np.linspace(lo, hi, 41), [lo - 0.25, hi + 0.25]))
+    for t in ts:
+        assert tr.position_at(t) == float(dense(t)[0])
+    shuffled = np.random.default_rng(5).permutation(np.concatenate((ts, ts[:7])))
+    assert np.array_equal(tr.position_at(shuffled), dense(shuffled)[0])
 
 
 @pytest.mark.parametrize("kwargs", [
