@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -337,7 +338,7 @@ def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, seed: int, sec: str,
         print(f"diracflow: numerical failure: {summary.n_failed} of {summary.n} "
               f"trajectories failed: {first}", file=sys.stderr)
     spinor = _make_field(data, mode, quad).spinor
-    with writer.phase("bloch_series"):
+    with writer.phase("bloch_series"), _warnings_to_stderr():
         series = [None if traj.error is not None else cayley_klein_along(traj, spinor)
                   for traj in trajs]
     return _Ensemble(t_final, trajs, summary, spinor, series)
@@ -442,7 +443,7 @@ def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
         writer.notes["spa_regime"] = spa_regime_report(data)
     run = _bloch_ensemble(cfg, writer, seed, "trajectories", data, 50)
     summary = run.summary
-    with writer.phase("summary"):
+    with writer.phase("summary"), _warnings_to_stderr():
         for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
             if ck is None:
                 continue
@@ -569,9 +570,8 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
             for a_omega in a_omegas[:1]:
                 c = np.cos(a_omega * x)
                 y0 = np.log(eta / (tan0 * c + np.sqrt(1 + tan0**2 * c**2))) / x
-                f_at_y0 = [xy_ode_velocity(xi, y0i, theta0, a_omega) for xi, y0i in zip(x, y0)]
                 blocks.append((np.full(x.size, theta0), x, spec.b_minus(x), spec.b_plus(x),
-                               y0, f_at_y0))
+                               y0, xy_ode_velocity(x, y0, theta0, a_omega)))
     writer.write_csv("barriers.csv", "barriers",
                      ["theta0", "x", "b_minus", "b_plus", "y0", "F_at_y0"],
                      _stack_blocks(blocks, 6))
@@ -594,7 +594,9 @@ COMMANDS: Dict[str, Callable[[RunConfig, RunWriter, int], int]] = {
 # Argument parsing and dispatch
 # =============================================================================
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="diracflow",
         description="Dirac wave-packet evolution, Bohmian trajectories, and SPA experiments",

@@ -149,9 +149,8 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_c
     return assemble(value, err)
 
 
-def _transport(t: float, s_arr, data: PacketParams):
-    """The transport terms c_-+ psi0(s -+ t) of both components."""
-    cm, cp = spinor_amplitudes(data)
+def _transport(t: float, s_arr, data: PacketParams, cm: complex, cp: complex):
+    """The transport terms c_-+ psi0(s -+ t) of both components (c = spinor_amplitudes)."""
 
     def phi(x):
         return gaussian_amplitude(data.sigma, x) * np.exp(1j * data.k0 * x)
@@ -170,12 +169,13 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all(np.isfinite(s_arr)):
+    if not np.isfinite(s_arr).all():
         raise DomainError("s must be finite")
     if t == 0 or data.mass * t == 0:
-        transport_m, transport_p = _transport(t, s_arr, data)
+        transport_m, transport_p = _transport(t, s_arr, data, *spinor_amplitudes(data))
         return Spinor(minus=transport_m, plus=transport_p), np.zeros((2, s_arr.size))
-    return _grid_route(t, s_arr, data, q)(t, s_arr, data, q)
+    route, n0 = _route_and_panels(t, s_arr, data, q)
+    return route(t, s_arr, data, q, n0)
 
 
 def evolve_exact(t: float, s: float, data: PacketParams,
@@ -200,9 +200,16 @@ def _grid_route(t: float, s_arr, data: PacketParams, q: QuadConfig):
     with the farthest position.  A tie goes to Bessel: per panel, the
     momentum route's complex basis costs more on grids of tens of points.
     """
-    if _kspace_panels(t, s_arr, data, q) < _bessel_panels(t, data, q):
-        return _kspace_grid
-    return _bessel_grid
+    return _route_and_panels(t, s_arr, data, q)[0]
+
+
+def _route_and_panels(t: float, s_arr, data: PacketParams, q: QuadConfig):
+    """``_grid_route``'s choice with its starting panel count, so that it is counted once."""
+    kspace = _kspace_panels(t, s_arr, data, q)
+    bessel = _bessel_panels(t, data, q)
+    if kspace < bessel:
+        return _kspace_grid, kspace
+    return _bessel_grid, bessel
 
 
 # =============================================================================
@@ -219,8 +226,13 @@ def _bessel_panels(t: float, data: PacketParams, q: QuadConfig) -> float:
     return _initial_panels(t * hypot(data.mass, data.k0), np.pi, q)
 
 
-def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
-    """psi(t, s) from the Bessel-kernel theta-integrals (module docstring)."""
+def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float = None):
+    """psi(t, s) from the Bessel-kernel theta-integrals (module docstring).
+
+    ``n0`` is the starting panel count, ``_bessel_panels`` when not given.
+    """
+    if n0 is None:
+        n0 = _bessel_panels(t, data, q)
     cm, cp = spinor_amplitudes(data)
     sigma, k0, omega = data.sigma, data.k0, data.mass
     wt = omega * t
@@ -244,18 +256,20 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
     def assemble(value, err):
         """The spinor and its error bound (2, n) from the theta-integrals (3, n)."""
         a1m, a1p, a0 = value * np.exp(1j * k0 * s_arr)
-        e1m, e1p, e0 = np.broadcast_to(err, value.shape)
+        # err is (3, n), or the scalar 0 for a partial field.
+        e1m, e1p, e0 = err if np.ndim(err) else (err,) * 3
         # Formed here, so that a phase too large to integrate fails before
         # any value overflows.
-        transport_m, transport_p = _transport(t, s_arr, data)
+        transport_m, transport_p = _transport(t, s_arr, data, cm, cp)
         psi_m = transport_m - 0.5 * wt * cm * a1m - 0.5j * wt * cp * a0
         psi_p = transport_p - 0.5 * wt * cp * a1p - 0.5j * wt * cm * a0
-        err_m = 0.5 * wt * (abs(cm) * e1m + abs(cp) * e0)
-        err_p = 0.5 * wt * (abs(cp) * e1p + abs(cm) * e0)
-        return Spinor(minus=psi_m, plus=psi_p), np.stack([err_m, err_p])
+        err_out = np.empty((2, s_arr.size))
+        err_out[0] = 0.5 * wt * (abs(cm) * e1m + abs(cp) * e0)
+        err_out[1] = 0.5 * wt * (abs(cp) * e1p + abs(cm) * e0)
+        return Spinor(minus=psi_m, plus=psi_p), err_out
 
     return _integrate_field(integrand, 0.0, np.pi, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol / max(1.0, wt), n0=_bessel_panels(t, data, q),
+                            abs_tol=q.abs_tol / max(1.0, wt), n0=n0,
                             node_chunk=_node_chunk(s_arr.size))
 
 
@@ -273,14 +287,18 @@ def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
 
     The phase of e^{i(u s -+ E t)} changes at the rate |s -+ v(k) t|, at most
     max|s| + t max|v| with |v| = |k| / E largest at the window's far edge.
+    A window that rounds away in floating point (k0 +- 8 / sigma == k0, so
+    every node's k would be k0) resolves nothing: its count is inf.
     """
     half = _K_WINDOW / data.sigma
+    if data.k0 + half == data.k0 or data.k0 - half == data.k0:
+        return np.inf
     k_edge = abs(data.k0) + half
     v_edge = k_edge / hypot(k_edge, data.mass)
-    return _initial_panels(float(np.max(np.abs(s_arr), initial=0.0)) + t * v_edge, 2 * half, q)
+    return _initial_panels(float(np.abs(s_arr).max(initial=0.0)) + t * v_edge, 2 * half, q)
 
 
-def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
+def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float = None):
     """psi(t, s) as the momentum integral over the window |u| <= 8 / sigma.
 
         psi(t, s) = e^{i k0 s} Int du g(k0 + u) e^{i u s},
@@ -288,8 +306,11 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
 
     with H(k) = ((k, m), (m, -k)), E = sqrt(k^2 + m^2), c the initial spinor
     and phi_hat(k) = 2 sigma sqrt(pi) (2 pi sigma^2)^{-1/4} e^{-sigma^2 (k - k0)^2}
-    (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.
+    (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.  ``n0`` is the
+    starting panel count, ``_kspace_panels`` when not given.
     """
+    if n0 is None:
+        n0 = _kspace_panels(t, s_arr, data, q)
     cm, cp = spinor_amplitudes(data)
     sigma, k0, m = data.sigma, data.k0, data.mass
     half = _K_WINDOW / sigma
@@ -325,8 +346,7 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig):
     # A multiple of the order, so that each call gets whole panels.
     chunk = _GL_ORDER * max(1, _node_chunk(s_arr.size) // _GL_ORDER)
     return _integrate_field(integrand, -half, half, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol, n0=_kspace_panels(t, s_arr, data, q),
-                            node_chunk=chunk)
+                            abs_tol=q.abs_tol, n0=n0, node_chunk=chunk)
 
 
 # =============================================================================

@@ -27,12 +27,42 @@ __all__ = ["integrate_panels"]
 
 _GL_ORDER = 16
 _NODE_CHUNK = 16384
+# Panel layouts of up to this many nodes are cached, the last 32 used (at
+# most 1 MiB of nodes and weights each); larger ones, whose integrand cost
+# dwarfs the layout's, are built per call and freed with it.
+_LAYOUT_CACHE_NODES = 2**16
 
 
 @lru_cache(maxsize=8)
 def _gl_rule(order: int):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
+
+
+def _build_layout(a: float, b: float, n_panels: int, order: int):
+    """Abscissas and weights of n_panels Gauss-Legendre panels over [a, b]."""
+    base, wts = _gl_rule(order)
+    h = (b - a) / n_panels
+    left = a + h * np.arange(n_panels)
+    nodes = (left[:, None] + 0.5 * h * (base[None, :] + 1.0)).ravel()
+    weights = np.broadcast_to(0.5 * h * wts, (n_panels, order)).ravel()
+    return nodes, weights
+
+
+@lru_cache(maxsize=32)
+def _cached_layout(a: float, b: float, n_panels: int, order: int):
+    """``_build_layout``, read-only and shared by every call with the same key."""
+    nodes, weights = _build_layout(a, b, n_panels, order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _layout(a: float, b: float, n_panels: int, order: int):
+    """The panel layout, from the cache up to ``_LAYOUT_CACHE_NODES`` nodes."""
+    if n_panels * order <= _LAYOUT_CACHE_NODES:
+        return _cached_layout(a, b, n_panels, order)
+    return _build_layout(a, b, n_panels, order)
 
 
 def _weighted_sum(w, vals):
@@ -51,12 +81,9 @@ def _weighted_sum(w, vals):
 
 def _composite(f, a: float, b: float, n_panels: int, order: int, node_chunk: int):
     """Composite Gauss-Legendre estimate over [a, b] with n_panels panels."""
-    base, wts = _gl_rule(order)
-    h = (b - a) / n_panels
-    # All abscissas for all panels at once, chunked to bound memory.
-    left = a + h * np.arange(n_panels)
-    nodes = (left[:, None] + 0.5 * h * (base[None, :] + 1.0)).ravel()
-    weights = np.broadcast_to(0.5 * h * wts, (n_panels, order)).ravel()
+    # All abscissas for all panels at once; the integrand sees them in
+    # chunks, which bounds its memory.
+    nodes, weights = _layout(a, b, n_panels, order)
     total = None
     for lo in range(0, nodes.size, node_chunk):
         hi = min(lo + node_chunk, nodes.size)
@@ -105,7 +132,7 @@ def integrate_panels(
         cur = _composite(f, a, b, n, order, node_chunk)
         err = np.abs(cur - prev)
         target = np.maximum(abs_tol, rel_tol * np.abs(cur))
-        if np.all(err <= target):
+        if (err <= target).all():
             return cur, err, n
         if n * 2 > max_panels:
             raise IntegrationError(

@@ -55,7 +55,7 @@ def _special():
 
 def _apply(name: str, x):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("Bessel argument must be finite")
     out = getattr(_special(), name)(arr)
     if arr.ndim == 0:

@@ -539,7 +539,15 @@ def _make_field(data: PacketParams, field_mode: str, quad: Optional[QuadConfig])
 
 
 def _reference_v0(data: PacketParams) -> float:
-    return abs(data.k0) / np.sqrt(data.k0**2 + data.mass**2)
+    """The packets' group speed |k0| / sqrt(k0^2 + m^2); the square sum must be a finite float."""
+    try:
+        energy_sq = data.k0**2 + data.mass**2
+    except OverflowError:
+        energy_sq = math.inf
+    if not math.isfinite(energy_sq):
+        raise ValidationError(f"k0^2 + mass^2 must be finite, got k0 = {data.k0!r}, "
+                              f"mass = {data.mass!r}")
+    return abs(data.k0) / np.sqrt(energy_sq)
 
 
 def run_ensemble(n: int, data: PacketParams, t_final: float,

@@ -66,6 +66,24 @@ def test_config_file_and_flag_overrides(tmp_path):
     assert len(rows) == 5
 
 
+def test_in_process_runs_keep_their_own_overrides(tmp_path):
+    # The parser is built once per process: a second main() call sees only
+    # its own --set values, not the first call's.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("field", "--out", first, *FIG3, *GRID, "--set", "grid.t_values=0.5",
+                   "--set", "quadrature.rel_tol=1e-8", "--seed", "4") == 0
+    assert run_cli("field", "--out", second, *FIG3, "--set", "grid.t_values=0.0",
+                   "--set", "grid.s_min=-2", "--set", "grid.s_max=2",
+                   "--set", "grid.s_count=2") == 0
+    manifest = json.loads((second / "manifest.json").read_text())
+    assert "quadrature" not in manifest["config"]
+    assert manifest["config"]["grid"] == {"t_values": "0.0", "s_min": "-2", "s_max": "2",
+                                          "s_count": "2"}
+    assert manifest["seed"] == 0
+    _, rows = read_csv(second / "field.csv")
+    assert [row[:2] for row in rows] == [[0.0, -2.0], [0.0, 2.0]]
+
+
 @pytest.mark.parametrize("override, fragment", [
     ("packet.sigma=-1.0", "sigma"),
     ("packet.theta0=9.9", "theta0"),
@@ -346,6 +364,22 @@ def test_start_beyond_panel_budget_fails_before_evaluating(tmp_path, capsys, ove
     assert not (out / LOCK_NAME).exists()
 
 
+def test_collapsed_momentum_window_fails_cleanly(tmp_path, capsys):
+    # At k0 = 1e300 the momentum window rounds to one point: the slice fails
+    # with one line instead of writing a field that has not moved.
+    out = tmp_path / "collapsed"
+    code = run_cli("field", "--out", out, *FIG3, *GRID, "--set", "grid.t_values=0.5",
+                   "--set", "packet.k0=1e300")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diracflow: numerical failure: 1 of 1 time slices failed: "
+                          "panel budget 1048576 is below the")
+    assert err.count("\n") == 1
+    _, rows = read_csv(out / "field.csv")
+    assert all(np.isnan(row[2]) for row in rows)
+    assert not (out / LOCK_NAME).exists()
+
+
 # =============================================================================
 # spa-compare
 # =============================================================================
@@ -402,6 +436,34 @@ def test_trajectories_s0_stable_across_seeds(tmp_path):
     tol = 0.5 * (a["s0_bracket"][1] - a["s0_bracket"][0]) \
         + 0.5 * (b["s0_bracket"][1] - b["s0_bracket"][0])
     assert abs(a["s0"] - b["s0"]) <= tol + 1e-12
+
+
+@pytest.mark.parametrize("override", ["packet.k0=1e300", "packet.mass=1e200"])
+def test_overflowing_group_speed_rejected(tmp_path, capsys, override):
+    # k0^2 + mass^2 overflows a float: v0 is undefined and the run is refused.
+    # The packet is inside the SPA regime, so no regime warning precedes it.
+    out = tmp_path / "v0"
+    code = run_cli("trajectories", "--out", out, *FIG3, "--set", "packet.sigma=0.1",
+                   "--set", "packet.k0=1000", "--set", override,
+                   "--set", "trajectories.n=2", "--set", "trajectories.t_final=1.0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diracflow: configuration error: k0^2 + mass^2 must be finite")
+    assert err.count("\n") == 1
+    assert not (out / LOCK_NAME).exists()
+
+
+def test_huge_t_final_warns_through_diracflow_lines(tmp_path):
+    # Overflows in the Bloch series and summary phases reach stderr as
+    # diracflow warning lines, not as the interpreter's RuntimeWarning.
+    out = tmp_path / "huge-t"
+    proc = run_cli_subprocess(out, ["trajectories", *FIG3, "--set", "trajectories.n=2",
+                                    "--set", "trajectories.t_final=1e300"])
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and ".py:" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("diracflow: warning: ") for line in lines)
+    assert not (out / LOCK_NAME).exists()
 
 
 # =============================================================================

@@ -19,10 +19,12 @@ from diracflow import (
     evolve_exact_spherical,
     integrate_density,
     make_initial_packet,
+    quadrature,
     schrodinger_reference,
     schrodinger_trajectory,
     spherical_cut,
 )
+from diracflow.packets import spinor_amplitudes
 from diracflow.quadrature import integrate_panels
 
 from _oracles import dirac_spectral
@@ -281,6 +283,80 @@ def test_grid_route_choice():
     for t in (4.0, 8.0):
         for s in (-v0 * t, v0 * t):
             assert route(t, np.array([s]), FIG3, q) is dirac_exact._kspace_grid
+
+
+def field_bytes(t, s, data):
+    psi, err = evolve_exact_grid(t, s, data)
+    return psi.minus.tobytes() + psi.plus.tobytes() + err.tobytes()
+
+
+def assert_layout_cache_transparent(t, s, data, monkeypatch):
+    """A cold (cache miss), a warm (cache hit) and an uncached call give the same bits."""
+    quadrature._cached_layout.cache_clear()
+    cold = field_bytes(t, s, data)
+    assert quadrature._cached_layout.cache_info().currsize > 0
+    warm = field_bytes(t, s, data)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_LAYOUT_CACHE_NODES", 0)
+        uncached = field_bytes(t, s, data)
+    assert cold == warm == uncached
+
+
+@pytest.mark.parametrize("case", ["fig3_bessel", "ladder_kspace"])
+def test_layout_cache_keeps_field_bits(case, monkeypatch):
+    if case == "fig3_bessel":
+        t, s, data = 8.0, np.linspace(-12.7, 12.7, 64), FIG3
+        assert dirac_exact._grid_route(t, s, data, QuadConfig()) is dirac_exact._bessel_grid
+    else:
+        t, s, data = 1.0, np.linspace(-1.5, 1.5, 33), PacketParams.macroscopic(0.2, 1.0, 400.0)
+        assert dirac_exact._grid_route(t, s, data, QuadConfig()) is dirac_exact._kspace_grid
+    assert_layout_cache_transparent(t, s, data, monkeypatch)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
+       theta0=st.floats(0.0, np.pi), omega0=st.floats(0.0, 6.28),
+       t=st.floats(0.0, 8.0), n=st.sampled_from([1, 7, 33]))
+def test_layout_cache_keeps_field_bits_property(sigma, k0, mass, theta0, omega0, t, n):
+    assume(mass * t > 0)
+    data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=omega0, mass=mass)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_layout_cache_transparent(
+            t, np.linspace(-6.0 * sigma - t, 6.0 * sigma + t, n), data, monkeypatch)
+
+
+def test_bessel_error_bound_combines_the_theta_residuals(monkeypatch):
+    # err_-+ = (w t / 2)(|c_-+| e1_-+ + |c_+-| e0) from the residuals of the
+    # three theta-integrals (J1 (1 -+ cos) and J0 sin), with |c_-| != |c_+|.
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(integrate_panels(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dirac_exact, "integrate_panels", recording)
+    data = PacketParams(sigma=0.8, k0=4.0, theta0=0.7, omega0=1.3, mass=2.0)
+    t = 1.5
+    _, err = dirac_exact._bessel_grid(t, np.linspace(-3.0, 5.0, 9), data, QuadConfig())
+    ((_, (e1m, e1p, e0), _),) = results
+    cm, cp = map(abs, spinor_amplitudes(data))
+    wt = data.mass * t
+    assert np.array_equal(err[0], 0.5 * wt * (cm * e1m + cp * e0))
+    assert np.array_equal(err[1], 0.5 * wt * (cp * e1p + cm * e0))
+
+
+def test_collapsed_momentum_window_is_unresolvable():
+    # At k0 = 1e300 the window k0 +- 8 / sigma rounds to k0 itself: every
+    # momentum node would sit at k0, so the route is never chosen, and the
+    # Bessel route's start exceeds the budget before anything is evaluated.
+    data = PacketParams(sigma=1.0, k0=1e300, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    s = np.linspace(-1.0, 1.0, 3)
+    q = QuadConfig()
+    assert dirac_exact._kspace_panels(0.5, s, data, q) == np.inf
+    assert dirac_exact._grid_route(0.5, s, data, q) is dirac_exact._bessel_grid
+    with pytest.raises(IntegrationError, match="panel budget") as info:
+        evolve_exact_grid(0.5, s, data)
+    assert info.value.partial is None
 
 
 def test_far_position_takes_bessel_route():
