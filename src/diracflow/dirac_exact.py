@@ -2,7 +2,7 @@
 
 Three evaluation routes are provided; the first two serve ``evolve_exact``
 and ``evolve_exact_grid``, which run the momentum route only where it starts
-from fewer panels than the Bessel route (``_grid_route``):
+from fewer panels than the Bessel route (``_route_and_panels``):
 
 * The Bessel-kernel route.  The substitution ``sigma = s - t*cos(theta)``
   removes the square-root endpoint singularity of the J1 kernel, leaving
@@ -73,7 +73,7 @@ class QuadConfig:
     max|s| + t max|v|, on the momentum route.
     Gauss rules resolve a wave with about pi nodes per wavelength, so the
     default 8 starts above that; the doubling test decides convergence.
-    The same counts choose the grid route (``_grid_route``).
+    The same counts choose the grid route (``_route_and_panels``).
     """
 
     rel_tol: float = 1e-9
@@ -108,7 +108,7 @@ def _initial_panels(rate: float, length: float, q: QuadConfig) -> float:
     """Starting panels: ``oscillation_guard`` Gauss nodes per 2*pi of phase, at least 8.
 
     A whole number as a float, inf where the phase overflows, so that
-    ``_grid_route`` can compare the counts of both routes for any input.
+    ``_route_and_panels`` can compare the counts of both routes for any input.
     """
     return max(8.0, float(np.ceil(q.oscillation_guard * rate * length / (2 * np.pi * _GL_ORDER))))
 
@@ -164,7 +164,7 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     One quadrature is shared by all positions, so the cost is
     O(n_nodes * n_s) with fully vectorized inner arithmetic.  The Bessel
     route integrates over theta and the momentum route over k; the
-    momentum route runs where it starts from fewer panels (``_grid_route``).
+    momentum route runs where it starts from fewer panels (``_route_and_panels``).
     """
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
@@ -191,20 +191,22 @@ def evolve_exact(t: float, s: float, data: PacketParams,
 
 
 def _grid_route(t: float, s_arr, data: PacketParams, q: QuadConfig):
-    """The momentum route if it starts from fewer panels, else the Bessel route.
-
-    Both counts come from ``_initial_panels``.  The Bessel route's phase
-    rate is t hypot(m, k0) over theta in [0, pi]: it grows with the mass but
-    its integrand is local in s.  The momentum route's is |s -+ v(k) t| over
-    a window of width 16 / sigma: it does not grow with the mass but does
-    with the farthest position.  A tie goes to Bessel: per panel, the
-    momentum route's complex basis costs more on grids of tens of points.
-    """
+    """The route ``_route_and_panels`` chooses, without its panel count."""
     return _route_and_panels(t, s_arr, data, q)[0]
 
 
 def _route_and_panels(t: float, s_arr, data: PacketParams, q: QuadConfig):
-    """``_grid_route``'s choice with its starting panel count, so that it is counted once."""
+    """The momentum route if it starts from fewer panels, else the Bessel route.
+
+    Returns the route with its starting panel count, which it is handed, so
+    that the count is made once.  Both counts come from ``_initial_panels``.
+    The Bessel route's phase rate is t hypot(m, k0) over theta in [0, pi]:
+    it grows with the mass but its integrand is local in s.  The momentum
+    route's is |s -+ v(k) t| over a window of width 16 / sigma: it does not
+    grow with the mass but does with the farthest position.  A tie goes to
+    Bessel: per panel, the momentum route's complex basis costs more on
+    grids of tens of points.
+    """
     kspace = _kspace_panels(t, s_arr, data, q)
     bessel = _bessel_panels(t, data, q)
     if kspace < bessel:
@@ -226,13 +228,11 @@ def _bessel_panels(t: float, data: PacketParams, q: QuadConfig) -> float:
     return _initial_panels(t * hypot(data.mass, data.k0), np.pi, q)
 
 
-def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float = None):
+def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     """psi(t, s) from the Bessel-kernel theta-integrals (module docstring).
 
-    ``n0`` is the starting panel count, ``_bessel_panels`` when not given.
+    ``n0`` is the starting panel count, ``_bessel_panels(t, data, q)``.
     """
-    if n0 is None:
-        n0 = _bessel_panels(t, data, q)
     cm, cp = spinor_amplitudes(data)
     sigma, k0, omega = data.sigma, data.k0, data.mass
     wt = omega * t
@@ -298,7 +298,7 @@ def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
     return _initial_panels(float(np.abs(s_arr).max(initial=0.0)) + t * v_edge, 2 * half, q)
 
 
-def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float = None):
+def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     """psi(t, s) as the momentum integral over the window |u| <= 8 / sigma.
 
         psi(t, s) = e^{i k0 s} Int du g(k0 + u) e^{i u s},
@@ -307,10 +307,8 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float =
     with H(k) = ((k, m), (m, -k)), E = sqrt(k^2 + m^2), c the initial spinor
     and phi_hat(k) = 2 sigma sqrt(pi) (2 pi sigma^2)^{-1/4} e^{-sigma^2 (k - k0)^2}
     (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.  ``n0`` is the
-    starting panel count, ``_kspace_panels`` when not given.
+    starting panel count, ``_kspace_panels(t, s_arr, data, q)``.
     """
-    if n0 is None:
-        n0 = _kspace_panels(t, s_arr, data, q)
     cm, cp = spinor_amplitudes(data)
     sigma, k0, m = data.sigma, data.k0, data.mass
     half = _K_WINDOW / sigma

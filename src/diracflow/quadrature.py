@@ -27,10 +27,12 @@ __all__ = ["integrate_panels"]
 
 _GL_ORDER = 16
 _NODE_CHUNK = 16384
-# Panel layouts of up to this many nodes are cached, the last 32 used (at
-# most 1 MiB of nodes and weights each); larger ones, whose integrand cost
-# dwarfs the layout's, are built per call and freed with it.
-_LAYOUT_CACHE_NODES = 2**16
+# Panel layouts of up to _LAYOUT_CACHE_NODES nodes are cached, the last
+# _LAYOUT_CACHE_SIZE used: with 16 bytes per node (node and weight), the
+# cache keeps at most 4 MiB between calls.  Larger layouts, whose integrand
+# cost dwarfs the layout's, are built per call and freed with it.
+_LAYOUT_CACHE_NODES = 2**14
+_LAYOUT_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=8)
@@ -49,7 +51,7 @@ def _build_layout(a: float, b: float, n_panels: int, order: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _cached_layout(a: float, b: float, n_panels: int, order: int):
     """``_build_layout``, read-only and shared by every call with the same key."""
     nodes, weights = _build_layout(a, b, n_panels, order)
@@ -61,7 +63,9 @@ def _cached_layout(a: float, b: float, n_panels: int, order: int):
 def _layout(a: float, b: float, n_panels: int, order: int):
     """The panel layout, from the cache up to ``_LAYOUT_CACHE_NODES`` nodes."""
     if n_panels * order <= _LAYOUT_CACHE_NODES:
-        return _cached_layout(a, b, n_panels, order)
+        # Plain numbers as the key, so that 0-d array bounds hash; float()
+        # of a float64 is exact.
+        return _cached_layout(float(a), float(b), int(n_panels), int(order))
     return _build_layout(a, b, n_panels, order)
 
 

@@ -238,8 +238,8 @@ def test_start_beyond_budget_has_no_partial():
 def assert_routes_agree(data, t, s):
     """Both grid routes, called directly, within 1e-12 of each other."""
     q = QuadConfig()
-    bessel, _ = dirac_exact._bessel_grid(t, s, data, q)
-    kspace, _ = dirac_exact._kspace_grid(t, s, data, q)
+    bessel, _ = dirac_exact._bessel_grid(t, s, data, q, dirac_exact._bessel_panels(t, data, q))
+    kspace, _ = dirac_exact._kspace_grid(t, s, data, q, dirac_exact._kspace_panels(t, s, data, q))
     assert np.max(np.abs(kspace.minus - bessel.minus)) <= 1e-12
     assert np.max(np.abs(kspace.plus - bessel.plus)) <= 1e-12
 
@@ -337,7 +337,9 @@ def test_bessel_error_bound_combines_the_theta_residuals(monkeypatch):
     monkeypatch.setattr(dirac_exact, "integrate_panels", recording)
     data = PacketParams(sigma=0.8, k0=4.0, theta0=0.7, omega0=1.3, mass=2.0)
     t = 1.5
-    _, err = dirac_exact._bessel_grid(t, np.linspace(-3.0, 5.0, 9), data, QuadConfig())
+    q = QuadConfig()
+    _, err = dirac_exact._bessel_grid(t, np.linspace(-3.0, 5.0, 9), data, q,
+                                      dirac_exact._bessel_panels(t, data, q))
     ((_, (e1m, e1p, e0), _),) = results
     cm, cp = map(abs, spinor_amplitudes(data))
     wt = data.mass * t

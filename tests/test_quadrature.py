@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,3 +138,26 @@ def test_layout_equals_per_call_build(n_panels):
         want = quadrature._build_layout(a, b, n_panels, _GL_ORDER)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+
+def test_layout_cache_stays_within_its_budget():
+    # Many distinct intervals at the size cap and just above it: the layouts
+    # still alive afterwards (those the cache keeps) hold at most 4 MiB.
+    quadrature._cached_layout.cache_clear()
+    at_cap = quadrature._LAYOUT_CACHE_NODES // _GL_ORDER
+    refs = []
+    for j in range(3 * quadrature._LAYOUT_CACHE_SIZE):
+        for n_panels in (at_cap, at_cap + 1):
+            refs.extend(map(weakref.ref, quadrature._layout(0.0, 1.0 + j, n_panels, _GL_ORDER)))
+    gc.collect()
+    kept = [r() for r in refs if r() is not None]
+    assert len(kept) == 2 * quadrature._LAYOUT_CACHE_SIZE
+    assert sum(x.nbytes for x in kept) <= 4 * 2**20
+
+
+def test_zero_dim_array_bounds():
+    pair, _ = integrands(True, False)
+    want = integrate_panels(pair, 0.0, 2.0)
+    got = integrate_panels(pair, np.array(0.0), np.array(2.0))
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
