@@ -16,7 +16,7 @@ sha256 checksum.  Runs compute in one process (``--workers`` has no effect)
 and are deterministic: a repeated run with the same config and seed is
 byte-identical (wall-times live only in the manifest).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 1 internal error, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def _warnings_to_stderr():
 
 
 # ``series`` holds each trajectory's Cayley-Klein series, None where it failed.
-_Ensemble = namedtuple("_Ensemble", "t_final trajs summary spinor series")
+_Ensemble = namedtuple("_Ensemble", "t_final trajs summary field series")
 
 
 def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, seed: int, sec: str,
@@ -337,11 +337,11 @@ def _bloch_ensemble(cfg: RunConfig, writer: RunWriter, seed: int, sec: str,
         first = next(traj.error for traj in trajs if traj.error is not None)
         print(f"diracflow: numerical failure: {summary.n_failed} of {summary.n} "
               f"trajectories failed: {first}", file=sys.stderr)
-    spinor = _make_field(data, mode, quad).spinor
+    fieldh = _make_field(data, mode, quad)
     with writer.phase("bloch_series"), _warnings_to_stderr():
-        series = [None if traj.error is not None else cayley_klein_along(traj, spinor)
+        series = [None if traj.error is not None else cayley_klein_along(traj, fieldh.spinors)
                   for traj in trajs]
-    return _Ensemble(t_final, trajs, summary, spinor, series)
+    return _Ensemble(t_final, trajs, summary, fieldh, series)
 
 
 def _bohmian_or_none(psi, mass: float):
@@ -419,12 +419,12 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     return 0
 
 
-def _asymptotic_stats(trajs, spinor_field, mass: float) -> dict:
+def _asymptotic_stats(trajs, fieldh, mass: float) -> dict:
     # Failed trajectories stay UNRESOLVED, so only integrated ones count.
     stats = {"RIGHT": [], "LEFT": []}
     for traj in trajs:
         if traj.classification != UNRESOLVED:
-            obs = _bohmian_or_none(spinor_field(traj.times[-1], traj.positions[-1]), mass)
+            obs = _bohmian_or_none(fieldh.spinor(traj.times[-1], traj.positions[-1]), mass)
             if obs is not None:
                 stats[traj.classification].append(obs)
     out = {}
@@ -464,7 +464,7 @@ def cmd_trajectories(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
                 {"index": i, "q0": t.q0, "classification": t.classification,
                  "asymptotic_velocity": t.asymptotic_velocity,
                  "error": t.error} for i, t in enumerate(run.trajs)],
-            "asymptotic_observables": _asymptotic_stats(run.trajs, run.spinor, data.mass),
+            "asymptotic_observables": _asymptotic_stats(run.trajs, run.field, data.mass),
         }
         writer.write_json("summary.json", "trajectories", payload)
     return 3 if summary.n_failed else 0
@@ -569,7 +569,8 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
             tan0 = np.tan(theta0)
             for a_omega in a_omegas[:1]:
                 c = np.cos(a_omega * x)
-                y0 = np.log(eta / (tan0 * c + np.sqrt(1 + tan0**2 * c**2))) / x
+                # ln(eta / (tan0 c + sqrt(1 + tan0^2 c^2))), without its cancellation.
+                y0 = (np.log(eta) - np.arcsinh(tan0 * c)) / x
                 blocks.append((np.full(x.size, theta0), x, spec.b_minus(x), spec.b_plus(x),
                                y0, xy_ode_velocity(x, y0, theta0, a_omega)))
     writer.write_csv("barriers.csv", "barriers",
@@ -649,7 +650,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         writer = RunWriter(_resolve_out(args, cfg), cfg, seed)
-    except (DiracflowError, OSError, UnicodeDecodeError) as exc:
+    except (DiracflowError, OSError, ValueError) as exc:
         # An unreadable config or an uncreatable run directory is an input error.
         print(f"diracflow: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -658,7 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = COMMANDS[cfg.command](cfg, writer, seed)
         writer.finish()
         return code
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"diracflow: configuration error: {exc}", file=sys.stderr)
         return 2
     except DiracflowError as exc:
@@ -666,6 +667,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         writer.notes["failure"] = str(exc)
         writer.finish()
         return 3
+    except Exception as exc:
+        print(f"diracflow: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     finally:
         writer.release()
 

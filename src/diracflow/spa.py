@@ -183,19 +183,11 @@ def has_both_critical_points(t: float, p: SpaParams) -> bool:
     return p.omega * t > specfun.j0_first_zero() * p.e0
 
 
-def spa_spinor_grid(t, s, p: SpaParams) -> Spinor:
-    """Vectorized U(t, s) over an array of positions.
-
-    ``t`` is one time for every position, or an array paired with ``s``;
-    each point then takes the weights of its own time.
-    """
-    both = has_both_critical_points(t, p)
-    if np.ndim(both) == 0:
-        a, b = spa_weights(p, both)
-    else:
-        (a1, b1), (a0, b0) = spa_weights(p, True), spa_weights(p, False)
-        a = np.where(both, a1[:, None], a0[:, None])
-        b = np.where(both, b1[:, None], b0[:, None])
+def spa_spinor_grid(t: float, s, p: SpaParams) -> Spinor:
+    """Vectorized U(t, s) over an array of positions at one time, with that time's weights."""
+    if np.ndim(t):
+        raise DomainError("spa_spinor_grid takes one time t for every position")
+    a, b = spa_weights(p, has_both_critical_points(t, p))
     phi_m, phi_p = spa_envelopes(t, s, p)
     return Spinor(minus=a[0] * phi_m + b[0] * phi_p,
                   plus=a[1] * phi_m + b[1] * phi_p)

@@ -7,7 +7,9 @@ reproduces scipy's RK45 bit for bit: the same field calls, accepted steps,
 dense output and failure message as ``RK45(rtol=tol, atol=tol)`` per member.
 A field with ``velocities(t[], q[]) -> (v[], node_mask[])`` (the SPA field)
 is called once per stage for all members; any other callable (the
-quadrature-backed exact field, user functions) once per point.
+quadrature-backed exact field, user functions) once per point.  A velocity
+field's ``spinors(t[], q[])`` (``spinor(t, q)`` at one point) is the spinor
+whose current over density is that velocity; the Bloch data come from it.
 
 Ensembles draw initial positions from quantum equilibrium N(0, sigma^2) by
 inverse CDF, with a per-trajectory seed derived from (seed, index), so
@@ -35,7 +37,7 @@ import numpy as np
 from .dirac_exact import QuadConfig, evolve_exact, schrodinger_reference
 from .errors import BracketingError, DomainError, IntegrationError, NodeError, ValidationError
 from .packets import PacketParams, Spinor, cayley_klein_series
-from .spa import SpaParams, spa_spinor_grid, spa_weights
+from .spa import SpaParams, spa_envelopes, spa_weights
 
 __all__ = [
     "RIGHT",
@@ -143,7 +145,7 @@ class SpaVelocityField:
 
     def __init__(self, params: SpaParams):
         self.params = params
-        a, b = spa_weights(params, both_critical_points=True)
+        a, b = self._spinor_weights = spa_weights(params, both_critical_points=True)
         self._na = float(a[0] ** 2 + a[1] ** 2)
         self._nb = float(b[0] ** 2 + b[1] ** 2)
         self._nc = 2.0 * float(a[0] * b[0] + a[1] * b[1])
@@ -195,28 +197,37 @@ class SpaVelocityField:
             raise NodeError("SPA density vanishes or both envelopes underflow at this point")
         return float(v[0])
 
+    def spinors(self, t, s) -> Spinor:
+        """The spinor at the paired points (t[i], s[i]), under the velocity's own weights."""
+        phi_m, phi_p = spa_envelopes(np.asarray(t, dtype=float), s, self.params)
+        a, b = self._spinor_weights
+        return Spinor(minus=a[0] * phi_m + b[0] * phi_p, plus=a[1] * phi_m + b[1] * phi_p)
+
     def spinor(self, t: float, s: float) -> Spinor:
-        u = spa_spinor_grid(t, np.array([s]), self.params)
+        u = self.spinors(np.array([t]), np.array([s]))
         return Spinor(minus=complex(u.minus[0]), plus=complex(u.plus[0]))
 
 
 class ExactVelocityField:
     """Quadrature-backed velocity of the exact evolved spinor."""
 
-    def __init__(self, data: PacketParams, quad: QuadConfig = QuadConfig(),
-                 node_eps: float = NODE_EPS):
+    def __init__(self, data: PacketParams, quad: QuadConfig = QuadConfig()):
         self.data = data
         self.quad = quad
         # Peak of the initial density; the flow only spreads it.
         self.peak_density = 1.0 / np.sqrt(2 * np.pi * data.sigma**2)
-        self.node_eps = node_eps
 
     def __call__(self, t: float, s: float) -> float:
         psi = self.spinor(t, s)
         rho = psi.density
-        if rho < self.node_eps * self.peak_density:
+        if rho < NODE_EPS * self.peak_density:
             raise NodeError(f"density {rho:.3e} below node threshold")
         return float(psi.current / rho)
+
+    def spinors(self, t, s) -> Spinor:
+        """The spinor at the paired points (t[i], s[i]), one quadrature per point."""
+        pairs = [(u.minus, u.plus) for u in map(self.spinor, t, s)]
+        return Spinor(*np.array(pairs, dtype=complex).T)
 
     def spinor(self, t: float, s: float) -> Spinor:
         return evolve_exact(t, s, self.data, self.quad).psi
@@ -747,23 +758,14 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
 # Bloch data along trajectories
 # =============================================================================
 
-def cayley_klein_along(traj: Trajectory, spinor_field) -> dict:
+def cayley_klein_along(traj: Trajectory, spinors) -> dict:
     """Cayley-Klein series (R, Theta, Omega, Phi unwrapped) along a trajectory.
 
-    An SPA field's ``spinor`` is evaluated at all (t, q) pairs in one call;
-    any other spinor callable point by point.
+    ``spinors(t[], q[]) -> Spinor`` is a field's paired-point spinor, such as
+    ``field.spinors``, called once with every accepted (t, q) of the trajectory.
     """
-    owner = getattr(spinor_field, "__self__", None)
-    if isinstance(owner, SpaVelocityField):
-        u = spa_spinor_grid(traj.times, traj.positions, owner.params)
-        return cayley_klein_series(u.minus, u.plus)
-    minus = np.empty(traj.times.size, dtype=complex)
-    plus = np.empty(traj.times.size, dtype=complex)
-    for i, (t, s) in enumerate(zip(traj.times, traj.positions)):
-        psi = spinor_field(t, s)
-        minus[i] = psi.minus
-        plus[i] = psi.plus
-    return cayley_klein_series(minus, plus)
+    u = spinors(traj.times, traj.positions)
+    return cayley_klein_series(u.minus, u.plus)
 
 
 def antipodal_clusters(vectors: np.ndarray, radius: float = 0.1) -> dict:

@@ -234,7 +234,7 @@ def test_criterion_11_bloch_clustering():
     endpoints = []
     worst_norm = 0.0
     for tr in trajs:
-        ck = cayley_klein_along(tr, field.spinor)
+        ck = cayley_klein_along(tr, field.spinors)
         st = np.sin(ck["theta"])
         vec = np.array([st * np.cos(ck["omega"]), st * np.sin(ck["omega"]),
                         np.cos(ck["theta"])])

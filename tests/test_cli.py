@@ -308,6 +308,38 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "field-run" / "field.csv").exists()
 
 
+def test_unexpected_exception_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    from diracflow import cli
+
+    def broken(cfg, writer, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "barriers", broken)
+    out = tmp_path / "broken"
+    code = run_cli("barriers", "--out", out, "--set", "barriers.theta0_values=0.5")
+    assert code == 1
+    assert capsys.readouterr().err == "diracflow: internal error: RuntimeError: boom\n"
+    assert not (out / LOCK_NAME).exists()
+
+
+@pytest.mark.parametrize("case", ["null-byte-out", "artifact-is-a-directory"])
+def test_os_refusals_are_configuration_errors(tmp_path, capsys, case):
+    if case == "null-byte-out":
+        # The OS refuses such a path with ValueError rather than OSError.
+        ini = tmp_path / "nul.ini"
+        ini.write_text(f"[run]\nout = {tmp_path}/a\x00b\n", encoding="utf-8")
+        args = ["--config", ini]
+    else:
+        (tmp_path / "run" / "barriers.csv").mkdir(parents=True)
+        args = ["--out", tmp_path / "run"]
+    code = run_cli("barriers", *args, "--set", "barriers.theta0_values=0.5")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diracflow: configuration error: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run" / LOCK_NAME).exists()
+
+
 def test_locked_directory_rejected(tmp_path, capsys):
     out = tmp_path / "locked"
     out.mkdir()
@@ -420,6 +452,24 @@ def test_trajectories_artifacts_and_summary(tmp_path):
         header, rows = read_csv(out / f"traj_{i:04d}.csv")
         assert header == ["t", "q", "v", "R", "Theta", "Omega", "Phi"]
         assert rows[0][0] == 0.0
+
+
+def test_trajectory_bloch_columns_describe_the_velocity(tmp_path):
+    # cos Theta is the third Bloch component, which equals the spinor's
+    # velocity: the spinor behind R/Theta/Omega/Phi is the one that drove v.
+    out = tmp_path / "ck"
+    code = run_cli("trajectories", "--out", out, "--seed", "9", *FIG3,
+                   "--set", "trajectories.n=8", "--set", "trajectories.t_final=8")
+    assert code == 0
+    files = sorted(out.glob("traj_*.csv"))
+    assert len(files) == 8
+    for path in files:
+        header, rows = read_csv(path)
+        cols = np.array(rows).T
+        r, theta, v = (cols[header.index(k)] for k in ("R", "Theta", "v"))
+        dense = r**2 > 1e-6 * np.max(r**2)
+        assert np.any(cols[header.index("t")][dense] < 2.79)
+        assert np.max(np.abs(np.cos(theta[dense]) - v[dense])) <= 1e-12
 
 
 def test_trajectories_s0_stable_across_seeds(tmp_path):
@@ -611,11 +661,15 @@ def test_observables_unknown_field_rejected(tmp_path, capsys):
 # barriers
 # =============================================================================
 
-def test_barriers_command(tmp_path):
+def test_barriers_command(tmp_path, capsys):
+    # At theta0 = pi/2 (tan theta0 = 1.6e16) and 2.9 the zero curve's naive
+    # form cancels: non-finite y0 cells and raw RuntimeWarnings.
     out = tmp_path / "bar"
-    code = run_cli("barriers", "--out", out,
-                   "--set", f"barriers.theta0_values={np.pi/8} {np.pi/4} {3*np.pi/8}")
+    code = run_cli("barriers", "--out", out, "--set", "barriers.x_count=400",
+                   "--set", f"barriers.theta0_values={np.pi/8} {np.pi/4} {3*np.pi/8} "
+                            f"{np.pi/2} 2.9")
     assert code == 0
+    assert capsys.readouterr().err == ""
     doc = json.loads((out / "barriers.json").read_text())
     by_theta = {round(r["theta0"], 6): r for r in doc["reports"]}
     assert by_theta[round(np.pi / 4, 6)]["c_plus"] == 0.0
@@ -623,6 +677,8 @@ def test_barriers_command(tmp_path):
     header, rows = read_csv(out / "barriers.csv")
     f_idx = header.index("F_at_y0")
     assert max(abs(r[f_idx]) for r in rows) <= 1e-12
+    assert len(rows) == 5 * 400
+    assert all(np.isfinite(r[header.index("y0")]) for r in rows)
 
 
 # =============================================================================

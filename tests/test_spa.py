@@ -145,6 +145,12 @@ def test_truncated_upper_component():
     assert res.u.plus == pytest.approx(want_plus, rel=1e-14)
 
 
+def test_spinor_grid_takes_one_time():
+    p = _params(omega=10.0)
+    with pytest.raises(DomainError):
+        spa_spinor_grid(np.array([0.3, 1.0]), np.array([0.0, 0.1]), p)
+
+
 def test_validity_window_warning():
     p = _params()
     with pytest.warns(UserWarning, match="validity window"):

@@ -22,6 +22,7 @@ from diracflow import (
     QuadConfig,
     SchrodingerField,
     SpaVelocityField,
+    Spinor,
     ValidationError,
     antipodal_clusters,
     barrier_check,
@@ -30,15 +31,15 @@ from diracflow import (
     evolve_exact_grid,
     find_bifurcation,
     integrate_trajectory,
+    j0_first_zero,
     run_ensemble,
     schrodinger_trajectory,
-    spa_spinor_grid,
     spa_velocity_field,
     trajectory_closeness,
     xy_ode_velocity,
 )
 from diracflow import trajectories
-from diracflow.spa import SpaParams, has_both_critical_points
+from diracflow.spa import SpaParams
 from diracflow.trajectories import _RK45, _integrate_members, classify_trajectory
 
 
@@ -492,7 +493,7 @@ def test_bloch_angles_settle_and_observables_match(fig3_packet):
     from diracflow import bohmian_observables, CayleyKlein
     for tr in trajs:
         assert tr.classification in (RIGHT, LEFT)
-        ck = cayley_klein_along(tr, field.spinor)
+        ck = cayley_klein_along(tr, field.spinors)
         late = tr.times >= 7.0
         assert np.ptp(ck["theta"][late]) <= 0.02
         assert np.ptp(np.cos(ck["omega"][late])) <= 0.02
@@ -762,23 +763,61 @@ def test_array_spa_field_equals_scalar_calls(fig3_packet):
 
 
 def test_array_spa_field_matches_spinor_current(fig3_packet):
-    # The field always carries both critical points' weights; the spinor
-    # does once omega t > j0 E0.
-    params = SpaParams.from_packet(fig3_packet)
+    # The field's spinor carries the velocity's own weights at every t.
+    field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
     t, s = _spa_points(np.random.default_rng(6))
-    v, _ = SpaVelocityField(params).velocities(t, s)
-    psi = spa_spinor_grid(t, s, params)
-    dense = (psi.density > 1e-250) & has_both_critical_points(t, params)
+    v, _ = field.velocities(t, s)
+    psi = field.spinors(t, s)
+    dense = psi.density > 1e-250
     assert np.count_nonzero(dense) >= 1000
     ref = psi.current[dense] / psi.density[dense]
     assert np.max(np.abs(v[dense] - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
+
+
+def _stacked(field):
+    """A paired-point spinor built from the field's one-point ``spinor`` calls."""
+    def spinors(t, s):
+        psi = [field.spinor(ti, si) for ti, si in zip(t, s)]
+        return Spinor(minus=np.array([u.minus for u in psi]),
+                      plus=np.array([u.plus for u in psi]))
+    return spinors
 
 
 def test_paired_bloch_series_equals_pointwise(fig3_packet):
     trajs, _ = run_ensemble(4, fig3_packet, 8.0, field_mode="SPA", seed=21)
     field = SpaVelocityField(SpaParams.from_packet(fig3_packet))
     for tr in trajs:
-        paired = cayley_klein_along(tr, field.spinor)
-        pointwise = cayley_klein_along(tr, lambda t, s: field.spinor(t, s))
+        paired = cayley_klein_along(tr, field.spinors)
+        pointwise = cayley_klein_along(tr, _stacked(field))
         for key in ("r", "theta", "omega", "phi"):
             assert np.array_equal(paired[key], pointwise[key])
+
+
+def test_exact_spinors_equal_pointwise(fig3_packet):
+    field = ExactVelocityField(fig3_packet)
+    tr = integrate_trajectory(0.4, (0.0, 0.3), field)
+    paired = field.spinors(tr.times, tr.positions)
+    pointwise = _stacked(field)(tr.times, tr.positions)
+    assert tr.times.size >= 5
+    assert np.array_equal(paired.minus, pointwise.minus)
+    assert np.array_equal(paired.plus, pointwise.plus)
+
+
+@pytest.mark.parametrize("data, s", [
+    (PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0),
+     np.linspace(-12.0, 12.0, 241)),
+    (PacketParams.macroscopic(0.2, 1.0, 50.0), np.linspace(-1.5, 1.5, 121)),
+], ids=["fig3", "macroscopic-omega50"])
+def test_spa_field_spinor_tracks_exact_before_the_switch(data, s):
+    # Before omega t = j0 E0 the paper's formula keeps one critical point;
+    # the field's spinor keeps both, as its velocity does, and stays close to
+    # the exact spinor (the one-point weights are 0.2 to 0.44 off here).
+    params = SpaParams.from_packet(data)
+    field = SpaVelocityField(params)
+    t_switch = j0_first_zero() * params.e0 / params.omega
+    for frac in (0.25, 0.5, 0.9):
+        t = frac * t_switch
+        psi, _ = evolve_exact_grid(t, s, data)
+        u = field.spinors(np.full(s.size, t), s)
+        sup = np.max(np.sqrt(np.abs(psi.minus - u.minus) ** 2 + np.abs(psi.plus - u.plus) ** 2))
+        assert sup <= 0.05, (frac, sup)
