@@ -69,6 +69,9 @@ CSV_SCHEMA = "diracflow-csv-v1"
 JSON_SCHEMA = "diracflow-json-v1"
 OUTPUT_ROOT_ENV = "DIRACFLOW_OUT"
 LOCK_NAME = ".diracflow.lock"
+# Most points in one position grid, and in the barriers' x-by-offset cells: at
+# peak a field position costs about 1.2 kB and a barrier cell about 64 B.
+MAX_GRID_POINTS = 10**5
 
 __all__ = ["main", "RunConfig"]
 
@@ -138,6 +141,9 @@ class RunConfig:
         if count < 1 or hi < lo:
             raise ValidationError(
                 f"[{section}] needs {name}_count >= 1 and {name}_max >= {lo!r}")
+        if count > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"[{section}] {name}_count must be <= {MAX_GRID_POINTS}, got {count}")
         return np.linspace(lo, hi, count)
 
     def set(self, section: str, key: str, value) -> None:
@@ -207,7 +213,6 @@ class RunConfig:
             rel_tol=self.get_float("quadrature", "rel_tol", 1e-9),
             abs_tol=self.get_float("quadrature", "abs_tol", 1e-12),
             max_panels=self.get_int("quadrature", "max_panels", 2**20),
-            oscillation_guard=self.get_float("quadrature", "oscillation_guard", 8.0),
         )
 
 
@@ -557,6 +562,9 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     a_omegas = cfg.get_floats(sec, "a_omegas", [1.0, 3.7, 10.0])
     x = cfg.get_grid(sec, "x", cfg.get_float(sec, "x_min", 0.2), 5.0, 50)
     offsets = cfg.get_grid(sec, "offset", 0.0, 3.0, 50)
+    if x.size * offsets.size > MAX_GRID_POINTS:
+        raise ValidationError(f"[barriers] x_count * offset_count must be <= {MAX_GRID_POINTS}, "
+                              f"got {x.size} * {offsets.size}")
     reports = []
     blocks = []
     with writer.phase("barriers"):

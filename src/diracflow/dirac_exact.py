@@ -38,7 +38,7 @@ field evaluation over (t, s) grids vectorizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, hypot
+from math import ceil, hypot, ulp
 from typing import Tuple
 
 import numpy as np
@@ -64,28 +64,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and oscillation handling for the kernel quadratures.
-
-    ``oscillation_guard`` is the number of Gauss-Legendre nodes per 2*pi of
-    integrand phase in the starting estimate (never fewer than 8 panels):
-    of the theta-phase -k0 t cos(theta) +- m t sin(theta), at rate at most
-    t hypot(m, k0), on the Bessel route and of the momentum phase, at rate
-    max|s| + t max|v|, on the momentum route.
-    Gauss rules resolve a wave with about pi nodes per wavelength, so the
-    default 8 starts above that; the doubling test decides convergence.
-    The same counts choose the grid route (``_route_and_panels``).
-    """
+    """Tolerances and panel budget for the kernel quadratures."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_panels: int = 2**20
-    oscillation_guard: float = 8.0
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValidationError("tolerances must be > 0")
-        if not (self.oscillation_guard >= 4):
-            raise ValidationError("oscillation_guard must be >= 4")
         if not (self.max_panels >= 8):
             raise ValidationError("max_panels must be >= 8")
 
@@ -104,13 +91,18 @@ class FieldSample:
 # Grid evaluation and the choice of route
 # =============================================================================
 
-def _initial_panels(rate: float, length: float, q: QuadConfig) -> float:
-    """Starting panels: ``oscillation_guard`` Gauss nodes per 2*pi of phase, at least 8.
+# Gauss nodes per 2*pi of phase in the starting estimate, above the about pi
+# a Gauss rule needs; the doubling test, not this count, decides convergence.
+_NODES_PER_CYCLE = 8.0
+
+
+def _initial_panels(rate: float, length: float) -> float:
+    """Starting panels: ``_NODES_PER_CYCLE`` Gauss nodes per 2*pi of phase, at least 8.
 
     A whole number as a float, inf where the phase overflows, so that
     ``_route_and_panels`` can compare the counts of both routes for any input.
     """
-    return max(8.0, float(np.ceil(q.oscillation_guard * rate * length / (2 * np.pi * _GL_ORDER))))
+    return max(8.0, float(np.ceil(_NODES_PER_CYCLE * rate * length / (2 * np.pi * _GL_ORDER))))
 
 
 def _node_chunk(n_cols: int) -> int:
@@ -208,7 +200,7 @@ def _route_and_panels(t: float, s_arr, data: PacketParams, q: QuadConfig):
     grids of tens of points.
     """
     kspace = _kspace_panels(t, s_arr, data, q)
-    bessel = _bessel_panels(t, data, q)
+    bessel = _bessel_panels(t, data)
     if kspace < bessel:
         return _kspace_grid, kspace
     return _bessel_grid, bessel
@@ -218,20 +210,20 @@ def _route_and_panels(t: float, s_arr, data: PacketParams, q: QuadConfig):
 # Bessel-kernel route
 # =============================================================================
 
-def _bessel_panels(t: float, data: PacketParams, q: QuadConfig) -> float:
+def _bessel_panels(t: float, data: PacketParams) -> float:
     """Starting panels of the Bessel route over theta in [0, pi].
 
     The integrand's phase -k0 t cos(theta) +- m t sin(theta) (the plane wave
     times the Bessel kernels' oscillation) has the theta-derivative
     t (k0 sin(theta) +- m cos(theta)), at most t hypot(m, k0) in magnitude.
     """
-    return _initial_panels(t * hypot(data.mass, data.k0), np.pi, q)
+    return _initial_panels(t * hypot(data.mass, data.k0), np.pi)
 
 
 def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     """psi(t, s) from the Bessel-kernel theta-integrals (module docstring).
 
-    ``n0`` is the starting panel count, ``_bessel_panels(t, data, q)``.
+    ``n0`` is the starting panel count, ``_bessel_panels(t, data)``.
     """
     cm, cp = spinor_amplitudes(data)
     sigma, k0, omega = data.sigma, data.k0, data.mass
@@ -280,22 +272,30 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
 # Half-width of the momentum window in units of 1/sigma: the Gaussian
 # spectrum e^{-sigma^2 u^2} leaves e^{-64} ~ 1.6e-28 of its peak outside it.
 _K_WINDOW = 8.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
-    """Starting panels of the momentum route.
+    """Starting panels of the momentum route, inf where its nodes are too coarse.
 
     The phase of e^{i(u s -+ E t)} changes at the rate |s -+ v(k) t|, at most
     max|s| + t max|v| with |v| = |k| / E largest at the window's far edge.
-    A window that rounds away in floating point (k0 +- 8 / sigma == k0, so
-    every node's k would be k0) resolves nothing: its count is inf.
+    Each node's momentum k0 + u is rounded to a double, by up to half the
+    spacing of k_edge = |k0| + 8 / sigma, which moves its phase by up to x / 2
+    with x = spacing(k_edge) (max|s| + t).  The doubling test cannot see this
+    error, since every panel count rounds alike; it is of order x^2 relative
+    (6e-3 x^2 measured at FIG3 for k0 = 1e12 to 1e16).  So the route is
+    refused (count inf) where x^2 exceeds rel_tol, or machine epsilon if that
+    is larger; that includes a window that rounds away (k0 +- 8 / sigma == k0).
     """
     half = _K_WINDOW / data.sigma
-    if data.k0 + half == data.k0 or data.k0 - half == data.k0:
-        return np.inf
     k_edge = abs(data.k0) + half
+    reach = float(np.abs(s_arr).max(initial=0.0))
+    x = ulp(k_edge) * (reach + t)
+    if not x * x <= max(q.rel_tol, _EPS):
+        return np.inf
     v_edge = k_edge / hypot(k_edge, data.mass)
-    return _initial_panels(float(np.abs(s_arr).max(initial=0.0)) + t * v_edge, 2 * half, q)
+    return _initial_panels(reach + t * v_edge, 2 * half)
 
 
 def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
@@ -401,7 +401,7 @@ def _spherical_base(t, s_arr, p0, sigma, omega, q, n_phi):
         return ((1 - np.cos(theta)) * g1)[:, None] * vals
 
     rate = (omega * abs(p0) + omega) * t
-    n0 = _initial_panels(rate, np.pi, q)
+    n0 = _initial_panels(rate, np.pi)
     i_minus, err_m, _ = integrate_panels(
         integrand_minus, 0.0, np.pi,
         rel_tol=q.rel_tol, abs_tol=q.abs_tol / max(1.0, wt),
@@ -490,15 +490,14 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
 # Derived field quantities
 # =============================================================================
 
-def integrate_density(t: float, data: PacketParams, q: QuadConfig = QuadConfig(),
-                      half_width: float = None) -> Tuple[float, float]:
+def integrate_density(t: float, data: PacketParams,
+                      q: QuadConfig = QuadConfig()) -> Tuple[float, float]:
     """Total probability Int rho(t, s) ds; returns (norm, err_est).
 
-    Trapezoid on a uniform grid wide enough that the light-cone tails are
-    negligible; the grid is doubled once to estimate the remaining error.
+    Trapezoid on a uniform grid over |s| <= 13 sigma + t, beyond which the
+    tails are negligible; the grid is doubled once to estimate the error.
     """
-    if half_width is None:
-        half_width = 13 * data.sigma + t
+    half_width = 13 * data.sigma + t
     rate = 2 * (abs(data.k0) + data.mass)
     n = 1 << max(11, ceil(np.log2(max(256, rate * half_width * 4 / np.pi))))
 

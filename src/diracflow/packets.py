@@ -242,11 +242,15 @@ def make_initial_packet(p: PacketParams) -> Callable[[np.ndarray], Spinor]:
     return packet
 
 
-def spa_regime_report(p: PacketParams, factor: float = 10.0) -> dict:
+# "<<" in the SPA regime 1/(omega*|p0|) << sigma << 1 means by this factor.
+_SPA_REGIME_FACTOR = 10.0
+
+
+def spa_regime_report(p: PacketParams) -> dict:
     """Check 1/(omega*|p0|) << sigma << 1 for macroscopic/SPA use; warn, never reject."""
     wavelength = np.inf if p.k0 == 0 else 1.0 / abs(p.k0)
-    lhs_ok = bool(p.sigma * abs(p.k0) >= factor)
-    rhs_ok = bool(p.sigma * factor <= 1.0)
+    lhs_ok = bool(p.sigma * abs(p.k0) >= _SPA_REGIME_FACTOR)
+    rhs_ok = bool(p.sigma * _SPA_REGIME_FACTOR <= 1.0)
     report = {
         "wavelength": wavelength,
         "sigma": p.sigma,
@@ -355,22 +359,20 @@ def truncation_half_width(p: PacketParams, t: float) -> float:
     return max(10 * p.sigma, abs(p.k0) * t + 10 * p.sigma + t)
 
 
-def _spinor_on_grid(psi_fn, s):
-    out = psi_fn(s)
-    if isinstance(out, Spinor):
-        return np.asarray(out.minus, dtype=complex), np.asarray(out.plus, dtype=complex)
-    minus, plus = out
-    return np.asarray(minus, dtype=complex), np.asarray(plus, dtype=complex)
+# The spectral grid doubles from 2048 points up to this many.
+_MAX_SPECTRAL_POINTS = 2**17
 
 
-def _spectral_expectation(psi_fn, half_width, quad_tol, mass=None, max_points=2**17):
-    """<P> (mass None) or <H> on a periodic grid, refined until stable."""
+def _spectral_expectation(psi_fn, half_width, quad_tol, mass=None):
+    """<P> (mass None) or <H> of the Spinor psi_fn(s) on a periodic grid, refined until stable."""
     n = 2048
     prev = None
-    while n <= max_points:
+    while n <= _MAX_SPECTRAL_POINTS:
         s = -half_width + (2 * half_width / n) * np.arange(n)
         ds = 2 * half_width / n
-        minus, plus = _spinor_on_grid(psi_fn, s)
+        out = psi_fn(s)
+        minus = np.asarray(out.minus, dtype=complex)
+        plus = np.asarray(out.plus, dtype=complex)
         k = 2 * np.pi * np.fft.fftfreq(n, d=ds)
         fm = np.fft.fft(minus)
         fp = np.fft.fft(plus)

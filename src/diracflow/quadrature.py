@@ -17,7 +17,7 @@ shapes (N, c) and (N, n): the weighted sum is then the matrix product
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import IntegrationError
 
 __all__ = ["integrate_panels"]
 
-_GL_ORDER = 16
+_GL_ORDER = 16  # Gauss-Legendre nodes per panel
 _NODE_CHUNK = 16384
 # Panel layouts of up to _LAYOUT_CACHE_NODES nodes are cached, the last
 # _LAYOUT_CACHE_SIZE used: with 16 bytes per node (node and weight), the
@@ -35,38 +35,38 @@ _LAYOUT_CACHE_NODES = 2**14
 _LAYOUT_CACHE_SIZE = 16
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@cache
+def _gl_rule():
+    """The ``_GL_ORDER``-point Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _build_layout(a: float, b: float, n_panels: int, order: int):
+def _build_layout(a: float, b: float, n_panels: int):
     """Abscissas and weights of n_panels Gauss-Legendre panels over [a, b]."""
-    base, wts = _gl_rule(order)
+    base, wts = _gl_rule()
     h = (b - a) / n_panels
     left = a + h * np.arange(n_panels)
     nodes = (left[:, None] + 0.5 * h * (base[None, :] + 1.0)).ravel()
-    weights = np.broadcast_to(0.5 * h * wts, (n_panels, order)).ravel()
+    weights = np.broadcast_to(0.5 * h * wts, (n_panels, _GL_ORDER)).ravel()
     return nodes, weights
 
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _cached_layout(a: float, b: float, n_panels: int, order: int):
+def _cached_layout(a: float, b: float, n_panels: int):
     """``_build_layout``, read-only and shared by every call with the same key."""
-    nodes, weights = _build_layout(a, b, n_panels, order)
+    nodes, weights = _build_layout(a, b, n_panels)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def _layout(a: float, b: float, n_panels: int, order: int):
+def _layout(a: float, b: float, n_panels: int):
     """The panel layout, from the cache up to ``_LAYOUT_CACHE_NODES`` nodes."""
-    if n_panels * order <= _LAYOUT_CACHE_NODES:
+    if n_panels * _GL_ORDER <= _LAYOUT_CACHE_NODES:
         # Plain numbers as the key, so that 0-d array bounds hash; float()
         # of a float64 is exact.
-        return _cached_layout(float(a), float(b), int(n_panels), int(order))
-    return _build_layout(a, b, n_panels, order)
+        return _cached_layout(float(a), float(b), int(n_panels))
+    return _build_layout(a, b, n_panels)
 
 
 def _weighted_sum(w, vals):
@@ -83,11 +83,11 @@ def _weighted_sum(w, vals):
     return wk.T @ basis
 
 
-def _composite(f, a: float, b: float, n_panels: int, order: int, node_chunk: int):
+def _composite(f, a: float, b: float, n_panels: int, node_chunk: int):
     """Composite Gauss-Legendre estimate over [a, b] with n_panels panels."""
     # All abscissas for all panels at once; the integrand sees them in
     # chunks, which bounds its memory.
-    nodes, weights = _layout(a, b, n_panels, order)
+    nodes, weights = _layout(a, b, n_panels)
     total = None
     for lo in range(0, nodes.size, node_chunk):
         hi = min(lo + node_chunk, nodes.size)
@@ -105,7 +105,6 @@ def integrate_panels(
     abs_tol: float = 1e-12,
     initial_panels: int = 8,
     max_panels: int = 2**20,
-    order: int = _GL_ORDER,
     node_chunk: int = _NODE_CHUNK,
 ):
     """Integrate ``f`` over [a, b]; returns ``(value, err_est, panels_used)``.
@@ -123,17 +122,17 @@ def integrate_panels(
     if 2 * n > max_panels:
         # One doubling of the start exceeds the budget: no refinement (and
         # hence no error estimate) is possible within max_panels.
-        partial = _composite(f, a, b, n, order, node_chunk)
+        partial = _composite(f, a, b, n, node_chunk)
         raise IntegrationError(
             f"panel budget {max_panels} leaves no room to double the {n} "
             f"starting panels (one doubling needs {2 * n})",
             partial=partial,
             residual=np.inf,
         )
-    prev = _composite(f, a, b, n, order, node_chunk)
+    prev = _composite(f, a, b, n, node_chunk)
     while True:
         n *= 2
-        cur = _composite(f, a, b, n, order, node_chunk)
+        cur = _composite(f, a, b, n, node_chunk)
         err = np.abs(cur - prev)
         target = np.maximum(abs_tol, rel_tol * np.abs(cur))
         if (err <= target).all():

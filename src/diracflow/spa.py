@@ -64,6 +64,9 @@ class SpaParams:
     def __post_init__(self):
         if self.p0 == 0 or not np.isfinite(self.p0):
             raise ValidationError("p0 must be nonzero and finite")
+        if not np.isfinite(float(self.p0) * float(self.p0)):
+            raise ValidationError(f"p0^2 must be a finite float (E0 = sqrt(1 + p0^2)), "
+                                  f"got p0 = {self.p0!r}")
         if self.sigma <= 0:
             raise ValidationError("sigma must be > 0")
         if self.omega <= 0:
@@ -201,6 +204,8 @@ def spa_evaluate(t: float, s: float, p: SpaParams,
     t in [|v0| T / 2, T], so values outside that window are flagged with a
     warning rather than rejected.
     """
+    if np.ndim(t):
+        raise DomainError("spa_evaluate takes one time t")
     if t <= 0:
         raise DomainError("SPA requires t > 0")
     if t_horizon is not None:
@@ -310,10 +315,9 @@ def spa_leading_term(g_at_crit: complex, phase_at_crit: float, hess_det: float,
 # Empirical error scaling against the exact solver
 # =============================================================================
 
-def error_bound_shape(p0: float, t: float, sigma: float, omega: float,
-                      a: float = 1.0, b: float = 1.0) -> float:
-    """The bound shape a * |p0|^5 * e^{b t / sigma} / sqrt(omega)."""
-    return float(a * abs(p0) ** 5 * np.exp(b * t / sigma) / np.sqrt(omega))
+def error_bound_shape(p0: float, t: float, sigma: float, omega: float) -> float:
+    """The bound shape |p0|^5 * e^{t / sigma} / sqrt(omega), with unit constants."""
+    return float(abs(p0) ** 5 * np.exp(t / sigma) / np.sqrt(omega))
 
 
 def sup_error_at_omega(params: SpaParams, omega: float, t: float, s_grid,

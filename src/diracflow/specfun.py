@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "BesselEval",
     "bessel_j0",
     "bessel_j1",
     "j0_eval",

@@ -67,6 +67,16 @@ UNRESOLVED = "UNRESOLVED"
 
 # Densities below this fraction of the packet peak count as a node.
 NODE_EPS = 1e-14
+# Most members in one ensemble: each holds its step history and Bloch series,
+# about 56 kB at peak in a FIG3 bloch run to t = 8.
+MAX_ENSEMBLE_SIZE = 10**4
+# Classification window (a fraction of the time span) and velocity tolerance.
+_CLASSIFY_WINDOW = 0.1
+_CLASSIFY_TOL = 0.02
+# Largest angle from one cluster centre to the other's antipode.
+_ANTIPODAL_RADIUS = 0.1
+# How far past zero F may lie before a barrier check counts a violation.
+_BARRIER_SLACK = 1e-12
 _LOG_TINY = -744.0  # ln(smallest positive subnormal double), roughly
 
 
@@ -424,14 +434,21 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     history = [(np.empty(0, dtype=int), *np.empty((3, 0)), np.empty((0, _RK45.n_stages + 1)))]
     K = np.empty((n, _RK45.n_stages + 1))
     while ids.size:
-        failed = np.zeros(ids.size, dtype=bool)
+        # A non-finite velocity at the start makes a NaN step size, which no
+        # retry would ever shrink below min_step: the member fails here.
+        failed = ~np.isfinite(h_abs)
+        for k in np.flatnonzero(failed):
+            errors[ids[k]] = IntegrationError(
+                f"trajectory integration failed: non-finite velocity {float(f[k])} "
+                f"at t = {float(t[k])}, q = {float(y[k])}")
         # A step starts at least at min_step; a rejected retry below it fails.
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         small = h_abs < min_step
         if np.count_nonzero(small):
             h_abs = np.where(small & ~rejected, min_step, h_abs)
-            failed |= small & rejected
-            for i in ids[failed]:
+            too_small = small & rejected
+            failed |= too_small
+            for i in ids[too_small]:
                 errors[i] = IntegrationError(
                     f"trajectory integration failed: {_RK45.TOO_SMALL_STEP}")
         t_new = t + h_abs * direction
@@ -511,19 +528,18 @@ def integrate_trajectory(q0: float, t_span: Tuple[float, float],
     return result
 
 
-def classify_trajectory(traj: Trajectory, v0: float, window_frac: float = 0.1,
-                        tol: float = 0.02) -> Tuple[str, float]:
+def classify_trajectory(traj: Trajectory, v0: float) -> Tuple[str, float]:
     """Windowed mean velocity over the trailing window, matched against +-v0."""
     t0, t1 = traj.times[0], traj.times[-1]
-    tw = t1 - window_frac * (t1 - t0)
+    tw = t1 - _CLASSIFY_WINDOW * (t1 - t0)
     if tw <= t0:
         return UNRESOLVED, float("nan")
     q_w = float(traj.position_at(tw))
     v_mean = (float(traj.positions[-1]) - q_w) / (t1 - tw)
     v0 = abs(v0)
-    if abs(v_mean - v0) <= tol:
+    if abs(v_mean - v0) <= _CLASSIFY_TOL:
         return RIGHT, v_mean
-    if abs(v_mean + v0) <= tol:
+    if abs(v_mean + v0) <= _CLASSIFY_TOL:
         return LEFT, v_mean
     return UNRESOLVED, v_mean
 
@@ -567,17 +583,17 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
     """Integrate n quantum-equilibrium trajectories; returns (trajectories, summary).
 
     Initial positions are i.i.d. N(0, sigma^2) drawn by inverse CDF with
-    per-trajectory seeds derived from (seed, index).  All members step in one
-    lockstep loop in this process; ``workers`` has no effect.  Individual
-    integrator failures are recorded on the trajectory and do not abort the
-    run.
+    per-trajectory seeds derived from (seed, index); n is at most
+    ``MAX_ENSEMBLE_SIZE``.  All members step in one lockstep loop in this
+    process; ``workers`` has no effect.  Individual integrator failures are
+    recorded on the trajectory and do not abort the run.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    if not 1 <= n <= MAX_ENSEMBLE_SIZE:
+        raise ValidationError(f"n must lie in [1, {MAX_ENSEMBLE_SIZE}], got {n}")
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
-    field_fn = _make_field(data, field_mode, quad)
     v0 = _reference_v0(data)
+    field_fn = _make_field(data, field_mode, quad)
     q0s = [_draw_initial_position(seed, i, data.sigma) for i in range(n)]
     trajectories = []
     for q0, traj in zip(q0s, _integrate_members(q0s, (0.0, t_final), field_fn, tol)):
@@ -643,8 +659,8 @@ def find_bifurcation(data: PacketParams, t_final: float, tol_s: float,
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
     if not (np.isfinite(tol_s) and tol_s > 0):
         raise ValidationError(f"tol_s must be finite and > 0, got {tol_s!r}")
-    field_fn = _make_field(data, field_mode, quad)
     v0 = _reference_v0(data)
+    field_fn = _make_field(data, field_mode, quad)
 
     def classify(q0s: list) -> dict:
         """Each point's class, or the IntegrationError that stopped it."""
@@ -727,7 +743,7 @@ def barrier_curves(theta0: float) -> BarrierSpec:
 
 
 def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
-                  x_grid, offsets, slack: float = 1e-12) -> dict:
+                  x_grid, offsets) -> dict:
     """Sample F beyond the barrier curves and report any sign violations.
 
     Above B_+ F has the sign of cos(theta0), below B_- the opposite sign, so
@@ -746,8 +762,8 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
         f_hi = orient * xy_ode_velocity(x[None, :], y_hi, spec.theta0, a_omega)
         f_lo = orient * xy_ode_velocity(x[None, :], y_lo, spec.theta0, a_omega)
         report["n_checked"] += 2 * f_hi.size
-        bad_hi = f_hi < -slack
-        bad_lo = f_lo > slack
+        bad_hi = f_hi < -_BARRIER_SLACK
+        bad_lo = f_lo > _BARRIER_SLACK
         report["violations"] += int(bad_hi.sum() + bad_lo.sum())
         worst = max(float(np.max(-f_hi, initial=0.0)), float(np.max(f_lo, initial=0.0)))
         report["worst"] = max(report["worst"], worst)
@@ -768,12 +784,12 @@ def cayley_klein_along(traj: Trajectory, spinors) -> dict:
     return cayley_klein_series(u.minus, u.plus)
 
 
-def antipodal_clusters(vectors: np.ndarray, radius: float = 0.1) -> dict:
+def antipodal_clusters(vectors: np.ndarray) -> dict:
     """Split unit vectors into the two hemispheres of the first vector.
 
     Returns cluster centers, angular radii, and the angle between one center
     and the antipode of the other (clusters from a bifurcating ensemble
-    should be antipodal within ``radius``).
+    should be antipodal within ``_ANTIPODAL_RADIUS``).
     """
     vecs = np.asarray(vectors, dtype=float)
     norms = np.linalg.norm(vecs, axis=1)
@@ -795,5 +811,5 @@ def antipodal_clusters(vectors: np.ndarray, radius: float = 0.1) -> dict:
     if len(centers) == 2:
         cosang = np.clip(centers[0] @ (-centers[1]), -1.0, 1.0)
         report["antipodal_angle"] = float(np.arccos(cosang))
-        report["antipodal"] = report["antipodal_angle"] <= radius
+        report["antipodal"] = report["antipodal_angle"] <= _ANTIPODAL_RADIUS
     return report

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracflow import PacketParams, make_initial_packet
-from diracflow.cli import LOCK_NAME, RunConfig, RunWriter, main
+from diracflow import PacketParams, QuadConfig, ValidationError, make_initial_packet
+from diracflow.cli import LOCK_NAME, MAX_GRID_POINTS, RunConfig, RunWriter, main
+from diracflow.spa import SpaParams, error_scaling
 
 FIG3 = [
     "--set", "packet.sigma=1.0",
@@ -157,6 +158,57 @@ def test_bad_grid_counts_rejected(tmp_path, override):
         tmp_path / "grid", [*BAD_GRID_CASES[override], "--set", override], key)
 
 
+SPA_COMPARE = ["spa-compare", "--set", "spa_compare.p0=1.0", "--set", "spa_compare.sigma=0.2",
+               "--set", "spa_compare.t=1.0"]
+# Each count above its bound with a command that reads it; the trajectories
+# packet is inside the SPA regime, so no regime warning precedes the error.
+COUNT_CASES = {
+    "grid.s_count=100000000": ["field", *FIG3, "--set", "grid.t_values=0.5",
+                               "--set", "grid.s_min=-1", "--set", "grid.s_max=1"],
+    "spa_compare.s_count=100000000": [*SPA_COMPARE, "--set", "spa_compare.omega_ladder=60"],
+    "barriers.x_count=100000000": ["barriers", "--set", "barriers.theta0_values=0.5"],
+    "barriers.offset_count=100000000": ["barriers", "--set", "barriers.theta0_values=0.5"],
+    # 2001 x points by the default 50 offsets.
+    "barriers.x_count=2001": ["barriers", "--set", "barriers.theta0_values=0.5"],
+    "trajectories.n=100000000": ["trajectories", *FIG3, "--set", "packet.sigma=0.1",
+                                 "--set", "packet.k0=1000"],
+    "bloch.n=100000000": ["bloch", *FIG3],
+}
+
+
+@pytest.mark.parametrize("override", sorted(COUNT_CASES))
+def test_counts_above_their_bound_rejected(tmp_path, capsys, override):
+    # Refused before anything is allocated: fast, with one line.
+    out = tmp_path / "count"
+    start = time.perf_counter()
+    code = run_cli(*COUNT_CASES[override], "--out", out, "--set", override)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diracflow: configuration error: ")
+    assert err.count("\n") == 1
+    assert override.split("=")[0].split(".")[1].replace("_count", "") in err
+    assert not (out / LOCK_NAME).exists()
+
+
+def test_grid_count_bound_is_inclusive():
+    cfg = RunConfig(command="field")
+    cfg.set("grid", "s_count", MAX_GRID_POINTS)
+    assert cfg.get_grid("grid", "s", -1.0, 1.0).size == MAX_GRID_POINTS
+    cfg.set("grid", "s_count", MAX_GRID_POINTS + 1)
+    with pytest.raises(ValidationError, match=f"s_count must be <= {MAX_GRID_POINTS}"):
+        cfg.get_grid("grid", "s", -1.0, 1.0)
+
+
+@pytest.mark.parametrize("command", ["trajectories", "bloch", "observables"])
+def test_tiny_mass_spa_runs_rejected_in_subprocess(tmp_path, command):
+    # p0 = k0 / m = 1e301 has an overflowing square; the SPA velocity would
+    # be NaN, which used to hang the integrator.
+    args = [command, *FIG3, "--set", "packet.mass=1e-300", "--set", f"{command}.n=2",
+            "--set", "observables.trajectory_q0=0.3"]
+    assert_rejected_in_subprocess(tmp_path / "tiny-mass", args, "p0^2 must be a finite float")
+
+
 # Each out-of-range value with a command that reads it; every other value is valid.
 OUT_OF_RANGE_CASES = {
     # 2 pi sigma^2 underflows to 0, or sigma^2 overflows.
@@ -240,6 +292,21 @@ def test_field_single_point_at_t0(tmp_path):
     assert row["im_plus"] == pytest.approx(pk.plus.imag, abs=1e-15)
     assert row["rho"] == pytest.approx(abs(pk.minus) ** 2 + abs(pk.plus) ** 2)
     assert row["err_est"] == 0.0
+
+
+def test_mixed_packet_field_at_t0(tmp_path, capsys):
+    mixed = ["--set", "packet.kind=mixed", "--set", "packet.sigma=1.0", "--set", "packet.k0=3.0",
+             "--set", "packet.mass=2.0", "--set", "grid.t_values=0.0", *GRID]
+    out = tmp_path / "mixed"
+    assert run_cli("field", "--out", out, *mixed, "--set", "packet.vartheta=1.0") == 0
+    _, rows = read_csv(out / "field.csv")
+    rows = np.array(rows)
+    pk = make_initial_packet(PacketParams.mixed_energy_eigen(1.0, 3.0, 2.0, 1.0))(rows[:, 1])
+    assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], pk.minus)
+    assert np.array_equal(rows[:, 4] + 1j * rows[:, 5], pk.plus)
+    capsys.readouterr()
+    assert run_cli("field", "--out", tmp_path / "no-vartheta", *mixed) == 2
+    assert "kind=mixed needs vartheta" in capsys.readouterr().err
 
 
 def test_field_rerun_is_byte_identical(tmp_path):
@@ -382,7 +449,7 @@ def test_field_failure_is_reported_on_stderr(tmp_path, t_values, budget, failed,
     assert not (out / LOCK_NAME).exists()
 
 
-@pytest.mark.parametrize("override", ["grid.t_values=1e6", "quadrature.oscillation_guard=1e300"])
+@pytest.mark.parametrize("override", ["grid.t_values=1e6"])
 def test_start_beyond_panel_budget_fails_before_evaluating(tmp_path, capsys, override):
     # The starting panel count alone exceeds the 2^20-panel budget.
     out = tmp_path / "over"
@@ -393,6 +460,19 @@ def test_start_beyond_panel_budget_fails_before_evaluating(tmp_path, capsys, ove
     assert code == 3
     assert "panel budget 1048576 is below the" in capsys.readouterr().err
     assert elapsed < 1.0
+    assert not (out / LOCK_NAME).exists()
+
+
+def test_coarse_momentum_nodes_fail_cleanly(tmp_path, capsys):
+    # At k0 = 1e14 the momentum route would lose digits; the slice fails.
+    out = tmp_path / "coarse"
+    code = run_cli("field", "--out", out, *FIG3, *GRID, "--set", "grid.t_values=0.5",
+                   "--set", "packet.k0=1e14")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diracflow: numerical failure: 1 of 1 time slices failed: "
+                          "panel budget 1048576 is below the")
+    assert err.count("\n") == 1
     assert not (out / LOCK_NAME).exists()
 
 
@@ -415,6 +495,33 @@ def test_collapsed_momentum_window_fails_cleanly(tmp_path, capsys):
 # =============================================================================
 # spa-compare
 # =============================================================================
+
+def test_spa_compare_fits_the_slope(tmp_path):
+    out = tmp_path / "ladder"
+    code = run_cli(*SPA_COMPARE, "--out", out, "--set", "spa_compare.omega_ladder=50,100,200,400")
+    assert code == 0
+    doc = json.loads((out / "spa_compare.json").read_text())
+    want = error_scaling(SpaParams(p0=1.0, sigma=0.2, omega=50.0), 1.0,
+                         [50.0, 100.0, 200.0, 400.0], np.linspace(-1.5, 1.5, 101), QuadConfig())
+    assert doc["slope"] == want.slope and doc["intercept"] == want.intercept
+    assert doc["sup_errors"] == list(want.sup_errors)
+    assert doc["flagged"] is None
+
+
+def test_unexpected_numerical_failure_is_one_line_exit_3(tmp_path, capsys):
+    # The ladder's exact field needs more than 8 panels: error_scaling raises
+    # IntegrationError, which main reports and records in the manifest.
+    out = tmp_path / "budget"
+    code = run_cli(*SPA_COMPARE, "--out", out, "--set", "spa_compare.omega_ladder=50,100,200,400",
+                   "--set", "quadrature.max_panels=8")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diracflow: numerical failure: panel budget 8")
+    assert err.count("\n") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"]["failure"].startswith("panel budget 8")
+    assert not (out / LOCK_NAME).exists()
+
 
 def test_spa_compare_short_ladder_flagged(tmp_path):
     out = tmp_path / "short"

@@ -238,7 +238,7 @@ def test_start_beyond_budget_has_no_partial():
 def assert_routes_agree(data, t, s):
     """Both grid routes, called directly, within 1e-12 of each other."""
     q = QuadConfig()
-    bessel, _ = dirac_exact._bessel_grid(t, s, data, q, dirac_exact._bessel_panels(t, data, q))
+    bessel, _ = dirac_exact._bessel_grid(t, s, data, q, dirac_exact._bessel_panels(t, data))
     kspace, _ = dirac_exact._kspace_grid(t, s, data, q, dirac_exact._kspace_panels(t, s, data, q))
     assert np.max(np.abs(kspace.minus - bessel.minus)) <= 1e-12
     assert np.max(np.abs(kspace.plus - bessel.plus)) <= 1e-12
@@ -339,7 +339,7 @@ def test_bessel_error_bound_combines_the_theta_residuals(monkeypatch):
     t = 1.5
     q = QuadConfig()
     _, err = dirac_exact._bessel_grid(t, np.linspace(-3.0, 5.0, 9), data, q,
-                                      dirac_exact._bessel_panels(t, data, q))
+                                      dirac_exact._bessel_panels(t, data))
     ((_, (e1m, e1p, e0), _),) = results
     cm, cp = map(abs, spinor_amplitudes(data))
     wt = data.mass * t
@@ -359,6 +359,28 @@ def test_collapsed_momentum_window_is_unresolvable():
     with pytest.raises(IntegrationError, match="panel budget") as info:
         evolve_exact_grid(0.5, s, data)
     assert info.value.partial is None
+
+
+@pytest.mark.parametrize("k0", [1e13, 1e14, 1e15, 1e16])
+def test_coarse_momentum_nodes_are_unresolvable(k0):
+    # Nodes at |k| = k0 + u are rounded by up to half a spacing of k0, which
+    # cost the momentum route up to 1e-2 in rho at (t, s) = (0.5, -0.5) for
+    # k0 = 1e16.  The route is refused and the Bessel route's start exceeds
+    # the budget, so the point fails instead of returning wrong digits.
+    data = PacketParams(sigma=1.0, k0=k0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    assert dirac_exact._kspace_panels(0.5, np.array([-0.5]), data, QuadConfig()) == np.inf
+    with pytest.raises(IntegrationError, match="panel budget") as info:
+        evolve_exact(0.5, -0.5, data)
+    assert info.value.partial is None
+
+
+def test_fine_momentum_nodes_keep_the_momentum_route():
+    # At k0 = 1e10 the momentum route still runs and matches rho from a
+    # 50-digit mpmath quadrature of the same momentum integral.
+    data = PacketParams(sigma=1.0, k0=1e10, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    s = np.array([-0.5])
+    assert dirac_exact._grid_route(0.5, s, data, QuadConfig()) is dirac_exact._kspace_grid
+    assert abs(evolve_exact(0.5, -0.5, data).psi.density - 0.3204565024367) <= 1e-12
 
 
 def test_far_position_takes_bessel_route():
@@ -452,9 +474,7 @@ def test_quadrature_budget_error_carries_partial(fig3_packet):
 def test_quad_config_validation():
     with pytest.raises(ValidationError):
         QuadConfig(rel_tol=0.0)
-    with pytest.raises(ValidationError):
-        QuadConfig(oscillation_guard=2.0)
-    for field in ("rel_tol", "abs_tol", "oscillation_guard", "max_panels"):
+    for field in ("rel_tol", "abs_tol", "max_panels"):
         with pytest.raises(ValidationError):
             QuadConfig(**{field: float("nan")})
 

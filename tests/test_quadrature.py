@@ -109,23 +109,23 @@ def test_start_without_room_to_double(initial_panels, max_panels):
                        match=NO_DOUBLING.format(max_panels, initial_panels)) as info:
         integrate_panels(pair, 0.0, np.pi, initial_panels=initial_panels,
                          max_panels=max_panels)
-    want = _composite(pair, 0.0, np.pi, initial_panels, _GL_ORDER, _NODE_CHUNK)
+    want = _composite(pair, 0.0, np.pi, initial_panels, _NODE_CHUNK)
     assert_close(info.value.partial, want)
     assert info.value.residual == np.inf
 
 
 def test_cached_layouts_are_read_only_and_capped():
     quadrature._cached_layout.cache_clear()
-    nodes, weights = quadrature._layout(0.0, np.pi, 8, _GL_ORDER)
+    nodes, weights = quadrature._layout(0.0, np.pi, 8)
     assert not nodes.flags.writeable and not weights.flags.writeable
     with pytest.raises(ValueError):
         nodes[0] = 1.0
-    assert quadrature._layout(0.0, np.pi, 8, _GL_ORDER)[0] is nodes
+    assert quadrature._layout(0.0, np.pi, 8)[0] is nodes
     # A layout above the cap is built per call and not retained.
     big = quadrature._LAYOUT_CACHE_NODES // _GL_ORDER + 1
-    big_nodes, _ = quadrature._layout(0.0, np.pi, big, _GL_ORDER)
+    big_nodes, _ = quadrature._layout(0.0, np.pi, big)
     assert big_nodes.size > quadrature._LAYOUT_CACHE_NODES
-    assert quadrature._layout(0.0, np.pi, big, _GL_ORDER)[0] is not big_nodes
+    assert quadrature._layout(0.0, np.pi, big)[0] is not big_nodes
     assert quadrature._cached_layout.cache_info().currsize == 1
 
 
@@ -134,8 +134,8 @@ def test_layout_equals_per_call_build(n_panels):
     # A cached layout is the one built from scratch, bit for bit; the
     # intervals share an end pairwise, so a key missing one would show.
     for a, b in ((0.0, np.pi), (0.0, 2.0), (-40.0, 2.0), (-40.0, 40.0)):
-        got = quadrature._layout(a, b, n_panels, _GL_ORDER)
-        want = quadrature._build_layout(a, b, n_panels, _GL_ORDER)
+        got = quadrature._layout(a, b, n_panels)
+        want = quadrature._build_layout(a, b, n_panels)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -148,7 +148,7 @@ def test_layout_cache_stays_within_its_budget():
     refs = []
     for j in range(3 * quadrature._LAYOUT_CACHE_SIZE):
         for n_panels in (at_cap, at_cap + 1):
-            refs.extend(map(weakref.ref, quadrature._layout(0.0, 1.0 + j, n_panels, _GL_ORDER)))
+            refs.extend(map(weakref.ref, quadrature._layout(0.0, 1.0 + j, n_panels)))
     gc.collect()
     kept = [r() for r in refs if r() is not None]
     assert len(kept) == 2 * quadrature._LAYOUT_CACHE_SIZE

@@ -151,6 +151,18 @@ def test_spinor_grid_takes_one_time():
         spa_spinor_grid(np.array([0.3, 1.0]), np.array([0.0, 0.1]), p)
 
 
+def test_spa_evaluate_takes_one_time():
+    with pytest.raises(DomainError):
+        spa_evaluate(np.array([0.3, 0.5]), 0.0, _params(omega=10.0))
+
+
+@pytest.mark.parametrize("p0", [1e155, -1e301])
+def test_p0_whose_square_overflows_rejected(p0):
+    # E0 = sqrt(1 + p0^2) would be inf and v0 = p0 / E0 zero or NaN.
+    with pytest.raises(ValidationError, match="p0"):
+        SpaParams(p0=p0, sigma=0.2, omega=10.0)
+
+
 def test_validity_window_warning():
     p = _params()
     with pytest.warns(UserWarning, match="validity window"):

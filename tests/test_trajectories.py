@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -40,7 +41,14 @@ from diracflow import (
 )
 from diracflow import trajectories
 from diracflow.spa import SpaParams
-from diracflow.trajectories import _RK45, _integrate_members, classify_trajectory
+from diracflow.trajectories import (
+    _RK45,
+    MAX_ENSEMBLE_SIZE,
+    Trajectory,
+    _integrate_members,
+    classify_trajectory,
+    summarize_ensemble,
+)
 
 
 def _macro(p0=1.0, sigma=0.2, omega=60.0, vartheta=0.0):
@@ -285,6 +293,26 @@ def test_ensemble_seed_changes_draws(fig3_packet):
     trajs_a, _ = run_ensemble(4, fig3_packet, 1.0, field_mode="SPA", seed=1)
     trajs_b, _ = run_ensemble(4, fig3_packet, 1.0, field_mode="SPA", seed=2)
     assert any(a.q0 != b.q0 for a, b in zip(trajs_a, trajs_b))
+
+
+@pytest.mark.parametrize("n", [0, MAX_ENSEMBLE_SIZE + 1])
+def test_ensemble_size_is_bounded(fig3_packet, n):
+    # Rejected before any initial position is drawn.
+    with pytest.raises(ValidationError, match=f"n must lie in \\[1, {MAX_ENSEMBLE_SIZE}\\]"):
+        run_ensemble(n, fig3_packet, 1.0, field_mode="SPA")
+
+
+def test_non_monotone_ensemble_has_no_bifurcation_point():
+    # A RIGHT member left of a LEFT one: the escape side is not monotone in q0.
+    def member(q0, side):
+        return Trajectory(times=np.zeros(1), positions=np.array([q0]),
+                          velocities=np.zeros(1), q0=q0, classification=side)
+
+    summary = summarize_ensemble([member(0.5, LEFT), member(-0.5, RIGHT), member(1.0, RIGHT)],
+                                 0.9, 10.0)
+    assert (summary.n_right, summary.n_left) == (2, 1)
+    assert not summary.monotone
+    assert summary.s0_estimate is None and summary.s0_bracket is None
 
 
 @pytest.mark.parametrize("t_final", [0.0, -1.0, np.nan, np.inf])
@@ -624,6 +652,49 @@ def test_failing_members_leave_the_rest_untouched(fig3_packet):
         assert np.array_equal(member.times, solo.times)
         assert np.array_equal(member.positions, solo.positions)
         assert np.array_equal(member.velocities, solo.velocities)
+
+
+def test_exact_member_in_a_node_region_records_node_events(fig3_packet):
+    # At q0 = 9 sigma the exact density stays below NODE_EPS of the initial
+    # peak over (0, 0.2): every stage is a node event with velocity 0.  The
+    # member beside it never meets a node and is unaffected by it.
+    field = ExactVelocityField(fig3_packet)
+    deep, near = _integrate_members([9.0 * fig3_packet.sigma, 0.3], (0.0, 0.2), field, 1e-8)
+    assert deep.times.size == 8 and len(deep.node_events) == 44
+    assert np.all(deep.velocities == 0.0) and np.all(deep.positions == deep.q0)
+    assert not near.node_events
+    solo = integrate_trajectory(0.3, (0.0, 0.2), field)
+    assert np.array_equal(near.times, solo.times)
+    assert np.array_equal(near.positions, solo.positions)
+    assert np.array_equal(near.velocities, solo.velocities)
+
+
+class _NanAboveOne:
+    """dq/dt = q / 2, NaN above q = 1; raises once called often enough to be a hang."""
+
+    def __init__(self, nan_everywhere=False):
+        self.nan_everywhere = nan_everywhere
+        self.calls = 0
+
+    def __call__(self, t, q):
+        self.calls += 1
+        if self.calls > 10_000:
+            raise RuntimeError("velocity field called 10000 times: the loop does not end")
+        return float("nan") if self.nan_everywhere or q > 1 else 0.5 * q
+
+
+def test_non_finite_velocity_fails_the_member_alone():
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="non-finite velocity nan at t = 0.0, q = 0.3"):
+        integrate_trajectory(0.3, (0.0, 1.0), _NanAboveOne(nan_everywhere=True))
+    failed, finite = _integrate_members([2.0, 0.3], (0.0, 1.0), _NanAboveOne(), 1e-8)
+    assert time.perf_counter() - start < 5.0
+    assert str(failed) == ("trajectory integration failed: non-finite velocity nan "
+                           "at t = 0.0, q = 2.0")
+    solo = integrate_trajectory(0.3, (0.0, 1.0), _NanAboveOne())
+    assert np.array_equal(finite.times, solo.times)
+    assert np.array_equal(finite.positions, solo.positions)
+    assert np.array_equal(finite.velocities, solo.velocities)
 
 
 def test_too_small_step_fails_with_scipys_message():
