@@ -38,6 +38,7 @@ field evaluation over (t, s) grids vectorizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from math import ceil, hypot, ulp
 from typing import Tuple
 
@@ -46,7 +47,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError
 from .packets import PacketParams, Spinor, gaussian_amplitude, spinor_amplitudes
-from .quadrature import _GL_ORDER, integrate_panels
+from .quadrature import _GL_ORDER, _PANEL_NODES, integrate_panels
 
 __all__ = [
     "QuadConfig",
@@ -107,19 +108,20 @@ def _initial_panels(rate: float, length: float) -> float:
 
 def _node_chunk(n_cols: int) -> int:
     # About 16k basis entries per integrand call keep the block in cache, and
-    # keep the (6, N) @ (N, n_cols) product below the size at which OpenBLAS
+    # keep the (12, N) @ (N, n_cols) product below the size at which OpenBLAS
     # starts threads (which cost more than they save on a busy machine).
+    # integrate_panels rounds it up to whole panels, so that FIG3's 8
+    # starting panels on 64 positions take one call.
     return max(16, 2**14 // max(1, n_cols))
 
 
-def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_chunk):
+def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0):
     """Run the quadrature and ``assemble`` its integrals into (Spinor, err[2, n]).
 
-    On a budget failure the partial integrals assemble into a partial field.
-    With no error estimate (the panel budget leaves no room to refine the
-    starting panels) the field's residual is inf at every position.  Where
-    the phase overflows (an inf starting count) or the start alone exceeds
-    the budget, nothing is evaluated and there is no partial field.
+    On a budget failure the partial integrals and their residual assemble
+    into a partial field and its error bound.  Where the phase overflows (an
+    inf starting count) or the start alone exceeds the budget, nothing is
+    evaluated: there is no partial field and the residual is inf.
     """
     if not np.isfinite(n0):
         raise IntegrationError(
@@ -129,14 +131,12 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_c
         value, err, _ = integrate_panels(
             integrand, a, b,
             rel_tol=q.rel_tol, abs_tol=abs_tol,
-            initial_panels=n0, max_panels=q.max_panels, node_chunk=node_chunk,
+            initial_panels=n0, max_panels=q.max_panels, node_chunk=_node_chunk(n_points),
         )
     except IntegrationError as exc:
         partial, residual = None, np.full((2, n_points), np.inf)
-        if np.ndim(exc.residual):
+        if exc.partial is not None:
             partial, residual = assemble(exc.partial, exc.residual)
-        elif exc.partial is not None:
-            partial = assemble(exc.partial, 0.0)[0]
         raise IntegrationError(str(exc), partial=partial, residual=residual) from exc
     return assemble(value, err)
 
@@ -248,8 +248,7 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     def assemble(value, err):
         """The spinor and its error bound (2, n) from the theta-integrals (3, n)."""
         a1m, a1p, a0 = value * np.exp(1j * k0 * s_arr)
-        # err is (3, n), or the scalar 0 for a partial field.
-        e1m, e1p, e0 = err if np.ndim(err) else (err,) * 3
+        e1m, e1p, e0 = err
         # Formed here, so that a phase too large to integrate fails before
         # any value overflows.
         transport_m, transport_p = _transport(t, s_arr, data, cm, cp)
@@ -261,8 +260,7 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
         return Spinor(minus=psi_m, plus=psi_p), err_out
 
     return _integrate_field(integrand, 0.0, np.pi, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol / max(1.0, wt), n0=n0,
-                            node_chunk=_node_chunk(s_arr.size))
+                            abs_tol=q.abs_tol / max(1.0, wt), n0=n0)
 
 
 # =============================================================================
@@ -280,22 +278,37 @@ def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
 
     The phase of e^{i(u s -+ E t)} changes at the rate |s -+ v(k) t|, at most
     max|s| + t max|v| with |v| = |k| / E largest at the window's far edge.
-    Each node's momentum k0 + u is rounded to a double, by up to half the
-    spacing of k_edge = |k0| + 8 / sigma, which moves its phase by up to x / 2
-    with x = spacing(k_edge) (max|s| + t).  The doubling test cannot see this
-    error, since every panel count rounds alike; it is of order x^2 relative
-    (6e-3 x^2 measured at FIG3 for k0 = 1e12 to 1e16).  So the route is
-    refused (count inf) where x^2 exceeds rel_tol, or machine epsilon if that
-    is larger; that includes a window that rounds away (k0 +- 8 / sigma == k0).
+    The route is refused (count inf) where x^2 exceeds rel_tol, or machine
+    epsilon if that is larger, with x = spacing(k_edge) (max|s| + t) and
+    k_edge = |k0| + 8 / sigma; that includes a window that rounds away
+    (k0 +- 8 / sigma == k0).  It is also refused where E t at the window's
+    edge overflows a float, so that no node's phase is inf.
+
+    The x^2 rule was made for a kernel that took its phase E t from the
+    rounded momentum k0 + u, which moved each node's phase by up to x / 2,
+    an error the convergence test cannot see.  That premise no longer holds:
+    ``_kspace_grid`` takes the phase's variation from u, so the phase no
+    longer moves by x / 2, and the rule now also refuses inputs the route
+    would compute to 1e-14.
     """
     half = _K_WINDOW / data.sigma
     k_edge = abs(data.k0) + half
     reach = float(np.abs(s_arr).max(initial=0.0))
     x = ulp(k_edge) * (reach + t)
-    if not x * x <= max(q.rel_tol, _EPS):
+    e_edge = hypot(k_edge, data.mass)
+    if not (x * x <= max(q.rel_tol, _EPS) and np.isfinite(e_edge * t)):
         return np.inf
-    v_edge = k_edge / hypot(k_edge, data.mass)
+    v_edge = k_edge / e_edge
     return _initial_panels(reach + t * v_edge, 2 * half)
+
+
+def _rounded_phase(energy0: float, k0: float, m: float, t: float):
+    """E0 t as the double ``energy0 * t`` and that double's error, from 34 digits."""
+    phase = energy0 * t
+    with localcontext() as ctx:
+        ctx.prec = 34
+        exact = (Decimal(k0) ** 2 + Decimal(m) ** 2).sqrt() * Decimal(t)
+        return phase, float(exact - Decimal(phase))
 
 
 def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
@@ -308,30 +321,45 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     and phi_hat(k) = 2 sigma sqrt(pi) (2 pi sigma^2)^{-1/4} e^{-sigma^2 (k - k0)^2}
     (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.  ``n0`` is the
     starting panel count, ``_kspace_panels(t, s_arr, data, q)``.
+
+    The phase is split as E t = E0 t + t u (2 k0 + u) / (E + E0) with
+    E0 = hypot(k0, m): cos and sin of E0 t are formed once and combined with
+    each node's shift by angle addition.  The shift comes from u, so the
+    rounding of k0 + u, up to half a spacing of |k0| + 8 / sigma, no longer
+    moves the phase by that spacing times t.  The shift also carries the
+    rounding error of E0 t as a double (``_rounded_phase``), which would
+    otherwise move every node's phase alike by up to ulp(E0 t).
     """
     cm, cp = spinor_amplitudes(data)
     sigma, k0, m = data.sigma, data.k0, data.mass
     half = _K_WINDOW / sigma
     scale = 2 * sigma * np.sqrt(np.pi) * (2 * np.pi * sigma**2) ** -0.25 / (2 * np.pi)
+    energy0 = hypot(k0, m)
+    phase0, phase0_err = _rounded_phase(energy0, k0, m, t)
+    cos0, sin0 = np.cos(phase0), np.sin(phase0)
+    # g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-):
+    # the rows (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times these.
+    coeffs = np.array([[cm, cp], [-1j * cm, 1j * cp], [-1j * m * cp, -1j * m * cm]])
 
     # Each call gets whole panels, so its nodes are u_pr = c_p + o_r with
     # panel centres c_p and in-panel offsets o_r shared by every panel, and
-    # the basis e^{i u s} = e^{i c_p s} e^{i o_r s} costs P + 16 complex
-    # exponentials per position instead of 16 P.  The kernel is evaluated at
+    # the basis e^{i u s} = e^{i c_p s} e^{i o_r s} costs P + 33 complex
+    # exponentials per position instead of 33 P.  The kernel is evaluated at
     # the same c_p + o_r, which differ from the nodes by rounding only.
     def integrand(nodes):
-        panels = nodes.reshape(-1, _GL_ORDER)
+        panels = nodes.reshape(-1, _PANEL_NODES)
         centre = 0.5 * (panels[:, 0] + panels[:, -1])
         offset = panels[0] - centre[0]
         u = (centre[:, None] + offset).ravel()
         k = k0 + u
         energy = np.hypot(k, m)
-        cos_et = np.cos(energy * t)
-        sinc_et = np.sin(energy * t) / energy
+        # (2 k0 + u) / (E + E0) in halves, which stay finite for any k0.
+        shift = phase0_err + t * u * ((k0 + 0.5 * u) / (0.5 * energy + 0.5 * energy0))
+        cos_shift, sin_shift = np.cos(shift), np.sin(shift)
         g = scale * np.exp(-(sigma * u) ** 2)
-        kernel = np.empty((u.size, 2), dtype=complex)
-        kernel[:, 0] = g * (cos_et * cm - 1j * sinc_et * (k * cm + m * cp))
-        kernel[:, 1] = g * (cos_et * cp - 1j * sinc_et * (m * cm - k * cp))
+        g_cos = g * (cos0 * cos_shift - sin0 * sin_shift)
+        g_sinc = g * (sin0 * cos_shift + cos0 * sin_shift) / energy
+        kernel = np.stack([g_cos, g_sinc * k, g_sinc], axis=1) @ coeffs
         basis = (np.exp(1j * np.outer(centre, s_arr))[:, None, :]
                  * np.exp(1j * np.outer(offset, s_arr))[None, :, :])
         return kernel, basis.reshape(u.size, s_arr.size)
@@ -341,10 +369,8 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     def assemble(value, err):
         return Spinor(minus=value[0] * phase, plus=value[1] * phase), err
 
-    # A multiple of the order, so that each call gets whole panels.
-    chunk = _GL_ORDER * max(1, _node_chunk(s_arr.size) // _GL_ORDER)
     return _integrate_field(integrand, -half, half, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol, n0=n0, node_chunk=chunk)
+                            abs_tol=q.abs_tol, n0=n0)
 
 
 # =============================================================================

@@ -418,20 +418,24 @@ def test_locked_directory_rejected(tmp_path, capsys):
     assert "locked" in capsys.readouterr().err
 
 
+# Tolerances out of reach with a budget of eight panels: every slice fails.
+UNREACHABLE = ["--set", "quadrature.rel_tol=1e-300", "--set", "quadrature.abs_tol=1e-300",
+               "--set", "quadrature.max_panels=8"]
+
+
 def test_field_numerical_failure_flags_rows(tmp_path):
     out = tmp_path / "fail"
     code = run_cli("field", "--out", out, *FIG3,
                    "--set", "grid.t_values=1.0",
                    "--set", "grid.s_min=-1", "--set", "grid.s_max=1",
-                   "--set", "grid.s_count=3",
-                   "--set", "quadrature.max_panels=8")
+                   "--set", "grid.s_count=3", *UNREACHABLE)
     assert code == 3
     _, rows = read_csv(out / "field.csv")
     assert all(np.isnan(row[-1]) for row in rows)
 
 
 @pytest.mark.parametrize("t_values, budget, failed, message", [
-    ("0.5 1.0", ["--set", "quadrature.max_panels=8"], 2, "panel budget 8 leaves no room"),
+    ("0.5 1.0", UNREACHABLE, 2, "quadrature did not converge within 8 panels"),
     # The phase overflows: an error, not an OverflowError traceback.
     ("0.0 1e308", [], 1, "integrand phase overflows"),
 ], ids=["budget", "huge-t"])
@@ -489,6 +493,40 @@ def test_collapsed_momentum_window_fails_cleanly(tmp_path, capsys):
     assert err.count("\n") == 1
     _, rows = read_csv(out / "field.csv")
     assert all(np.isnan(row[2]) for row in rows)
+    assert not (out / LOCK_NAME).exists()
+
+
+# Inputs whose momentum-route phase E t lost its digits to rounding: the
+# doubling stalled, for more than 60 s (observables) or 52 s to a budget
+# failure (spa-compare).  A fresh process with a short timeout turns a
+# regression into a failure rather than a stuck suite.
+FORMERLY_SLOW_CASES = {
+    "observables-mass-1e8": ["observables", *FIG3, "--set", "packet.mass=1e8",
+                             "--set", "observables.times=0.5"],
+    "spa-compare-omega-1e9": [*SPA_COMPARE, "--set", "spa_compare.omega_ladder=1e9"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMERLY_SLOW_CASES))
+def test_formerly_slow_inputs_finish_in_subprocess(tmp_path, case):
+    import diracflow
+    src = str(Path(diracflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracflow.cli", *FORMERLY_SLOW_CASES[case], "--out", str(out)],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if case.startswith("observables"):
+        doc = json.loads((out / "observables.json").read_text())
+        assert doc["momentum"]["0.5"] == pytest.approx(10.0, rel=1e-12)
+        assert doc["energy_t0"] == pytest.approx(doc["energy_t0_analytic"], rel=1e-12)
+    else:
+        # The rounding of the global phase E0 t ~ 1.4e9 (ulp 2.4e-7), not
+        # the quadrature, sets the sup error of 1.7e-7.
+        doc = json.loads((out / "spa_compare.json").read_text())
+        assert doc["sup_errors"][0] <= 1e-6
     assert not (out / LOCK_NAME).exists()
 
 
@@ -643,15 +681,16 @@ def test_bloch_norms_and_clusters(tmp_path):
 
 @pytest.mark.parametrize("command", ["bloch", "trajectories"])
 def test_bloch_with_every_member_failed(tmp_path, command):
-    # A panel budget of 8 fails every EXACT trajectory: nothing to cluster.
+    # Unreachable tolerances in 8 panels fail every EXACT trajectory:
+    # nothing to cluster.
     out = tmp_path / f"{command}-failed"
     proc = run_cli_subprocess(out, [
         command, *FIG3, "--set", f"{command}.n=2", "--set", f"{command}.t_final=0.5",
-        "--set", f"{command}.field=EXACT", "--set", "quadrature.max_panels=8"])
+        "--set", f"{command}.field=EXACT", *UNREACHABLE])
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert ("diracflow: numerical failure: 2 of 2 trajectories failed: "
-            "panel budget 8") in proc.stderr
+            "quadrature did not converge within 8 panels") in proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["notes"]["failed_trajectories"] == 2
     if command == "bloch":

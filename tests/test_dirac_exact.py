@@ -26,6 +26,7 @@ from diracflow import (
 )
 from diracflow.packets import spinor_amplitudes
 from diracflow.quadrature import integrate_panels
+from diracflow.spa import SpaParams, spa_spinor_grid
 
 from _oracles import dirac_spectral
 
@@ -95,6 +96,7 @@ def test_matches_spectral_propagator():
 
 
 FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+FIG3_V0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
 
 
 @pytest.mark.parametrize("data, t, s_lo, s_hi", [
@@ -155,8 +157,8 @@ def test_no_false_convergence(sigma, k0, mass, theta0, omega0, t):
 
 
 def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
-    # FIG3 at t = 8 converges at 42 panels (21 to start, one doubling).  A
-    # start that counts panels rather than nodes per 2 pi of phase needs 832.
+    # FIG3 at t = 8 converges at its 21 starting panels.  A start that
+    # counts panels rather than nodes per 2 pi of phase needs 832.
     used = []
 
     def counting(*args, **kwargs):
@@ -172,18 +174,19 @@ def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
 
 @pytest.mark.parametrize("t", [0.5, 2.0])
 def test_budget_failure_partial_is_the_field(t):
-    # A budget of eight panels leaves no room to refine: no error estimate, but
-    # the eight-panel theta-integrals assemble into the field itself.
+    # A budget of eight panels leaves no room to refine, and the tolerances
+    # are out of reach: the eight-panel theta-integrals assemble into the
+    # field itself, with the field's error bound from the same pass.
     s = np.linspace(-4.0, 4.0 + 10 * t, 41)
     psi, _ = evolve_exact_grid(t, s, FIG3)
     with pytest.raises(IntegrationError) as info:
-        evolve_exact_grid(t, s, FIG3, QuadConfig(max_panels=8))
+        evolve_exact_grid(t, s, FIG3, QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=8))
     partial = info.value.partial
     assert isinstance(partial, Spinor)
     assert np.max(np.abs(partial.minus - psi.minus)) <= 1e-12
     assert np.max(np.abs(partial.plus - psi.plus)) <= 1e-12
     assert info.value.residual.shape == (2, s.size)
-    assert np.all(np.isinf(info.value.residual))
+    assert np.all(np.isfinite(info.value.residual))
 
 
 MACRO_W400 = PacketParams.macroscopic(0.2, 1.0, 400.0)
@@ -209,15 +212,18 @@ def test_unconverged_partial_carries_field_residual(data, t, s):
     assert np.all(np.isfinite(residual))
 
 
-def test_kspace_budget_failure_has_no_residual():
-    # Sixteen panels leave no room to double the momentum route's start of 15.
+def test_kspace_budget_failure_carries_its_residual():
+    # Sixteen panels leave no room to double the momentum route's start of
+    # 15, and the tolerances are out of reach: the one pass still gives the
+    # partial field an error bound.
     s = np.linspace(-1.5, 1.5, 33)
     with pytest.raises(IntegrationError) as info:
-        evolve_exact_grid(1.0, s, MACRO_W400, QuadConfig(max_panels=16))
+        evolve_exact_grid(1.0, s, MACRO_W400,
+                          QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=16))
     assert isinstance(info.value.partial, Spinor)
     assert info.value.partial.minus.shape == s.shape
     assert info.value.residual.shape == (2, s.size)
-    assert np.all(np.isinf(info.value.residual))
+    assert np.all(np.isfinite(info.value.residual))
 
 
 def test_start_beyond_budget_has_no_partial():
@@ -383,6 +389,58 @@ def test_fine_momentum_nodes_keep_the_momentum_route():
     assert abs(evolve_exact(0.5, -0.5, data).psi.density - 0.3204565024367) <= 1e-12
 
 
+def test_fine_momentum_nodes_at_a_shifted_window():
+    # sigma = 0.9999999 moves the window's nodes off those of sigma = 1; the
+    # phase taken from u keeps rho within 1e-12 of a 50-digit mpmath
+    # quadrature of the same momentum integral (0.32045652238385706413).
+    data = PacketParams(sigma=0.9999999, k0=1e10, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    s = np.array([-0.5])
+    assert dirac_exact._grid_route(0.5, s, data, QuadConfig()) is dirac_exact._kspace_grid
+    assert abs(evolve_exact(0.5, -0.5, data).psi.density - 0.32045652238385706) <= 1e-12
+
+
+def record_panels(monkeypatch):
+    """(starting, final) panel counts of every quadrature the field runs."""
+    used = []
+
+    def recording(*args, **kwargs):
+        value, err, n = integrate_panels(*args, **kwargs)
+        used.append((kwargs["initial_panels"], n))
+        return value, err, n
+
+    monkeypatch.setattr(dirac_exact, "integrate_panels", recording)
+    return used
+
+
+@pytest.mark.parametrize("omega", [1e7, 1e9])
+def test_momentum_phase_on_a_high_ladder_rung(omega, monkeypatch):
+    # From omega = 1e7 on, E t rounds by ulp(E t) >= 1.9e-9 at every node,
+    # which stalled the doubling; taken from u, the phase converges at the
+    # 15 starting panels.  The density then matches the SPA's, whose error
+    # falls as 1 / omega (9.8e-13 at omega = 1e9).
+    data = PacketParams.macroscopic(0.2, 1.0, omega)
+    s = np.linspace(-1.5, 1.5, 101)
+    used = record_panels(monkeypatch)
+    psi, err = evolve_exact_grid(1.0, s, data)
+    assert used == [(15.0, 15)]
+    assert np.max(err) <= 1e-15
+    spa = spa_spinor_grid(1.0, s, SpaParams(p0=1.0, sigma=0.2, omega=omega))
+    assert np.max(np.abs(psi.density - spa.density)) <= 2e-3 / omega
+
+
+@pytest.mark.parametrize("data, t, s, start", [
+    *[(FIG3, t, np.linspace(-(FIG3_V0 * t + 5.0), FIG3_V0 * t + 5.0, 64), n)
+      for t, n in ((0.5, 8), (2.0, 8), (8.0, 21))],
+    *[(PacketParams.macroscopic(0.2, 1.0, w), 1.0, np.linspace(-1.5, 1.5, 33), n)
+      for w, n in ((50.0, 16), (100.0, 15), (200.0, 15), (400.0, 15))],
+], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w50", "macro-w100", "macro-w200", "macro-w400"])
+def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch):
+    # The benchmark's field grids: one K33 pass at the starting count.
+    used = record_panels(monkeypatch)
+    evolve_exact_grid(t, s, data)
+    assert used == [(start, start)]
+
+
 def test_far_position_takes_bessel_route():
     # The momentum route's panel count overflows to inf at |s| = 1e307; the
     # Bessel route runs and the packets are negligible there.
@@ -404,6 +462,19 @@ def test_overflowing_phase_is_an_integration_error():
     assert single.value.partial is None
     assert np.all(np.isinf(single.value.residual))
     assert grid.value.residual.shape == (2, 7) and np.all(np.isinf(grid.value.residual))
+
+
+def test_overflowing_momentum_phase_is_an_integration_error():
+    # m t = 1e310 overflows a float while |s| + t |v| stays small: the
+    # momentum route is refused rather than handed inf phases (which refined
+    # NaN to the full budget), and the Bessel route's count overflows too.
+    data = PacketParams(sigma=1.0, k0=0.0, theta0=np.pi / 2, omega0=0.0, mass=1e300)
+    assert dirac_exact._kspace_panels(1e10, np.array([0.0]), data, QuadConfig()) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="phase overflows") as info:
+            evolve_exact(1e10, 0.0, data)
+    assert info.value.partial is None
 
 
 @settings(max_examples=20, deadline=None, database=None)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from diracflow import IntegrationError, quadrature
-from diracflow.quadrature import _GL_ORDER, _NODE_CHUNK, _composite, integrate_panels
+from diracflow.quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _composite, _gk_rule,
+                                  integrate_panels)
 
 S = np.linspace(-1.0, 2.0, 7)
 
@@ -44,9 +45,10 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("complex_kernel, complex_basis", FORMS)
 def test_pair_integrand_matches_plain_array(complex_kernel, complex_basis):
+    # Over [0, 4 pi] both forms double twice from the 4 starting panels.
     pair, plain = integrands(complex_kernel, complex_basis)
-    got, _, n_got = integrate_panels(pair, 0.0, np.pi, rel_tol=1e-12, initial_panels=4)
-    want, _, n_want = integrate_panels(plain, 0.0, np.pi, rel_tol=1e-12, initial_panels=4)
+    got, _, n_got = integrate_panels(pair, 0.0, 4 * np.pi, rel_tol=1e-12, initial_panels=4)
+    want, _, n_want = integrate_panels(plain, 0.0, 4 * np.pi, rel_tol=1e-12, initial_panels=4)
     assert n_got == n_want > 4
     assert np.iscomplexobj(got) == (complex_kernel or complex_basis)
     assert_close(got, want)
@@ -71,19 +73,17 @@ def test_pair_integrand_empty_interval(complex_kernel, complex_basis):
         assert value.shape == integrate_panels(plain, a, b)[0].shape
 
 
-NO_DOUBLING = "panel budget {} leaves no room to double the {} starting panels"
-
-
-# initial_panels 2 refines until the budget runs out; 8 cannot double at once.
+# Tolerances out of reach: initial_panels 2 refines until the budget runs
+# out; 8 cannot double at once, so its one pass is the last.
 @pytest.mark.parametrize("initial_panels", [2, 8])
 @pytest.mark.parametrize("complex_kernel, complex_basis", FORMS)
 def test_pair_integrand_partial_on_failure(complex_kernel, complex_basis, initial_panels):
     pair, plain = integrands(complex_kernel, complex_basis)
-    match = NO_DOUBLING.format(8, 8) if initial_panels == 8 else "did not converge within 8"
+    match = "did not converge within 8"
     partials = []
     for f in (pair, plain):
         with pytest.raises(IntegrationError, match=match) as info:
-            integrate_panels(f, 0.0, np.pi, rel_tol=1e-15, abs_tol=1e-300,
+            integrate_panels(f, 0.0, np.pi, rel_tol=1e-300, abs_tol=1e-300,
                              initial_panels=initial_panels, max_panels=8)
         partials.append(info.value.partial)
     assert_close(*partials)
@@ -102,16 +102,17 @@ def test_start_beyond_budget_raises_before_evaluating():
 
 @pytest.mark.parametrize("initial_panels, max_panels", [(12, 16), (9, 17)])
 def test_start_without_room_to_double(initial_panels, max_panels):
-    # A start within the budget but above half of it cannot double: the
-    # partial is the starting estimate and there is no error estimate.
+    # A start within the budget but above half of it cannot double, but its
+    # one pass has an error estimate: out of reach of the tolerances, the
+    # partial is the starting K33 estimate and the residual |K33 - G16|.
     pair, _ = integrands(True, False)
     with pytest.raises(IntegrationError,
-                       match=NO_DOUBLING.format(max_panels, initial_panels)) as info:
-        integrate_panels(pair, 0.0, np.pi, initial_panels=initial_panels,
-                         max_panels=max_panels)
-    want = _composite(pair, 0.0, np.pi, initial_panels, _NODE_CHUNK)
+                       match=f"did not converge within {max_panels} panels") as info:
+        integrate_panels(pair, 0.0, np.pi, rel_tol=1e-300, abs_tol=1e-300,
+                         initial_panels=initial_panels, max_panels=max_panels)
+    want, gauss = _composite(pair, 0.0, np.pi, initial_panels, _NODE_CHUNK)
     assert_close(info.value.partial, want)
-    assert info.value.residual == np.inf
+    assert np.array_equal(info.value.residual, np.abs(want - gauss))
 
 
 def test_cached_layouts_are_read_only_and_capped():
@@ -144,7 +145,7 @@ def test_layout_cache_stays_within_its_budget():
     # Many distinct intervals at the size cap and just above it: the layouts
     # still alive afterwards (those the cache keeps) hold at most 4 MiB.
     quadrature._cached_layout.cache_clear()
-    at_cap = quadrature._LAYOUT_CACHE_NODES // _GL_ORDER
+    at_cap = quadrature._LAYOUT_CACHE_NODES // _PANEL_NODES
     refs = []
     for j in range(3 * quadrature._LAYOUT_CACHE_SIZE):
         for n_panels in (at_cap, at_cap + 1):
@@ -161,3 +162,54 @@ def test_zero_dim_array_bounds():
     got = integrate_panels(pair, np.array(0.0), np.array(2.0))
     for g, w in zip(got, want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+# =============================================================================
+# The Gauss-Kronrod rule
+# =============================================================================
+
+def test_embedded_gauss_rule_is_leggauss():
+    nodes, weights = _gk_rule()
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    assert np.all(np.abs(nodes[1::2] - gauss_nodes) <= 2 * np.spacing(np.abs(gauss_nodes)))
+    # leggauss's weights are up to 4.4e-16 off their 50-digit values, which
+    # the table holds correctly rounded: 2 ulp of the weights' sum.
+    assert np.all(np.abs(weights[1, 1::2] - gauss_weights) <= 2 * np.spacing(2.0))
+    assert np.all(weights[1, 0::2] == 0)
+
+
+def test_kronrod_rule_shape():
+    nodes, weights = _gk_rule()
+    assert nodes.shape == (_PANEL_NODES,) and weights.shape == (2, _PANEL_NODES)
+    # Symmetric about 0, every K33 weight positive, and the 17 Kronrod nodes
+    # interlace the 16 Gauss nodes inside (-1, 1).
+    assert np.array_equal(nodes, -nodes[::-1]) and nodes[_GL_ORDER] == 0
+    assert np.array_equal(weights, weights[:, ::-1])
+    assert np.all(weights[0] > 0) and np.all(weights[1, 1::2] > 0)
+    assert -1 < nodes[0] and nodes[-1] < 1 and np.all(np.diff(nodes) > 0)
+
+
+def test_kronrod_rule_degrees():
+    # K33 is exact for polynomials of degree 3 * 16 + 1 = 49, G16 for 31.
+    nodes, weights = _gk_rule()
+    for rule, degree in ((0, 49), (1, 31)):
+        for d in range(degree + 1):
+            want = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(weights[rule] @ nodes**d - want) <= 1e-14, (rule, d)
+
+
+def test_one_pass_per_panel_count():
+    # Each count is one pass of 33 nodes per panel: a start that meets the
+    # tolerance evaluates the integrand once per chunk, nothing more.
+    pair, _ = integrands(True, False)
+    seen = []
+
+    def counted(theta):
+        seen.append(theta.size)
+        return pair(theta)
+
+    _, _, n = integrate_panels(counted, 0.0, np.pi, initial_panels=8)
+    assert n == 8 and seen == [8 * _PANEL_NODES]
+    seen.clear()
+    integrate_panels(counted, 0.0, np.pi, initial_panels=8, node_chunk=40)
+    assert seen == [2 * _PANEL_NODES] * 4

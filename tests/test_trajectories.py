@@ -248,9 +248,9 @@ def test_ensemble_members_keep_dense_output(fig3_packet, workers):
 
 
 def test_failed_member_has_no_positions(fig3_packet):
-    # A panel budget of 8 makes every exact-field evaluation fail.
+    # Unreachable tolerances in 8 panels make every exact-field evaluation fail.
     trajs, _ = run_ensemble(2, fig3_packet, 0.5, field_mode="EXACT", seed=3,
-                            quad=QuadConfig(max_panels=8))
+                            quad=QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=8))
     for tr in trajs:
         assert tr.error is not None
         with pytest.raises(DiracflowError):
