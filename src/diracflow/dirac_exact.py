@@ -38,7 +38,6 @@ field evaluation over (t, s) grids vectorizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from math import ceil, hypot, ulp
 from typing import Tuple
 
@@ -304,6 +303,9 @@ def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
 
 def _rounded_phase(energy0: float, k0: float, m: float, t: float):
     """E0 t as the double ``energy0 * t`` and that double's error, from 34 digits."""
+    # Imported here, so that ``import diracflow`` loads no module for it.
+    from decimal import Decimal, localcontext
+
     phase = energy0 * t
     with localcontext() as ctx:
         ctx.prec = 34
