@@ -1,8 +1,8 @@
 """Exact evolution of free 1D Dirac spinor packets, plus the nonrelativistic reference.
 
 Three evaluation routes are provided; the first two serve ``evolve_exact``
-and ``evolve_exact_grid``, which run the momentum route only where it starts
-from fewer panels than the Bessel route (``_route_and_panels``):
+and ``evolve_exact_grid``, which run the momentum route where it starts from
+at most twice the Bessel route's panels (``_route_and_panels``):
 
 * The Bessel-kernel route.  The substitution ``sigma = s - t*cos(theta)``
   removes the square-root endpoint singularity of the J1 kernel, leaving
@@ -20,9 +20,11 @@ from fewer panels than the Bessel route (``_route_and_panels``):
 
 * The momentum route: the Fourier integral of the free propagator over the
   Gaussian spectrum, k0 +- 8/sigma (see ``_kspace_grid``).  Its phase grows
-  with |s| + t, not with w, so it runs on the macroscopic ladder and at
-  single points near the packets; grids over both FIG3 packets start from
-  as many panels or more and stay on the Bessel route.
+  with |s| + t, not with w, so it runs on the macroscopic ladder, at single
+  points near the packets and on grids over both FIG3 packets
+  (|s| <= v0 t + 5 sigma, 1.0 to 1.6 times the Bessel count).  Wider grids,
+  and far positions, whose count is inf, stay on the Bessel route.  The
+  momentum route needs no Bessel function, so it loads no scipy module.
 
 * ``evolve_exact_spherical`` rewrites the kernels through their integral
   representation as a 2D quadrature over the unit sphere, with the polar
@@ -38,7 +40,7 @@ field evaluation over (t, s) grids vectorizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, hypot, ulp
+from math import ceil, hypot, pi, sqrt, ulp
 from typing import Tuple
 
 import numpy as np
@@ -46,7 +48,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError
 from .packets import PacketParams, Spinor, gaussian_amplitude, spinor_amplitudes
-from .quadrature import _GL_ORDER, _PANEL_NODES, integrate_panels
+from .quadrature import _GL_ORDER, _PANEL_NODES, _gk_rule, integrate_panels
 
 __all__ = [
     "QuadConfig",
@@ -105,16 +107,26 @@ def _initial_panels(rate: float, length: float) -> float:
     return max(8.0, float(np.ceil(_NODES_PER_CYCLE * rate * length / (2 * np.pi * _GL_ORDER))))
 
 
-def _node_chunk(n_cols: int) -> int:
+# OpenBLAS runs a real matrix product on one thread up to m n k = 2**18;
+# above it, threads cost more than they save on a busy machine.
+_SERIAL_GEMM = 2**18
+
+
+def _bessel_node_chunk(n_cols: int) -> int:
     # About 16k basis entries per integrand call keep the block in cache, and
-    # keep the (12, N) @ (N, n_cols) product below the size at which OpenBLAS
-    # starts threads (which cost more than they save on a busy machine).
+    # keep the real (12, N) @ (N, n_cols) product on one thread.
     # integrate_panels rounds it up to whole panels, so that FIG3's 8
     # starting panels on 64 positions take one call.
     return max(16, 2**14 // max(1, n_cols))
 
 
-def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0):
+def _kspace_node_chunk(n_cols: int) -> int:
+    # Whole panels, as many as keep the momentum route's real
+    # (8 P, 33) @ (33, n_cols) product on one thread.
+    return _PANEL_NODES * max(1, _SERIAL_GEMM // (8 * _PANEL_NODES * max(1, n_cols)))
+
+
+def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_chunk):
     """Run the quadrature and ``assemble`` its integrals into (Spinor, err[2, n]).
 
     On a budget failure the partial integrals and their residual assemble
@@ -130,7 +142,7 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0):
         value, err, _ = integrate_panels(
             integrand, a, b,
             rel_tol=q.rel_tol, abs_tol=abs_tol,
-            initial_panels=n0, max_panels=q.max_panels, node_chunk=_node_chunk(n_points),
+            initial_panels=n0, max_panels=q.max_panels, node_chunk=node_chunk,
         )
     except IntegrationError as exc:
         partial, residual = None, np.full((2, n_points), np.inf)
@@ -155,7 +167,8 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     One quadrature is shared by all positions, so the cost is
     O(n_nodes * n_s) with fully vectorized inner arithmetic.  The Bessel
     route integrates over theta and the momentum route over k; the
-    momentum route runs where it starts from fewer panels (``_route_and_panels``).
+    momentum route runs where it starts from at most twice the Bessel
+    route's panels (``_route_and_panels``).
     """
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
@@ -181,26 +194,29 @@ def evolve_exact(t: float, s: float, data: PacketParams,
     )
 
 
-def _grid_route(t: float, s_arr, data: PacketParams, q: QuadConfig):
-    """The route ``_route_and_panels`` chooses, without its panel count."""
-    return _route_and_panels(t, s_arr, data, q)[0]
+# The momentum route runs where its starting count is at most this multiple
+# of the Bessel route's: grids over both FIG3 packets need 1.0 to 1.6.
+_KSPACE_PANEL_RATIO = 2.0
 
 
 def _route_and_panels(t: float, s_arr, data: PacketParams, q: QuadConfig):
-    """The momentum route if it starts from fewer panels, else the Bessel route.
+    """The momentum route if it starts from at most twice the Bessel route's panels.
 
     Returns the route with its starting panel count, which it is handed, so
     that the count is made once.  Both counts come from ``_initial_panels``.
     The Bessel route's phase rate is t hypot(m, k0) over theta in [0, pi]:
     it grows with the mass but its integrand is local in s.  The momentum
     route's is |s -+ v(k) t| over a window of width 16 / sigma: it does not
-    grow with the mass but does with the farthest position.  A tie goes to
-    Bessel: per panel, the momentum route's complex basis costs more on
-    grids of tens of points.
+    grow with the mass but does with the farthest position.  The momentum
+    route runs up to ``_KSPACE_PANEL_RATIO`` times the Bessel count, and
+    never at an inf count.  On grids of tens of positions it costs less per
+    panel, as its plane-wave basis factors over the panels (``_kspace_grid``),
+    and it evaluates no Bessel function, so a run that stays on it never
+    loads scipy.special.
     """
     kspace = _kspace_panels(t, s_arr, data, q)
     bessel = _bessel_panels(t, data)
-    if kspace < bessel:
+    if np.isfinite(kspace) and kspace <= _KSPACE_PANEL_RATIO * bessel:
         return _kspace_grid, kspace
     return _bessel_grid, bessel
 
@@ -259,7 +275,8 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
         return Spinor(minus=psi_m, plus=psi_p), err_out
 
     return _integrate_field(integrand, 0.0, np.pi, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol / max(1.0, wt), n0=n0)
+                            abs_tol=q.abs_tol / max(1.0, wt), n0=n0,
+                            node_chunk=_bessel_node_chunk(s_arr.size))
 
 
 # =============================================================================
@@ -335,36 +352,81 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     cm, cp = spinor_amplitudes(data)
     sigma, k0, m = data.sigma, data.k0, data.mass
     half = _K_WINDOW / sigma
-    scale = 2 * sigma * np.sqrt(np.pi) * (2 * np.pi * sigma**2) ** -0.25 / (2 * np.pi)
+    scale = 2 * sigma * sqrt(pi) * (2 * pi * sigma**2) ** -0.25 / (2 * pi)
     energy0 = hypot(k0, m)
     phase0, phase0_err = _rounded_phase(energy0, k0, m, t)
-    cos0, sin0 = np.cos(phase0), np.sin(phase0)
-    # g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-):
-    # the rows (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times these.
-    coeffs = np.array([[cm, cp], [-1j * cm, 1j * cp], [-1j * m * cp, -1j * m * cm]])
+    cos0, sin0 = scale * float(np.cos(phase0)), scale * float(np.sin(phase0))
+    # g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-)
+    # is (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times the rows of c,
+    # each followed by i times itself.  By angle addition from E0 t and the
+    # node's shift, that is the rows g (cos, cos k / E, cos / E, sin,
+    # sin k / E, sin / E) of the shift times the rows of ``coeffs``: one
+    # real product whose columns are (Re, Im) of both components, then of
+    # i times them.
+    c = np.array([[cm, cp, 1j * cm, 1j * cp],
+                  [-1j * cm, 1j * cp, cm, -cp],
+                  [-1j * m * cp, -1j * m * cm, m * cp, m * cm]])
+    rotation = np.array([[cos0], [sin0], [sin0], [-sin0], [cos0], [cos0]])
+    coeffs = (rotation * c[[0, 1, 2, 0, 1, 2]]).view(float)
+    neg_sigma2 = -sigma * sigma
 
     # Each call gets whole panels, so its nodes are u_pr = c_p + o_r with
     # panel centres c_p and in-panel offsets o_r shared by every panel, and
-    # the basis e^{i u s} = e^{i c_p s} e^{i o_r s} costs P + 33 complex
-    # exponentials per position instead of 33 P.  The kernel is evaluated at
-    # the same c_p + o_r, which differ from the nodes by rounding only.
+    # the basis e^{i u s} = e^{i c_p s} e^{i o_r s} is a (P, n) panel basis
+    # times a (33, n) offset basis (see integrate_panels).  The kernel is
+    # evaluated at the same c_p + o_r, which differ from the nodes by
+    # rounding only.  The offsets are mirror-symmetric, o_{16-i} = -o_{16+i},
+    # and so are the weights: the kernel's mirror pairs a, b combine into
+    # (a + b) at the upper offset and i (a - b) at the lower one, against
+    # the real rows cos(o s) and sin(o s).
+    upper, lower = slice(_GL_ORDER + 1, None), slice(_GL_ORDER - 1, None, -1)
+    passes = {}
+
+    def offsets_and_basis(panels):
+        """The pass's offsets (33,) and real offset basis (33, n), made on its first chunk."""
+        # The first panel's node span, 2 x_max of its width, names the pass
+        # by its panel count.
+        base = _gk_rule()[0]
+        n_panels = round(2 * half * base[-1] / (panels[0, -1] - panels[0, 0]))
+        if n_panels not in passes:
+            offset = (half / n_panels) * base
+            angle = np.outer(offset[upper], s_arr)
+            basis = np.empty((_PANEL_NODES, s_arr.size))
+            basis[_GL_ORDER] = 1.0
+            np.cos(angle, out=basis[upper])
+            np.sin(angle, out=basis[lower])
+            passes.clear()
+            passes[n_panels] = offset, basis
+        return passes[n_panels]
+
     def integrand(nodes):
         panels = nodes.reshape(-1, _PANEL_NODES)
-        centre = 0.5 * (panels[:, 0] + panels[:, -1])
-        offset = panels[0] - centre[0]
+        centre = panels[:, _GL_ORDER]
+        offset, offset_basis = offsets_and_basis(panels)
         u = (centre[:, None] + offset).ravel()
         k = k0 + u
         energy = np.hypot(k, m)
         # (2 k0 + u) / (E + E0) in halves, which stay finite for any k0.
         shift = phase0_err + t * u * ((k0 + 0.5 * u) / (0.5 * energy + 0.5 * energy0))
-        cos_shift, sin_shift = np.cos(shift), np.sin(shift)
-        g = scale * np.exp(-(sigma * u) ** 2)
-        g_cos = g * (cos0 * cos_shift - sin0 * sin_shift)
-        g_sinc = g * (sin0 * cos_shift + cos0 * sin_shift) / energy
-        kernel = np.stack([g_cos, g_sinc * k, g_sinc], axis=1) @ coeffs
-        basis = (np.exp(1j * np.outer(centre, s_arr))[:, None, :]
-                 * np.exp(1j * np.outer(offset, s_arr))[None, :, :])
-        return kernel, basis.reshape(u.size, s_arr.size)
+        g = np.exp(neg_sigma2 * (u * u))
+        rows = np.empty((u.size, 6))
+        np.multiply(g, np.cos(shift), out=rows[:, 0])
+        np.multiply(g, np.sin(shift), out=rows[:, 3])
+        np.divide(rows[:, 0::3], energy[:, None], out=rows[:, 2::3])
+        np.multiply(rows[:, 2::3], k[:, None], out=rows[:, 1::3])
+        # The kernel and i times it, as (panel, offset, (Re, Im) of both
+        # components), folded into a + b and i (a - b).
+        both = (rows @ coeffs).reshape(panels.shape + (8,))
+        kernel = np.empty(panels.shape + (4,))
+        kernel[:, _GL_ORDER] = both[:, _GL_ORDER, :4]
+        np.add(both[:, upper, :4], both[:, lower, :4], out=kernel[:, upper])
+        np.subtract(both[:, upper, 4:], both[:, lower, 4:], out=kernel[:, lower])
+        kernel = kernel.reshape(u.size, 4).view(complex)
+        angle = np.outer(centre, s_arr)
+        panel_basis = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=panel_basis.real)
+        np.sin(angle, out=panel_basis.imag)
+        return kernel, panel_basis, offset_basis
 
     phase = np.exp(1j * k0 * s_arr)
 
@@ -372,7 +434,7 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
         return Spinor(minus=value[0] * phase, plus=value[1] * phase), err
 
     return _integrate_field(integrand, -half, half, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol, n0=n0)
+                            abs_tol=q.abs_tol, n0=n0, node_chunk=_kspace_node_chunk(s_arr.size))
 
 
 # =============================================================================

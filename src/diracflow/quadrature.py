@@ -11,13 +11,26 @@ the starting panel count, typically from the integrand's phase rate so the
 first pass already samples every oscillation.
 
 Integrands are vectorized: ``f(nodes)`` receives a 1-D array of abscissas,
-whole panels of 33 ascending nodes each, and may return an array whose
-leading axis matches ``nodes`` with any trailing shape (e.g. one column per
-field point), so whole grids integrate in one pass.  An integrand whose
-value at node j is an outer product kernel_j (x) basis_j may instead return
-the pair ``(kernel, basis)`` with shapes (N, c) and (N, n) for N nodes: the
-weighted sums of both rules are then one matrix product, the (2c, N) rows
-w_r * kernel^T times the basis, that never forms the (N, c, n) array.
+whole panels of 33 ascending nodes each, and returns one of three forms.
+
+* An array whose leading axis matches ``nodes``, with any trailing shape
+  (e.g. one column per field point), so whole grids integrate in one pass.
+* A pair ``(kernel, basis)`` of shapes (N, c) and (N, n) for N nodes, for an
+  integrand whose value at node j is the outer product kernel_j (x) basis_j.
+  The weighted sums of both rules are then one matrix product, the (2c, N)
+  rows w_r * kernel^T times the basis, that never forms the (N, c, n) array.
+* A triple ``(kernel, panel_basis, offset_basis)`` of shapes (N, c), (P, n)
+  and (R, n), for N = P R nodes in P panels of R, where node j = (p, r)
+  has the basis panel_basis_p * offset_basis_r (elementwise), as a plane
+  wave e^{i u s} does at u = c_p + o_r.  The sums are then one product of
+  the (2c P, R) weighted kernel rows with the offset basis, followed by a
+  multiply-and-sum over panels with the panel basis; the (N, n) basis is
+  never formed.  The panels are those of the pass, R = 33, and the
+  weights are mirror-symmetric within each panel, which lets an integrand
+  fold node pairs into a real offset basis (``dirac_exact._kspace_grid``).
+
+In both factored forms a complex kernel on a real (offset) basis is summed
+as one real product, with the kernel's real and imaginary parts as rows.
 """
 
 from __future__ import annotations
@@ -105,24 +118,32 @@ def _layout(a: float, b: float, n_panels: int):
 def _weighted_sums(w, vals):
     """Sum_j w_rj vals_j over the leading axis of ``vals`` for each row r of ``w``.
 
-    ``vals`` is an array or a (kernel, basis) pair; ``w`` is (R, N) and the
-    sums are stacked along a new leading axis of length R.
+    ``vals`` is one of the integrand forms of the module docstring; ``w`` is
+    (R, N) and the sums are stacked along a new leading axis of length R.
+    A pair is the triple's case of one panel of N nodes with no panel basis.
     """
     if not isinstance(vals, tuple):
         return np.tensordot(w, np.asarray(vals), axes=1)
-    kernel, basis = vals
-    n_kernel = kernel.shape[1]
+    kernel, *bases = vals
+    panel_basis = bases[0] if len(bases) == 2 else None
+    basis = bases[-1]
+    n_rows = w.shape[0] * kernel.shape[1]
     split = np.iscomplexobj(kernel) and not np.iscomplexobj(basis)
     if split:
         # Real and imaginary parts as rows of one real product, so that the
         # real basis is never cast to complex.
         kernel = np.ascontiguousarray(kernel).view(kernel.real.dtype)
-    # Nodes along the last axis, so that the weighting runs over long rows.
+    # Nodes along the last axis, so that the weighting runs over long rows;
+    # the product's rows are (rule, kernel column, panel).
     weighted = w[:, None, :] * np.ascontiguousarray(kernel.T)[None, :, :]
-    sums = weighted.reshape(-1, w.shape[1]) @ basis
+    sums = weighted.reshape(-1, basis.shape[0]) @ basis
     if split:
-        sums = sums[0::2] + 1j * sums[1::2]
-    return sums.reshape(w.shape[0], n_kernel, -1)
+        parts = sums.reshape(n_rows, 2, -1)
+        sums = np.empty((n_rows, parts.shape[2]), dtype=complex)
+        sums.real, sums.imag = parts[:, 0], parts[:, 1]
+    if panel_basis is not None:
+        sums = (sums.reshape(n_rows, *panel_basis.shape) * panel_basis).sum(axis=1)
+    return sums.reshape(w.shape[0], n_rows // w.shape[0], -1)
 
 
 def _composite(f, a: float, b: float, n_panels: int, node_chunk: int):

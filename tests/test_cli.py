@@ -867,6 +867,39 @@ def test_library_loads_each_scipy_stack_on_first_use():
     assert "scipy.special" in ensemble and "scipy.integrate" not in ensemble
 
 
+def test_benchmark_grids_load_no_scipy(tmp_path):
+    # The benchmark's field grids take the momentum route, which needs no
+    # Bessel function: the seven evolve_exact_grid cases (unshifted and
+    # shifted by one spacing) and the field command on its FIG3 grid.  A
+    # wide grid still takes the Bessel route, which loads scipy.special.
+    field = ["field", *FIG3, "--set", "grid.t_values=0.5,2.0", "--set", "grid.s_min=-7.75",
+             "--set", "grid.s_max=8.25", "--set", "grid.s_count=64",
+             "--out", str(tmp_path / "run")]
+    grids, wide = _scipy_modules_after(
+        "import numpy as np\n"
+        "import diracflow as df\n"
+        "from diracflow import dirac_exact\n"
+        "from diracflow.cli import main\n"
+        "fig3 = df.PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)\n"
+        "v0 = 10.0 / np.hypot(10.0, 3.0)\n"
+        "cases = [(t, np.linspace(-(v0 * t + 5.0), v0 * t + 5.0, 64), fig3)\n"
+        "         for t in (0.5, 2.0, 8.0)]\n"
+        "cases += [(1.0, np.linspace(-1.5, 1.5, 33), df.PacketParams.macroscopic(0.2, 1.0, w))\n"
+        "          for w in (50.0, 100.0, 200.0, 400.0)]\n"
+        "for t, s, data in cases:\n"
+        "    for shift in (0.0, s[1] - s[0]):\n"
+        "        df.evolve_exact_grid(t, s + shift, data)\n"
+        f"assert main({field!r}) == 0\n"
+        "stage()\n"
+        "s = np.linspace(-40.0, 40.0, 64)\n"
+        "route, _ = dirac_exact._route_and_panels(0.5, s, fig3, df.QuadConfig())\n"
+        "assert route is dirac_exact._bessel_grid\n"
+        "df.evolve_exact_grid(0.5, s, fig3)\n"
+        "stage()\n")
+    assert not grids
+    assert "scipy.special" in wide and "scipy.integrate" not in wide
+
+
 @pytest.mark.parametrize("args, code", [
     (["barriers", "--set", "barriers.theta0_values=0.5"], 0),
     (["field", *FIG3, *GRID, "--set", "grid.t_values=nan"], 2),
@@ -879,15 +912,21 @@ def test_cli_runs_without_scipy(tmp_path, args, code):
     assert not loaded
 
 
-@pytest.mark.parametrize("args", [
-    ["trajectories", *FIG3, "--set", "trajectories.n=2", "--set", "trajectories.t_final=0.5"],
-    ["bloch", *FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5"],
-    ["observables", *FIG3, "--set", "observables.trajectory_q0=0.5",
-     "--set", "observables.t_final=0.5", "--set", "observables.field=EXACT"],
+@pytest.mark.parametrize("args, loads_special", [
+    (["trajectories", *FIG3, "--set", "trajectories.n=2", "--set", "trajectories.t_final=0.5"],
+     True),
+    (["bloch", *FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5"], True),
+    # Its EXACT trajectory's field points take only the momentum route.
+    (["observables", *FIG3, "--set", "observables.trajectory_q0=0.5",
+      "--set", "observables.t_final=0.5", "--set", "observables.field=EXACT"], False),
 ], ids=["trajectories", "bloch", "observables"])
-def test_cli_integrates_without_scipy_integrate(tmp_path, args):
+def test_cli_integrates_without_scipy_integrate(tmp_path, args, loads_special):
     (loaded,) = _scipy_modules_after(
         "from diracflow.cli import main\n"
         f"assert main({[*args, '--out', str(tmp_path / 'run')]!r}) == 0\n"
         "stage()\n")
-    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+    assert "scipy.integrate" not in loaded
+    if loads_special:  # for the ensemble draw's ndtri
+        assert "scipy.special" in loaded
+    else:
+        assert not loaded

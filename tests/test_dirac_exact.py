@@ -118,6 +118,10 @@ def test_matches_spectral_propagator_over_benchmark_range(data, t, s_lo, s_hi):
     assert np.max(np.abs(psi.plus - plus_ref[idx])) <= 1e-9
 
 
+def route_of(t, s, data):
+    return dirac_exact._route_and_panels(t, s, data, QuadConfig())[0]
+
+
 def assert_converged_to_oracle(data, t, s_lo, s_hi):
     """Within 1e-12 of the FFT oracle, and never beyond max(err_est, 1e-13).
 
@@ -157,8 +161,9 @@ def test_no_false_convergence(sigma, k0, mass, theta0, omega0, t):
 
 
 def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
-    # FIG3 at t = 8 converges at its 21 starting panels.  A start that
-    # counts panels rather than nodes per 2 pi of phase needs 832.
+    # FIG3 at t = 8 converges at its 27 starting panels on the momentum
+    # route (21 on the Bessel route).  A Bessel start that counts panels
+    # rather than nodes per 2 pi of phase needs 832.
     used = []
 
     def counting(*args, **kwargs):
@@ -176,8 +181,11 @@ def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
 def test_budget_failure_partial_is_the_field(t):
     # A budget of eight panels leaves no room to refine, and the tolerances
     # are out of reach: the eight-panel theta-integrals assemble into the
-    # field itself, with the field's error bound from the same pass.
-    s = np.linspace(-4.0, 4.0 + 10 * t, 41)
+    # field itself, with the field's error bound from the same pass.  The
+    # grid reaches s = -14, where the momentum route would start from more
+    # than twice the Bessel route's eight panels.
+    s = np.linspace(-14.0, 4.0 + 10 * t, 41)
+    assert route_of(t, s, FIG3) is dirac_exact._bessel_grid
     psi, _ = evolve_exact_grid(t, s, FIG3)
     with pytest.raises(IntegrationError) as info:
         evolve_exact_grid(t, s, FIG3, QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=8))
@@ -271,24 +279,30 @@ def test_grid_routes_agree_on_macroscopic_ladder(omega, vartheta, t):
 
 def test_grid_route_choice():
     # Pinned to timings of both routes forced on the benchmark's grids: the
-    # momentum route runs only where it starts from fewer panels.
-    q = QuadConfig()
-    route = dirac_exact._grid_route
+    # momentum route runs where it starts from at most twice the Bessel
+    # route's panels.
     v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
-    # FIG3 grids over both packets: Bessel at 8, 8 and 21 panels against 8,
-    # 12 and 27 (a tie goes to Bessel).
-    for t in (0.5, 2.0, 8.0):
+    # FIG3 grids over both packets: momentum at 8, 12 and 27 panels against
+    # Bessel's 8, 8 and 21.
+    for t, start in ((0.5, 8), (2.0, 12), (8.0, 27)):
         half = v0 * t + 5.0
-        assert route(t, np.linspace(-half, half, 64), FIG3, q) is dirac_exact._bessel_grid
+        s = np.linspace(-half, half, 64)
+        assert dirac_exact._route_and_panels(t, s, FIG3, QuadConfig()) == (
+            dirac_exact._kspace_grid, start)
     # The macroscopic ladder: 15 or 16 panels against 18 to 142.
     for omega in (50.0, 100.0, 200.0, 400.0):
         data = PacketParams.macroscopic(0.2, 1.0, omega)
-        assert route(1.0, np.linspace(-1.5, 1.5, 33), data, q) is dirac_exact._kspace_grid
-    # Single points on the FIG3 packets' centres once t hypot(m, k0) outgrows
-    # |s| + t: 10 against 11 panels at t = 4, 20 against 21 at t = 8.
+        assert route_of(1.0, np.linspace(-1.5, 1.5, 33), data) is dirac_exact._kspace_grid
+    # Single points on the FIG3 packets' centres: 10 against 11 panels at
+    # t = 4, 20 against 21 at t = 8.
     for t in (4.0, 8.0):
         for s in (-v0 * t, v0 * t):
-            assert route(t, np.array([s]), FIG3, q) is dirac_exact._kspace_grid
+            assert route_of(t, np.array([s]), FIG3) is dirac_exact._kspace_grid
+    # Wide grids stay on the Bessel route: over [-12.7, 12.7] at t = 0.5 the
+    # momentum route would start from 17 panels against 8, and a far
+    # position makes its count inf.
+    assert route_of(0.5, np.linspace(-12.7, 12.7, 64), FIG3) is dirac_exact._bessel_grid
+    assert route_of(1.0, np.array([0.0, 1e307]), FIG3) is dirac_exact._bessel_grid
 
 
 def field_bytes(t, s, data):
@@ -311,11 +325,12 @@ def assert_layout_cache_transparent(t, s, data, monkeypatch):
 @pytest.mark.parametrize("case", ["fig3_bessel", "ladder_kspace"])
 def test_layout_cache_keeps_field_bits(case, monkeypatch):
     if case == "fig3_bessel":
-        t, s, data = 8.0, np.linspace(-12.7, 12.7, 64), FIG3
-        assert dirac_exact._grid_route(t, s, data, QuadConfig()) is dirac_exact._bessel_grid
+        # Wide enough that the momentum route would start from 61 panels.
+        t, s, data = 8.0, np.linspace(-40.0, 40.0, 64), FIG3
+        assert route_of(t, s, data) is dirac_exact._bessel_grid
     else:
         t, s, data = 1.0, np.linspace(-1.5, 1.5, 33), PacketParams.macroscopic(0.2, 1.0, 400.0)
-        assert dirac_exact._grid_route(t, s, data, QuadConfig()) is dirac_exact._kspace_grid
+        assert route_of(t, s, data) is dirac_exact._kspace_grid
     assert_layout_cache_transparent(t, s, data, monkeypatch)
 
 
@@ -361,7 +376,7 @@ def test_collapsed_momentum_window_is_unresolvable():
     s = np.linspace(-1.0, 1.0, 3)
     q = QuadConfig()
     assert dirac_exact._kspace_panels(0.5, s, data, q) == np.inf
-    assert dirac_exact._grid_route(0.5, s, data, q) is dirac_exact._bessel_grid
+    assert route_of(0.5, s, data) is dirac_exact._bessel_grid
     with pytest.raises(IntegrationError, match="panel budget") as info:
         evolve_exact_grid(0.5, s, data)
     assert info.value.partial is None
@@ -385,7 +400,7 @@ def test_fine_momentum_nodes_keep_the_momentum_route():
     # 50-digit mpmath quadrature of the same momentum integral.
     data = PacketParams(sigma=1.0, k0=1e10, theta0=np.pi / 2, omega0=0.0, mass=3.0)
     s = np.array([-0.5])
-    assert dirac_exact._grid_route(0.5, s, data, QuadConfig()) is dirac_exact._kspace_grid
+    assert route_of(0.5, s, data) is dirac_exact._kspace_grid
     assert abs(evolve_exact(0.5, -0.5, data).psi.density - 0.3204565024367) <= 1e-12
 
 
@@ -395,7 +410,7 @@ def test_fine_momentum_nodes_at_a_shifted_window():
     # quadrature of the same momentum integral (0.32045652238385706413).
     data = PacketParams(sigma=0.9999999, k0=1e10, theta0=np.pi / 2, omega0=0.0, mass=3.0)
     s = np.array([-0.5])
-    assert dirac_exact._grid_route(0.5, s, data, QuadConfig()) is dirac_exact._kspace_grid
+    assert route_of(0.5, s, data) is dirac_exact._kspace_grid
     assert abs(evolve_exact(0.5, -0.5, data).psi.density - 0.32045652238385706) <= 1e-12
 
 
@@ -430,7 +445,7 @@ def test_momentum_phase_on_a_high_ladder_rung(omega, monkeypatch):
 
 @pytest.mark.parametrize("data, t, s, start", [
     *[(FIG3, t, np.linspace(-(FIG3_V0 * t + 5.0), FIG3_V0 * t + 5.0, 64), n)
-      for t, n in ((0.5, 8), (2.0, 8), (8.0, 21))],
+      for t, n in ((0.5, 8), (2.0, 12), (8.0, 27))],
     *[(PacketParams.macroscopic(0.2, 1.0, w), 1.0, np.linspace(-1.5, 1.5, 33), n)
       for w, n in ((50.0, 16), (100.0, 15), (200.0, 15), (400.0, 15))],
 ], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w50", "macro-w100", "macro-w200", "macro-w400"])

@@ -213,3 +213,77 @@ def test_one_pass_per_panel_count():
     seen.clear()
     integrate_panels(counted, 0.0, np.pi, initial_panels=8, node_chunk=40)
     assert seen == [2 * _PANEL_NODES] * 4
+
+
+# =============================================================================
+# The factored (kernel, panel_basis, offset_basis) form
+# =============================================================================
+
+A, B = -1.0, 2.5
+
+
+def factored_integrands(complex_offsets):
+    """Random complex data as a factored triple and as the (kernel, basis) pair.
+
+    Node r of panel p has the kernel row kernel[p, r] and the basis
+    panel_basis[p] * offset_basis[r]; each pass draws its own data from its
+    panel count, and each chunk takes the rows of its own panels.
+    """
+    def data(n_panels):
+        rng = np.random.default_rng(n_panels)
+
+        def draw(*shape, real=False):
+            x = rng.standard_normal(shape)
+            return x if real else x + 1j * rng.standard_normal(shape)
+
+        return (quadrature._layout(A, B, n_panels)[0],
+                draw(n_panels * _PANEL_NODES, 3), draw(n_panels, S.size),
+                draw(_PANEL_NODES, S.size, real=not complex_offsets))
+
+    def triple(nodes):
+        n_panels = round((B - A) / (nodes[_PANEL_NODES - 1] - nodes[0]) * _gk_rule()[0][-1])
+        all_nodes, kernel, panel_basis, offset_basis = data(n_panels)
+        lo = int(np.searchsorted(all_nodes, nodes[0]))
+        assert np.array_equal(all_nodes[lo:lo + nodes.size], nodes)
+        panels = slice(lo // _PANEL_NODES, (lo + nodes.size) // _PANEL_NODES)
+        return kernel[lo:lo + nodes.size], panel_basis[panels], offset_basis
+
+    def pair(nodes):
+        kernel, panel_basis, offset_basis = triple(nodes)
+        return kernel, (panel_basis[:, None, :] * offset_basis[None, :, :]).reshape(nodes.size, -1)
+
+    return triple, pair
+
+
+def assert_within_1e15(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("complex_offsets", [True, False])
+@pytest.mark.parametrize("n_panels", [1, 8, 21])
+def test_factored_integrand_matches_pair_in_every_chunking(complex_offsets, n_panels):
+    triple, pair = factored_integrands(complex_offsets)
+    want = _composite(pair, A, B, n_panels, _NODE_CHUNK)
+    for per_chunk in range(1, n_panels + 1):
+        got = _composite(triple, A, B, n_panels, per_chunk * _PANEL_NODES)
+        assert np.iscomplexobj(got)
+        for g, w in zip(got, want):
+            assert_within_1e15(g, w)
+
+
+@pytest.mark.parametrize("complex_offsets", [True, False])
+@pytest.mark.parametrize("initial_panels", [2, 8])
+def test_factored_integrand_partial_on_failure(complex_offsets, initial_panels):
+    # As for the pair: the budget's last pass is the partial, |K33 - G16|
+    # the residual, and both forms carry the same ones.
+    triple, pair = factored_integrands(complex_offsets)
+    failures = []
+    for f in (triple, pair):
+        with pytest.raises(IntegrationError, match="did not converge within 8") as info:
+            integrate_panels(f, A, B, rel_tol=1e-300, abs_tol=1e-300,
+                             initial_panels=initial_panels, max_panels=8, node_chunk=40)
+        failures.append(info.value)
+    got, want = failures
+    assert_within_1e15(got.partial, want.partial)
+    assert_within_1e15(got.residual, want.residual)
