@@ -655,6 +655,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = RunConfig(command=args.command)
         _apply_overrides(cfg, args.set)
         seed = args.seed if args.seed is not None else cfg.get_int("run", "seed", 0)
+        if seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {seed}")
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         writer = RunWriter(_resolve_out(args, cfg), cfg, seed)

@@ -16,9 +16,9 @@ inverse CDF, with a per-trajectory seed derived from (seed, index), so
 results are bit-identical for a seed.
 
 The RK45 tableau and dense output live here, so integrating a trajectory
-imports nothing from ``scipy.integrate``.  ``scipy.special.ndtri`` loads on
-the first ensemble draw, not with the package, so the exact field and the
-barrier analysis run without it.
+imports nothing from ``scipy.integrate``; the draw's normal quantile is
+``specfun.ndtri`` (Cephes, bit-identical to scipy's), so an ensemble imports
+no scipy module unless its field takes the Bessel route.
 
 The rescaled-ODE barrier analysis lives here too: the zero curve y0(x),
 the hyperbola constants C_+- with their barrier curves B_+-(x) = C_+- / x,
@@ -38,6 +38,7 @@ from .dirac_exact import QuadConfig, evolve_exact, schrodinger_reference
 from .errors import BracketingError, DomainError, IntegrationError, NodeError, ValidationError
 from .packets import PacketParams, Spinor, cayley_klein_series
 from .spa import SpaParams, spa_envelopes, spa_weights
+from .specfun import ndtri
 
 __all__ = [
     "RIGHT",
@@ -549,8 +550,6 @@ def classify_trajectory(traj: Trajectory, v0: float) -> Tuple[str, float]:
 # =============================================================================
 
 def _draw_initial_position(seed: int, index: int, sigma: float) -> float:
-    from scipy.special import ndtri
-
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     u = np.random.default_rng(ss).random()
     return float(sigma * ndtri(u))
@@ -583,13 +582,16 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
     """Integrate n quantum-equilibrium trajectories; returns (trajectories, summary).
 
     Initial positions are i.i.d. N(0, sigma^2) drawn by inverse CDF with
-    per-trajectory seeds derived from (seed, index); n is at most
-    ``MAX_ENSEMBLE_SIZE``.  All members step in one lockstep loop in this
-    process; ``workers`` has no effect.  Individual integrator failures are
-    recorded on the trajectory and do not abort the run.
+    per-trajectory seeds derived from (seed, index); the seed is a
+    non-negative integer and n is at most ``MAX_ENSEMBLE_SIZE``.  All
+    members step in one lockstep loop in this process; ``workers`` has no
+    effect.  Individual integrator failures are recorded on the trajectory
+    and do not abort the run.
     """
     if not 1 <= n <= MAX_ENSEMBLE_SIZE:
         raise ValidationError(f"n must lie in [1, {MAX_ENSEMBLE_SIZE}], got {n}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if not (np.isfinite(t_final) and t_final > 0):
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
     v0 = _reference_v0(data)

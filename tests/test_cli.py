@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -7,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diracflow import PacketParams, QuadConfig, ValidationError, make_initial_packet
 from diracflow.cli import LOCK_NAME, MAX_GRID_POINTS, RunConfig, RunWriter, main
 from diracflow.spa import SpaParams, error_scaling
+from diracflow.trajectories import MAX_ENSEMBLE_SIZE
 
 FIG3 = [
     "--set", "packet.sigma=1.0",
@@ -257,6 +264,21 @@ def test_bad_worker_counts_rejected(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--set", "run.seed=-3"]],
+                         ids=["flag", "set"])
+@pytest.mark.parametrize("command", ["trajectories", "bloch"])
+def test_negative_seed_rejected(tmp_path, capsys, command, seed):
+    # Refused with the other flags, before the run directory is made.
+    out = tmp_path / "seed"
+    code = run_cli(command, "--out", out, *FIG3, "--set", f"{command}.n=2",
+                   "--set", f"{command}.t_final=0.5", *seed)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diracflow: configuration error: seed must be a non-negative integer")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_grid_rejected(tmp_path, capsys):
     code = run_cli("field", "--out", tmp_path / "g", *FIG3)
     assert code == 2
@@ -271,6 +293,101 @@ def test_non_geometric_ladder_rejected(tmp_path, capsys):
                    "--set", "spa_compare.omega_ladder=50 100 170 400")
     assert code == 2
     assert "geometric" in capsys.readouterr().err
+
+
+# =============================================================================
+# Error contract: random values for the keys each command reads
+# =============================================================================
+
+# A cheap valid run of each command; a fuzz example overrides keys on top.
+# The panel budget is 1024 rather than 2**20, so that an unreachable
+# quadrature tolerance fails in well under a second: at the default budget
+# field on three points with rel_tol = abs_tol = 1e-300 takes about 15 s.
+BUDGET = ["--set", "quadrature.max_panels=1024"]
+FUZZ_BASE = {
+    "field": [*FIG3, *GRID, *BUDGET, "--set", "grid.t_values=0.5"],
+    "spa-compare": [*SPA_COMPARE[1:], *BUDGET, "--set", "spa_compare.omega_ladder=60",
+                    "--set", "spa_compare.s_count=5"],
+    "trajectories": [*FIG3, "--set", "trajectories.n=2", "--set", "trajectories.t_final=0.5"],
+    "bloch": [*FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5"],
+    "observables": [*FIG3, *BUDGET, "--set", "observables.times=0.5",
+                    "--set", "observables.trajectory_q0=0.5", "--set", "observables.t_final=0.5"],
+    "barriers": ["--set", "barriers.theta0_values=0.5", "--set", "barriers.x_count=5",
+                 "--set", "barriers.offset_count=5"],
+}
+# Value kinds: tiny, huge, negative, zero, NaN, non-numeric and empty.
+FUZZ_VALUES = ["1e-300", "5e-324", "1e300", "1.7e308", "-1", "-2.5", "0", "-0.0", "nan",
+               "abc", "1,x", ""]
+# Counts at their bounds and just above, for the count keys (n and *_count).
+FUZZ_COUNTS = [str(v) for v in (MAX_GRID_POINTS, MAX_GRID_POINTS + 1,
+                                MAX_ENSEMBLE_SIZE, MAX_ENSEMBLE_SIZE + 1)]
+# Longest a fuzzed run may take; the slowest, a bloch or trajectories run at
+# MAX_ENSEMBLE_SIZE members, took 5-9 s on a 2-core x86-64 host.
+FUZZ_SECONDS = 60
+
+
+class _Overran(BaseException):
+    """Raised by the alarm in a fuzzed run; no handler in main() catches it."""
+
+
+def _keys_read(command: str, out: Path) -> list:
+    """The (section, key) pairs the base run of ``command`` asks RunConfig for."""
+    seen = set()
+    raw = RunConfig._raw
+
+    def recording(self, section, key, default=None):
+        seen.add((section, key))
+        return raw(self, section, key, default)
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()):
+        mp.setattr(RunConfig, "_raw", recording)
+        assert main([command, *FUZZ_BASE[command], "--out", str(out)]) == 0
+    shutil.rmtree(out)
+    return sorted(seen)
+
+
+@pytest.fixture(scope="module")
+def keys_read(tmp_path_factory):
+    root = tmp_path_factory.mktemp("keys")
+    return {command: _keys_read(command, root / command) for command in FUZZ_BASE}
+
+
+def _alarm(signum, frame):
+    raise _Overran
+
+
+# Derandomized: every run draws the same examples, so the suite's time does
+# not depend on which inputs a run happens to draw.
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_random_inputs_keep_the_error_contract(tmp_path, keys_read, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_BASE)), label="command")
+    overrides = []
+    for section, key in data.draw(st.lists(st.sampled_from(keys_read[command]), min_size=1,
+                                           max_size=3, unique=True), label="keys"):
+        counts = FUZZ_COUNTS if key == "n" or key.endswith("_count") else []
+        overrides += ["--set", f"{section}.{key}=" + data.draw(
+            st.sampled_from(FUZZ_VALUES + counts), label=f"{section}.{key}")]
+    seed = data.draw(st.sampled_from([None, "0", "-1", "3", str(2**70)]), label="--seed")
+    out = tmp_path / f"fuzz-{time.monotonic_ns()}"
+    argv = [command, *FUZZ_BASE[command], *overrides, "--out", str(out)]
+    argv += [] if seed is None else ["--seed", seed]
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(FUZZ_SECONDS)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    except _Overran:
+        pytest.fail(f"{argv} ran for over {FUZZ_SECONDS} s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not (out / LOCK_NAME).exists()
+    shutil.rmtree(out, ignore_errors=True)
 
 
 # =============================================================================
@@ -849,32 +966,36 @@ def _scipy_modules_after(code: str) -> list:
 
 
 def test_library_loads_each_scipy_stack_on_first_use():
-    imported, field, ensemble = _scipy_modules_after(
+    imported, ensemble, field = _scipy_modules_after(
         "import numpy as np\n"
         "import diracflow as df\n"
         "stage()\n"
         "fig3 = df.PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)\n"
-        "for t in (0.5, 2.0, 8.0):\n"
-        "    df.evolve_exact_grid(t, np.linspace(-12.7, 12.7, 64), fig3)\n"
-        "stage()\n"
         "df.run_ensemble(2, fig3, 0.5)\n"
         "df.integrate_trajectory(0.3, (0.0, 0.5), df.SchrodingerField(10.0))\n"
         "df.find_bifurcation(fig3, 8.0, 0.5)\n"
+        "stage()\n"
+        "for t in (0.5, 2.0, 8.0):\n"
+        "    df.evolve_exact_grid(t, np.linspace(-12.7, 12.7, 64), fig3)\n"
         "stage()\n")
     assert not imported
+    # The ensemble draw's ndtri is specfun's own; SPA trajectories load nothing.
+    assert not ensemble
     assert "scipy.special" in field and "scipy.integrate" not in field
-    # Trajectories need only scipy.special's ndtri for the ensemble draw.
-    assert "scipy.special" in ensemble and "scipy.integrate" not in ensemble
 
 
 def test_benchmark_grids_load_no_scipy(tmp_path):
     # The benchmark's field grids take the momentum route, which needs no
     # Bessel function: the seven evolve_exact_grid cases (unshifted and
-    # shifted by one spacing) and the field command on its FIG3 grid.  A
+    # shifted by one spacing) and the field command on its FIG3 grid.  Its
+    # SPA ensembles, trajectories and bloch, draw with specfun's ndtri.  A
     # wide grid still takes the Bessel route, which loads scipy.special.
     field = ["field", *FIG3, "--set", "grid.t_values=0.5,2.0", "--set", "grid.s_min=-7.75",
              "--set", "grid.s_max=8.25", "--set", "grid.s_count=64",
              "--out", str(tmp_path / "run")]
+    ensembles = [[command, "--seed", "1016164991", *FIG3, "--set", f"{command}.n=8",
+                  "--set", f"{command}.t_final=8.0", "--out", str(tmp_path / command)]
+                 for command in ("trajectories", "bloch")]
     grids, wide = _scipy_modules_after(
         "import numpy as np\n"
         "import diracflow as df\n"
@@ -890,6 +1011,8 @@ def test_benchmark_grids_load_no_scipy(tmp_path):
         "    for shift in (0.0, s[1] - s[0]):\n"
         "        df.evolve_exact_grid(t, s + shift, data)\n"
         f"assert main({field!r}) == 0\n"
+        f"assert main({ensembles[0]!r}) == 0\n"
+        f"assert main({ensembles[1]!r}) == 0\n"
         "stage()\n"
         "s = np.linspace(-40.0, 40.0, 64)\n"
         "route, _ = dirac_exact._route_and_panels(0.5, s, fig3, df.QuadConfig())\n"
@@ -912,21 +1035,16 @@ def test_cli_runs_without_scipy(tmp_path, args, code):
     assert not loaded
 
 
-@pytest.mark.parametrize("args, loads_special", [
-    (["trajectories", *FIG3, "--set", "trajectories.n=2", "--set", "trajectories.t_final=0.5"],
-     True),
-    (["bloch", *FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5"], True),
+@pytest.mark.parametrize("args", [
+    ["trajectories", *FIG3, "--set", "trajectories.n=2", "--set", "trajectories.t_final=0.5"],
+    ["bloch", *FIG3, "--set", "bloch.n=2", "--set", "bloch.t_final=0.5"],
     # Its EXACT trajectory's field points take only the momentum route.
-    (["observables", *FIG3, "--set", "observables.trajectory_q0=0.5",
-      "--set", "observables.t_final=0.5", "--set", "observables.field=EXACT"], False),
+    ["observables", *FIG3, "--set", "observables.trajectory_q0=0.5",
+     "--set", "observables.t_final=0.5", "--set", "observables.field=EXACT"],
 ], ids=["trajectories", "bloch", "observables"])
-def test_cli_integrates_without_scipy_integrate(tmp_path, args, loads_special):
+def test_cli_integrates_without_scipy_integrate(tmp_path, args):
     (loaded,) = _scipy_modules_after(
         "from diracflow.cli import main\n"
         f"assert main({[*args, '--out', str(tmp_path / 'run')]!r}) == 0\n"
         "stage()\n")
-    assert "scipy.integrate" not in loaded
-    if loads_special:  # for the ensemble draw's ndtri
-        assert "scipy.special" in loaded
-    else:
-        assert not loaded
+    assert not loaded

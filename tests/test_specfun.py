@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from diracflow import DomainError, bessel_j0, bessel_j1, j0_eval, j0_first_zero, j1_eval
+from diracflow.specfun import ndtri
 
 from _oracles import j0_quadrature, j1_quadrature
 
@@ -95,3 +99,70 @@ def test_non_finite_inputs_rejected():
             bessel_j1(bad)
     with pytest.raises(DomainError):
         bessel_j0(np.array([1.0, np.nan]))
+
+
+# =============================================================================
+# ndtri: bit for bit against scipy.special.ndtri (the same Cephes routine)
+# =============================================================================
+
+def assert_ndtri_is_scipys(ys):
+    ys = np.asarray(ys, dtype=float)
+    assert np.array_equal(np.array([ndtri(y) for y in ys]), special.ndtri(ys), equal_nan=True)
+
+
+def _log_uniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+
+EXP_M2 = 0.13533528323661269189  # Cephes' exp(-2): the centre fit's edge
+EXP_M32 = math.exp(-32.0)  # sqrt(-2 ln y) = 8: where the tail fits switch
+
+
+def test_ndtri_centre_branch_is_scipys():
+    rng = np.random.default_rng(170)
+    assert_ndtri_is_scipys(rng.uniform(EXP_M2, 1.0 - EXP_M2, 100_000))
+
+
+def test_ndtri_near_tail_branch_is_scipys():
+    # Both tails between exp(-32) and exp(-2); the upper one as 1 - y.
+    rng = np.random.default_rng(171)
+    tail = _log_uniform(rng, EXP_M32, EXP_M2, 100_000)
+    assert_ndtri_is_scipys(np.concatenate([tail, 1.0 - tail]))
+
+
+def test_ndtri_far_tail_branch_is_scipys():
+    # The lower tail down through the subnormals, and every double in
+    # [1 - exp(-32), 1) (1 - y takes about a hundred values there).
+    rng = np.random.default_rng(172)
+    below_one = 1.0 - np.arange(1, 115) * 2.0**-53
+    assert_ndtri_is_scipys(np.concatenate([
+        _log_uniform(rng, 5e-324, EXP_M32, 100_000),
+        [5e-324, 1e-320, 2.2250738585072014e-308, 2.2250738585072009e-308], below_one]))
+    assert 1.0 - below_one[-1] < EXP_M32 < 115 * 2.0**-53
+
+
+@pytest.mark.parametrize("edge", [EXP_M2, 1.0 - EXP_M2, EXP_M32, 1.0 - EXP_M32, 0.5],
+                         ids=["exp(-2)", "1-exp(-2)", "exp(-32)", "1-exp(-32)", "half"])
+def test_ndtri_branch_edges_are_scipys(edge):
+    # The edge and 64 neighbouring doubles on each side.
+    ys = [edge]
+    for direction in (0.0, 1.0):
+        y = edge
+        for _ in range(64):
+            y = float(np.nextafter(y, direction))
+            ys.append(y)
+    assert_ndtri_is_scipys(ys)
+
+
+def test_ndtri_ends_and_out_of_range():
+    assert ndtri(0.0) == -math.inf and ndtri(-0.0) == -math.inf
+    assert ndtri(1.0) == math.inf
+    assert ndtri(0.5) == 0.0
+    for bad in (-5e-324, -1.0, float(np.nextafter(1.0, 2.0)), 2.0, math.inf, -math.inf, math.nan):
+        assert math.isnan(ndtri(bad))
+    assert_ndtri_is_scipys([0.0, -0.0, 1.0, -5e-324, -1.0, 1.0 + 2.0**-52, 2.0,
+                            math.inf, -math.inf, math.nan])
+
+
+def test_ndtri_returns_a_python_float():
+    assert type(ndtri(np.float64(0.3))) is float

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import RK45, OdeSolution, solve_ivp
+from scipy.special import ndtri as scipy_ndtri
 
 from diracflow import (
     LEFT,
@@ -293,6 +294,23 @@ def test_ensemble_seed_changes_draws(fig3_packet):
     trajs_a, _ = run_ensemble(4, fig3_packet, 1.0, field_mode="SPA", seed=1)
     trajs_b, _ = run_ensemble(4, fig3_packet, 1.0, field_mode="SPA", seed=2)
     assert any(a.q0 != b.q0 for a, b in zip(trajs_a, trajs_b))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 2, 2**64 + 3])
+def test_ensemble_draws_are_scipys_ndtri(seed):
+    # q0 = sigma * ndtri(u) with the u each member's (seed, index) stream
+    # draws first: the Cephes transcription gives scipy's bits.
+    data = PacketParams(sigma=0.7, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    trajs, _ = run_ensemble(8, data, 0.05, field_mode="SPA", seed=seed)
+    u = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).random()
+         for i in range(8)]
+    assert [t.q0 for t in trajs] == [float(0.7 * scipy_ndtri(x)) for x in u]
+
+
+@pytest.mark.parametrize("seed", [-1, -2**40, 1.5, "3"], ids=["-1", "-2**40", "float", "str"])
+def test_ensemble_rejects_a_bad_seed(fig3_packet, seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        run_ensemble(2, fig3_packet, 1.0, field_mode="SPA", seed=seed)
 
 
 @pytest.mark.parametrize("n", [0, MAX_ENSEMBLE_SIZE + 1])
