@@ -368,7 +368,7 @@ def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     s = cfg.get_grid("grid", "s", cfg.get_float("grid", "s_min"))
     blocks = []
     failures = []
-    with writer.phase("field"):
+    with writer.phase("field"), _warnings_to_stderr():
         for t in t_values:
             try:
                 psi, err = evolve_exact_grid(t, s, data, quad)
@@ -540,7 +540,7 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     if q0 is not None:
         from .trajectories import integrate_trajectory
         undefined = (float("nan"),) * 3
-        with writer.phase("trajectory"):
+        with writer.phase("trajectory"), _warnings_to_stderr():
             traj = integrate_trajectory(q0, (0.0, t_final), fieldh, tol=1e-8)
             samples = []
             for t, s in zip(traj.times, traj.positions):
@@ -557,8 +557,10 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     theta_values = cfg.get_floats(sec, "theta0_values")
     if not theta_values:
         raise ValidationError("[barriers] needs theta0_values")
-    if not all(0.0 < theta0 < np.pi for theta0 in theta_values):
-        raise ValidationError(f"[barriers] theta0_values must lie in (0, pi), got {theta_values}")
+    # ln tan(theta0 / 2) is -inf where theta0 / 2 rounds to 0.
+    if not all(0.0 < theta0 / 2 and theta0 < np.pi for theta0 in theta_values):
+        raise ValidationError(f"[barriers] theta0_values must lie in (0, pi), with theta0 / 2 > 0, "
+                              f"got {theta_values}")
     a_omegas = cfg.get_floats(sec, "a_omegas", [1.0, 3.7, 10.0])
     x = cfg.get_grid(sec, "x", cfg.get_float(sec, "x_min", 0.2), 5.0, 50)
     offsets = cfg.get_grid(sec, "offset", 0.0, 3.0, 50)
@@ -567,7 +569,7 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
                               f"got {x.size} * {offsets.size}")
     reports = []
     blocks = []
-    with writer.phase("barriers"):
+    with writer.phase("barriers"), _warnings_to_stderr():
         for theta0 in theta_values:
             spec = barrier_curves(theta0)
             report = barrier_check(spec, a_omegas, x, offsets)

@@ -40,7 +40,8 @@ field evaluation over (t, s) grids vectorizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, hypot, pi, sqrt, ulp
+from functools import lru_cache
+from math import ceil, cos, frexp, hypot, ldexp, pi, sin, sqrt, ulp
 from typing import Tuple
 
 import numpy as np
@@ -48,7 +49,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError
 from .packets import PacketParams, Spinor, gaussian_amplitude, spinor_amplitudes
-from .quadrature import _GL_ORDER, _PANEL_NODES, _gk_rule, integrate_panels
+from .quadrature import _GL_ORDER, _PANEL_NODES, _gk_rule, _layout, integrate_panels
 
 __all__ = [
     "QuadConfig",
@@ -287,6 +288,141 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
 # spectrum e^{-sigma^2 u^2} leaves e^{-64} ~ 1.6e-28 of its peak outside it.
 _K_WINDOW = 8.0
 _EPS = float(np.finfo(float).eps)
+# The momentum route's plans of the last _PLAN_CACHE_SIZE packets used, and
+# their node tables of up to _PLAN_CACHE_NODES nodes, the last
+# _PLAN_CACHE_SIZE used: with 32 bytes per node (the shift factor and three
+# rows), the tables keep at most 4 MiB between calls.  Larger passes, whose
+# integrand cost dwarfs their table's, build each chunk's values per call.
+_PLAN_CACHE_NODES = 2**13
+_PLAN_CACHE_SIZE = 16
+# Dekker's splitter 2^27 + 1: a double times it splits into two halves of
+# at most 26 significant bits, whose products are exact.
+_SPLITTER = 134217729.0
+
+
+def _two_product_tail(a, b, p):
+    """a b - p for p = fl(a b), exactly (Dekker, Numer. Math. 18, 1971); elementwise.
+
+    Exact where neither split overflows (|a|, |b| < 2^996) and no partial
+    product underflows; callers scale a and b into [0.5, 1) first.
+    """
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    c = _SPLITTER * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _square_residual(k, m, e):
+    """k^2 + m^2 - e^2 for e = hypot(k, m) in [0.5, 1), from exact parts; elementwise.
+
+    The squares' tails are Dekker's and the rounding of their sum is
+    Knuth's TwoSum; k^2 + m^2 is within a factor 2 of e^2, so their leading
+    difference is exact (Sterbenz).  A square that underflows is below
+    e^2 eps^2.  The result is good to a relative eps.
+    """
+    kk, mm, ee = k * k, m * m, e * e
+    total = kk + mm
+    z = total - kk
+    tail = (kk - (total - z)) + (mm - z)
+    return ((total - ee) + tail) + ((_two_product_tail(k, k, kk) + _two_product_tail(m, m, mm))
+                                    - _two_product_tail(e, e, ee))
+
+
+@dataclass(frozen=True, eq=False)
+class _KspacePlan:
+    """What the momentum route needs of one packet, at any (t, s); see ``_kspace_plan``."""
+
+    k0: float
+    mass: float
+    half: float  # the window's half-width 8 / sigma
+    neg_sigma2: float
+    scale: float  # phi_hat's constant over 2 pi
+    energy0: float  # E0 = hypot(k0, m) as a double, = frac 2^exp with frac in [0.5, 1)
+    energy0_frac: float
+    energy0_exp: int
+    energy0_excess: float  # sqrt(k0^2 + m^2) - E0
+    k_edge_ulp: float  # spacing of the window's far edge |k0| + 8 / sigma
+    e_edge: float  # E and |v| = |k| / E at that edge
+    v_edge: float
+    # (6, 8) real: the rows of c, twice, as (Re, Im) of both components and
+    # of i times them; a call rotates them by E0 t.
+    coeffs: np.ndarray
+
+    def energy_phase(self, t: float):
+        """E0 t as the double fl(E0 t), and sqrt(k0^2 + m^2) t - fl(E0 t).
+
+        The second is E0 t's rounding, exact from Dekker's product of the
+        factors scaled into [0.5, 1), plus t times E0's own rounding.
+        """
+        t_frac, t_exp = frexp(t)
+        tail = _two_product_tail(self.energy0_frac, t_frac, self.energy0_frac * t_frac)
+        return self.energy0 * t, ldexp(tail, self.energy0_exp + t_exp) + t * self.energy0_excess
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _kspace_plan(data: PacketParams) -> _KspacePlan:
+    """The momentum route's constants of one packet, made once.  Needs m > 0."""
+    cm, cp = spinor_amplitudes(data)
+    sigma, k0, m = data.sigma, data.k0, data.mass
+    half = _K_WINDOW / sigma
+    scale = 2 * sigma * sqrt(pi) * (2 * pi * sigma**2) ** -0.25 / (2 * pi)
+    energy0 = hypot(k0, m)
+    # E0's rounding sqrt(k0^2 + m^2) - E0 = r / (2 E0), to a relative eps,
+    # from the residual r = k0^2 + m^2 - E0^2, at the scale 2^-exp of E0.
+    frac, exp = frexp(energy0)
+    r = _square_residual(ldexp(k0, -exp), ldexp(m, -exp), frac)
+    k_edge = abs(k0) + half
+    e_edge = hypot(k_edge, m)
+    # The rows of c against g (cos(E t), sin(E t) k / E, sin(E t) / E); see
+    # _kspace_grid.
+    c = [[cm, cp, 1j * cm, 1j * cp],
+         [-1j * cm, 1j * cp, cm, -cp],
+         [-1j * m * cp, -1j * m * cm, m * cp, m * cm]]
+    return _KspacePlan(
+        k0=k0, mass=m, half=half, neg_sigma2=-sigma * sigma, scale=scale,
+        energy0=energy0, energy0_frac=frac, energy0_exp=exp,
+        energy0_excess=ldexp(r / (2 * frac), exp),
+        k_edge_ulp=ulp(k_edge), e_edge=e_edge, v_edge=k_edge / e_edge,
+        coeffs=np.array(c + c).view(float))
+
+
+def _build_node_table(plan: _KspacePlan, n_panels: int, centre):
+    """The (4, N) node table of the panels centred at ``centre``, in a pass of n_panels.
+
+    Its rows at the nodes u = c_p + o_r are the shift factor
+    u (2 k0 + u) / (E + E0), in halves, which stay finite for any k0, and
+    g, g k / E and g / E with g = e^{-sigma^2 u^2}.
+    """
+    offset = (plan.half / n_panels) * _gk_rule()[0]
+    u = (centre[:, None] + offset).ravel()
+    k = plan.k0 + u
+    energy = np.hypot(k, plan.mass)
+    table = np.empty((4, u.size))
+    np.multiply(u, (plan.k0 + 0.5 * u) / (0.5 * energy + 0.5 * plan.energy0), out=table[0])
+    np.exp(plan.neg_sigma2 * (u * u), out=table[1])
+    np.divide(table[1], energy, out=table[3])
+    np.multiply(table[3], k, out=table[2])
+    return table
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _cached_node_table(plan: _KspacePlan, n_panels: int):
+    """``_build_node_table`` of a whole pass, read-only and shared by every call."""
+    nodes, _ = _layout(-plan.half, plan.half, n_panels)
+    table = _build_node_table(plan, n_panels, nodes[_GL_ORDER::_PANEL_NODES])
+    table.flags.writeable = False
+    return table
+
+
+def _node_table(plan: _KspacePlan, n_panels: int, centre):
+    """``_build_node_table``, sliced from the pass's cached table up to the node cap."""
+    if n_panels * _PANEL_NODES > _PLAN_CACHE_NODES:
+        return _build_node_table(plan, n_panels, centre)
+    # The first panel's index p, from its centre -half + (p + 1/2) 2 half / n_panels.
+    lo = _PANEL_NODES * round((centre[0] + plan.half) / (2 * plan.half) * n_panels - 0.5)
+    return _cached_node_table(plan, n_panels)[:, lo:lo + _PANEL_NODES * centre.size]
 
 
 def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
@@ -307,27 +443,12 @@ def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
     longer moves by x / 2, and the rule now also refuses inputs the route
     would compute to 1e-14.
     """
-    half = _K_WINDOW / data.sigma
-    k_edge = abs(data.k0) + half
+    plan = _kspace_plan(data)
     reach = float(np.abs(s_arr).max(initial=0.0))
-    x = ulp(k_edge) * (reach + t)
-    e_edge = hypot(k_edge, data.mass)
-    if not (x * x <= max(q.rel_tol, _EPS) and np.isfinite(e_edge * t)):
+    x = plan.k_edge_ulp * (reach + t)
+    if not (x * x <= max(q.rel_tol, _EPS) and np.isfinite(plan.e_edge * t)):
         return np.inf
-    v_edge = k_edge / e_edge
-    return _initial_panels(reach + t * v_edge, 2 * half)
-
-
-def _rounded_phase(energy0: float, k0: float, m: float, t: float):
-    """E0 t as the double ``energy0 * t`` and that double's error, from 34 digits."""
-    # Imported here, so that ``import diracflow`` loads no module for it.
-    from decimal import Decimal, localcontext
-
-    phase = energy0 * t
-    with localcontext() as ctx:
-        ctx.prec = 34
-        exact = (Decimal(k0) ** 2 + Decimal(m) ** 2).sqrt() * Decimal(t)
-        return phase, float(exact - Decimal(phase))
+    return _initial_panels(reach + t * plan.v_edge, 2 * plan.half)
 
 
 def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
@@ -346,16 +467,19 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     each node's shift by angle addition.  The shift comes from u, so the
     rounding of k0 + u, up to half a spacing of |k0| + 8 / sigma, no longer
     moves the phase by that spacing times t.  The shift also carries the
-    rounding error of E0 t as a double (``_rounded_phase``), which would
-    otherwise move every node's phase alike by up to ulp(E0 t).
+    rounding error of E0 t as a double (``_KspacePlan.energy_phase``),
+    which would otherwise move every node's phase alike by up to ulp(E0 t).
+
+    Everything that t and s do not change is made once per packet
+    (``_kspace_plan``) and, per panel count, once per pass's nodes
+    (``_node_table``): the shift factor and the rows g, g k / E and g / E.
+    A call forms the rest: E0 t and its error, cos and sin of each node's
+    shift, the rows times them, and the plane-wave bases of its positions.
     """
-    cm, cp = spinor_amplitudes(data)
-    sigma, k0, m = data.sigma, data.k0, data.mass
-    half = _K_WINDOW / sigma
-    scale = 2 * sigma * sqrt(pi) * (2 * pi * sigma**2) ** -0.25 / (2 * pi)
-    energy0 = hypot(k0, m)
-    phase0, phase0_err = _rounded_phase(energy0, k0, m, t)
-    cos0, sin0 = scale * float(np.cos(phase0)), scale * float(np.sin(phase0))
+    plan = _kspace_plan(data)
+    half = plan.half
+    phase0, phase0_err = plan.energy_phase(t)
+    cos0, sin0 = plan.scale * cos(phase0), plan.scale * sin(phase0)
     # g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-)
     # is (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times the rows of c,
     # each followed by i times itself.  By angle addition from E0 t and the
@@ -363,12 +487,8 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     # sin k / E, sin / E) of the shift times the rows of ``coeffs``: one
     # real product whose columns are (Re, Im) of both components, then of
     # i times them.
-    c = np.array([[cm, cp, 1j * cm, 1j * cp],
-                  [-1j * cm, 1j * cp, cm, -cp],
-                  [-1j * m * cp, -1j * m * cm, m * cp, m * cm]])
     rotation = np.array([[cos0], [sin0], [sin0], [-sin0], [cos0], [cos0]])
-    coeffs = (rotation * c[[0, 1, 2, 0, 1, 2]]).view(float)
-    neg_sigma2 = -sigma * sigma
+    coeffs = rotation * plan.coeffs
 
     # Each call gets whole panels, so its nodes are u_pr = c_p + o_r with
     # panel centres c_p and in-panel offsets o_r shared by every panel, and
@@ -382,53 +502,46 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     upper, lower = slice(_GL_ORDER + 1, None), slice(_GL_ORDER - 1, None, -1)
     passes = {}
 
-    def offsets_and_basis(panels):
-        """The pass's offsets (33,) and real offset basis (33, n), made on its first chunk."""
+    def offset_basis_of(panels):
+        """The pass's panel count and real offset basis (33, n), made on its first chunk."""
         # The first panel's node span, 2 x_max of its width, names the pass
         # by its panel count.
         base = _gk_rule()[0]
         n_panels = round(2 * half * base[-1] / (panels[0, -1] - panels[0, 0]))
         if n_panels not in passes:
-            offset = (half / n_panels) * base
-            angle = np.outer(offset[upper], s_arr)
+            angle = ((half / n_panels) * base[upper])[:, None] * s_arr
             basis = np.empty((_PANEL_NODES, s_arr.size))
             basis[_GL_ORDER] = 1.0
             np.cos(angle, out=basis[upper])
             np.sin(angle, out=basis[lower])
             passes.clear()
-            passes[n_panels] = offset, basis
-        return passes[n_panels]
+            passes[n_panels] = basis
+        return n_panels, passes[n_panels]
 
     def integrand(nodes):
         panels = nodes.reshape(-1, _PANEL_NODES)
         centre = panels[:, _GL_ORDER]
-        offset, offset_basis = offsets_and_basis(panels)
-        u = (centre[:, None] + offset).ravel()
-        k = k0 + u
-        energy = np.hypot(k, m)
-        # (2 k0 + u) / (E + E0) in halves, which stay finite for any k0.
-        shift = phase0_err + t * u * ((k0 + 0.5 * u) / (0.5 * energy + 0.5 * energy0))
-        g = np.exp(neg_sigma2 * (u * u))
-        rows = np.empty((u.size, 6))
-        np.multiply(g, np.cos(shift), out=rows[:, 0])
-        np.multiply(g, np.sin(shift), out=rows[:, 3])
-        np.divide(rows[:, 0::3], energy[:, None], out=rows[:, 2::3])
-        np.multiply(rows[:, 2::3], k[:, None], out=rows[:, 1::3])
+        n_panels, offset_basis = offset_basis_of(panels)
+        table = _node_table(plan, n_panels, centre)
+        shift = phase0_err + t * table[0]
+        rows = np.empty((6, nodes.size))
+        np.multiply(table[1:], np.cos(shift), out=rows[:3])
+        np.multiply(table[1:], np.sin(shift), out=rows[3:])
         # The kernel and i times it, as (panel, offset, (Re, Im) of both
         # components), folded into a + b and i (a - b).
-        both = (rows @ coeffs).reshape(panels.shape + (8,))
+        both = (rows.T @ coeffs).reshape(panels.shape + (8,))
         kernel = np.empty(panels.shape + (4,))
         kernel[:, _GL_ORDER] = both[:, _GL_ORDER, :4]
         np.add(both[:, upper, :4], both[:, lower, :4], out=kernel[:, upper])
         np.subtract(both[:, upper, 4:], both[:, lower, 4:], out=kernel[:, lower])
-        kernel = kernel.reshape(u.size, 4).view(complex)
-        angle = np.outer(centre, s_arr)
+        kernel = kernel.reshape(nodes.size, 4).view(complex)
+        angle = centre[:, None] * s_arr
         panel_basis = np.empty(angle.shape, dtype=complex)
         np.cos(angle, out=panel_basis.real)
         np.sin(angle, out=panel_basis.imag)
         return kernel, panel_basis, offset_basis
 
-    phase = np.exp(1j * k0 * s_arr)
+    phase = np.exp(1j * plan.k0 * s_arr)
 
     def assemble(value, err):
         return Spinor(minus=value[0] * phase, plus=value[1] * phase), err

@@ -258,8 +258,8 @@ def xy_ode_velocity(x, y, theta0: float, a_omega: float):
     with eta = tan(theta0 / 2); equal to the SPA velocity under
     x = sqrt(v0) t / sigma, y = sqrt(v0) s / sigma, a_omega = 2 sigma E0 omega / sqrt(v0).
     """
-    if not (0.0 < theta0 < np.pi):
-        raise DomainError("theta0 must lie in (0, pi)")
+    if not (0.0 < theta0 / 2 and theta0 < np.pi):
+        raise DomainError("theta0 must lie in (0, pi), with theta0 / 2 > 0")
     u = np.asarray(x) * np.asarray(y) - np.log(np.tan(theta0 / 2))
     return np.cos(theta0) * np.tanh(u) + np.sin(theta0) * (1.0 / np.cosh(u)) * np.cos(
         a_omega * np.asarray(x))
@@ -734,8 +734,8 @@ def barrier_curves(theta0: float) -> BarrierSpec:
     diverge (the oscillatory term dominates at every y), and at pi/4 the
     upper hyperbola degenerates to xy = 0 exactly.
     """
-    if not (0.0 < theta0 < np.pi):
-        raise DomainError("theta0 must lie in (0, pi)")
+    if not (0.0 < theta0 / 2 and theta0 < np.pi):
+        raise DomainError("theta0 must lie in (0, pi), with theta0 / 2 > 0")
     log_eta = np.log(np.tan(theta0 / 2))
     if theta0 == np.pi / 2:
         return BarrierSpec(theta0=theta0, c_plus=np.inf, c_minus=-np.inf)

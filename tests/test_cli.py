@@ -778,6 +778,26 @@ def test_huge_t_final_warns_through_diracflow_lines(tmp_path):
     assert not (out / LOCK_NAME).exists()
 
 
+@pytest.mark.parametrize("args, code", [
+    (["field", *FIG3, "--set", "grid.t_values=0.5", "--set", "grid.s_min=-5",
+      "--set", "grid.s_max=1e300", "--set", "grid.s_count=7"], 0),
+    (["observables", *FIG3, "--set", "observables.trajectory_q0=0.3",
+      "--set", "observables.t_final=1e300"], 0),
+    (["barriers", "--set", "barriers.theta0_values=0.5", "--set", "barriers.x_max=1e300"], 0),
+    (["barriers", "--set", "barriers.theta0_values=5e-324"], 2),
+], ids=["field-far-grid", "observables-huge-t-final", "barriers-huge-x", "barriers-tiny-theta0"])
+def test_numpy_warnings_reach_stderr_as_diracflow_lines(tmp_path, args, code):
+    # Overflows on runs that finish reach stderr as diracflow lines, not as
+    # a RuntimeWarning with its source path.  A theta0 whose half rounds to
+    # 0, where ln tan(theta0 / 2) is -inf, is rejected.
+    out = tmp_path / "run"
+    proc = run_cli_subprocess(out, args)
+    assert proc.returncode == code, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and ".py:" not in proc.stderr
+    assert all(line.startswith("diracflow: ") for line in proc.stderr.splitlines())
+    assert not (out / LOCK_NAME).exists()
+
+
 # =============================================================================
 # bloch
 # =============================================================================
@@ -987,9 +1007,10 @@ def test_library_loads_each_scipy_stack_on_first_use():
 def test_benchmark_grids_load_no_scipy(tmp_path):
     # The benchmark's field grids take the momentum route, which needs no
     # Bessel function: the seven evolve_exact_grid cases (unshifted and
-    # shifted by one spacing) and the field command on its FIG3 grid.  Its
-    # SPA ensembles, trajectories and bloch, draw with specfun's ndtri.  A
-    # wide grid still takes the Bessel route, which loads scipy.special.
+    # shifted by one spacing) and the field command on its FIG3 grid; they
+    # take E0 t's rounding without the decimal module either.  Its SPA
+    # ensembles, trajectories and bloch, draw with specfun's ndtri.  A wide
+    # grid still takes the Bessel route, which loads scipy.special.
     field = ["field", *FIG3, "--set", "grid.t_values=0.5,2.0", "--set", "grid.s_min=-7.75",
              "--set", "grid.s_max=8.25", "--set", "grid.s_count=64",
              "--out", str(tmp_path / "run")]
@@ -1011,6 +1032,7 @@ def test_benchmark_grids_load_no_scipy(tmp_path):
         "    for shift in (0.0, s[1] - s[0]):\n"
         "        df.evolve_exact_grid(t, s + shift, data)\n"
         f"assert main({field!r}) == 0\n"
+        "assert 'decimal' not in sys.modules\n"
         f"assert main({ensembles[0]!r}) == 0\n"
         f"assert main({ensembles[1]!r}) == 0\n"
         "stage()\n"

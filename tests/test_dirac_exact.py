@@ -1,4 +1,9 @@
+import decimal
+import gc
+import math
 import warnings
+import weakref
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ from diracflow import (
     spherical_cut,
 )
 from diracflow.packets import spinor_amplitudes
-from diracflow.quadrature import integrate_panels
+from diracflow.quadrature import _GL_ORDER, _PANEL_NODES, integrate_panels
 from diracflow.spa import SpaParams, spa_spinor_grid
 
 from _oracles import dirac_spectral
@@ -96,6 +101,7 @@ def test_matches_spectral_propagator():
 
 
 FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+EPS = float(np.finfo(float).eps)
 FIG3_V0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
 
 
@@ -344,6 +350,94 @@ def test_layout_cache_keeps_field_bits_property(sigma, k0, mass, theta0, omega0,
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_layout_cache_transparent(
             t, np.linspace(-6.0 * sigma - t, 6.0 * sigma + t, n), data, monkeypatch)
+
+
+def clear_momentum_plans():
+    dirac_exact._kspace_plan.cache_clear()
+    dirac_exact._cached_node_table.cache_clear()
+
+
+@pytest.mark.parametrize("case", ["fig3", "ladder"])
+def test_momentum_plan_keeps_field_bits(case, monkeypatch):
+    # A call that builds the packet's plan and node tables, one that finds
+    # them cached, and one that builds each chunk's table itself give the
+    # same psi and err, bit for bit.  FIG3 at t = 8 takes 27 panels in two
+    # chunks of 15 and 12, so its second chunk is sliced from the table.
+    if case == "fig3":
+        v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
+        cases = [(t, np.linspace(-(v0 * t + 5.0), v0 * t + 5.0, 64), FIG3)
+                 for t in (0.5, 2.0, 8.0)]
+    else:
+        cases = [(1.0, np.linspace(-1.5, 1.5, 33), PacketParams.macroscopic(0.2, 1.0, omega))
+                 for omega in (50.0, 400.0)]
+    for t, s, data in cases:
+        assert route_of(t, s, data) is dirac_exact._kspace_grid
+        clear_momentum_plans()
+        cold = field_bytes(t, s, data)
+        assert dirac_exact._cached_node_table.cache_info().currsize > 0
+        warm = field_bytes(t, s, data)
+        with monkeypatch.context() as m:
+            m.setattr(dirac_exact, "_PLAN_CACHE_NODES", 0)
+            uncached = field_bytes(t, s, data)
+        assert cold == warm == uncached
+
+
+def test_momentum_plan_cache_stays_within_its_budget():
+    # Many packets, each with a pass at the node cap and one just above it:
+    # the cache keeps at most _PLAN_CACHE_SIZE plans, and the node tables
+    # still alive afterwards (those it keeps) hold at most 4 MiB, read-only.
+    clear_momentum_plans()
+    at_cap = dirac_exact._PLAN_CACHE_NODES // _PANEL_NODES
+    refs = []
+    for j in range(3 * dirac_exact._PLAN_CACHE_SIZE):
+        plan = dirac_exact._kspace_plan(
+            PacketParams(sigma=1.0 + j, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0))
+        for n_panels in (at_cap, at_cap + 1):
+            nodes, _ = quadrature._layout(-plan.half, plan.half, n_panels)
+            table = dirac_exact._node_table(plan, n_panels, nodes[_GL_ORDER::_PANEL_NODES])
+            assert table.shape == (4, nodes.size)
+            refs.append(weakref.ref(table if table.base is None else table.base))
+    del table
+    gc.collect()
+    kept = [r() for r in refs if r() is not None]
+    assert len(kept) == dirac_exact._PLAN_CACHE_SIZE
+    assert all(not table.flags.writeable for table in kept)
+    assert sum(table.nbytes for table in kept) <= 4 * 2**20
+    assert dirac_exact._kspace_plan.cache_info().currsize == dirac_exact._PLAN_CACHE_SIZE
+
+
+def test_phase_error_matches_34_digit_decimal():
+    # E t - fl(E0 t), with E = sqrt(k0^2 + m^2) exactly and E0 = hypot(k0, m),
+    # against 34-digit decimal arithmetic.  It is at most 1.5 ulp(E0 t), so
+    # its own rounding allows 2 eps ulp(E0 t).
+    rng = np.random.default_rng(18)
+    n = 2000
+    k0s = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 16.0, n)
+    k0s[:20] = 0.0
+    masses = 10.0 ** rng.uniform(-3.0, 9.0, n)
+    times = 10.0 ** rng.uniform(-3.0, 6.0, n)
+    for k0, m, t in zip(k0s.tolist(), masses.tolist(), times.tolist()):
+        plan = dirac_exact._kspace_plan(
+            PacketParams(sigma=1.0, k0=k0, theta0=np.pi / 2, omega0=0.0, mass=m))
+        phase, err = plan.energy_phase(t)
+        assert phase == math.hypot(k0, m) * t
+        with decimal.localcontext() as ctx:
+            ctx.prec = 34
+            exact = (Decimal(k0) ** 2 + Decimal(m) ** 2).sqrt() * Decimal(t)
+            want = float(exact - Decimal(phase))
+        assert abs(err - want) <= 2 * EPS * math.ulp(phase), (k0, m, t)
+
+
+def test_error_free_parts_work_elementwise():
+    # The same expressions on arrays give each element's scalar result.
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0.5, 1.0, (2, 50))
+    k, m = rng.uniform(0.0, 0.7, (2, 50))
+    e = np.hypot(k, m)
+    scalar = [(dirac_exact._two_product_tail(x, y, x * y), dirac_exact._square_residual(p, q, r))
+              for x, y, p, q, r in zip(a.tolist(), b.tolist(), k.tolist(), m.tolist(), e.tolist())]
+    arrays = zip(dirac_exact._two_product_tail(a, b, a * b), dirac_exact._square_residual(k, m, e))
+    assert [tuple(map(float, pair)) for pair in arrays] == scalar
 
 
 def test_bessel_error_bound_combines_the_theta_residuals(monkeypatch):
