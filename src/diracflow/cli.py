@@ -50,6 +50,7 @@ from .packets import (
     expected_energy,
     expected_momentum,
     make_initial_packet,
+    momentum_band,
     spa_regime_report,
     truncation_half_width,
 )
@@ -522,6 +523,7 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
             raise ValidationError(f"[observables] t_final must be > 0, got {t_final!r}")
         fieldh = _make_field(data, mode, quad)
     payload: dict = {"times": times, "momentum": {}, "energy_t0": None}
+    band = momentum_band(data)
     with writer.phase("expectations"):
         for t in times:
             if t == 0:
@@ -530,10 +532,10 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
                 def fn(s, tt=t):
                     return evolve_exact_grid(tt, s, data, quad)[0]
             half = truncation_half_width(data, t)
-            payload["momentum"][repr(float(t))] = expected_momentum(fn, quad_tol, half)
+            payload["momentum"][repr(float(t))] = expected_momentum(fn, quad_tol, half, band)
         payload["energy_t0"] = expected_energy(
             make_initial_packet(data), data.mass, quad_tol,
-            truncation_half_width(data, 0.0))
+            truncation_half_width(data, 0.0), band)
         payload["energy_t0_analytic"] = (
             data.k0 * np.cos(data.theta0)
             + data.mass * np.sin(data.theta0) * np.cos(data.omega0))
@@ -547,7 +549,12 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
                 v, p, e = _bohmian_or_none(fieldh.spinor(t, s), data.mass) or undefined
                 samples.append({"t": t, "q": s, "v": v, "p": p, "E": e})
             payload["trajectory"] = {"q0": q0, "field": mode.upper(),
-                                     "samples": samples}
+                                     "node_events": len(traj.node_events), "samples": samples}
+        n_undefined = sum(not np.isfinite([x["v"], x["p"], x["E"]]).all() for x in samples)
+        if traj.node_events or n_undefined:
+            print(f"diracflow: warning: the trajectory met {len(traj.node_events)} node events and "
+                  f"{n_undefined} of its {len(samples)} samples have undefined v, p or E",
+                  file=sys.stderr)
     writer.write_json("observables.json", "observables", payload)
     return 0
 

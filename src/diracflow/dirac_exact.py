@@ -22,9 +22,9 @@ at most twice the Bessel route's panels (``_route_and_panels``):
   Gaussian spectrum, k0 +- 8/sigma (see ``_kspace_grid``).  Its phase grows
   with |s| + t, not with w, so it runs on the macroscopic ladder, at single
   points near the packets and on grids over both FIG3 packets
-  (|s| <= v0 t + 5 sigma, 1.0 to 1.6 times the Bessel count).  Wider grids,
-  and far positions, whose count is inf, stay on the Bessel route.  The
-  momentum route needs no Bessel function, so it loads no scipy module.
+  (|s| <= v0 t + 5 sigma, 1.0 to 1.6 times the Bessel count), at any k0.
+  Wider grids and far positions stay on the Bessel route.  The momentum
+  route needs no Bessel function, so it loads no scipy module.
 
 * ``evolve_exact_spherical`` rewrites the kernels through their integral
   representation as a 2D quadrature over the unit sphere, with the polar
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, cos, frexp, hypot, ldexp, pi, sin, sqrt, ulp
+from math import ceil, cos, frexp, hypot, ldexp, pi, sin, sqrt
 from typing import Tuple
 
 import numpy as np
@@ -102,10 +102,13 @@ _NODES_PER_CYCLE = 8.0
 def _initial_panels(rate: float, length: float) -> float:
     """Starting panels: ``_NODES_PER_CYCLE`` Gauss nodes per 2*pi of phase, at least 8.
 
-    A whole number as a float, inf where the phase overflows, so that
-    ``_route_and_panels`` can compare the counts of both routes for any input.
+    A whole number as a float, inf only where it exceeds the largest double
+    (the rate is scaled by 1/16 and the count back by 16, both exactly, so
+    nothing overflows before the count does), so that ``_route_and_panels``
+    can compare both routes' counts for any input.
     """
-    return max(8.0, float(np.ceil(_NODES_PER_CYCLE * rate * length / (2 * np.pi * _GL_ORDER))))
+    phase_per_panel = 2 * np.pi * _GL_ORDER / _NODES_PER_CYCLE
+    return max(8.0, float(np.ceil(16 * (rate / 16 * length / phase_per_panel))))
 
 
 # OpenBLAS runs a real matrix product on one thread up to m n k = 2**18;
@@ -179,7 +182,7 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     if t == 0 or data.mass * t == 0:
         transport_m, transport_p = _transport(t, s_arr, data, *spinor_amplitudes(data))
         return Spinor(minus=transport_m, plus=transport_p), np.zeros((2, s_arr.size))
-    route, n0 = _route_and_panels(t, s_arr, data, q)
+    route, n0 = _route_and_panels(t, s_arr, data)
     return route(t, s_arr, data, q, n0)
 
 
@@ -200,7 +203,7 @@ def evolve_exact(t: float, s: float, data: PacketParams,
 _KSPACE_PANEL_RATIO = 2.0
 
 
-def _route_and_panels(t: float, s_arr, data: PacketParams, q: QuadConfig):
+def _route_and_panels(t: float, s_arr, data: PacketParams):
     """The momentum route if it starts from at most twice the Bessel route's panels.
 
     Returns the route with its starting panel count, which it is handed, so
@@ -208,16 +211,16 @@ def _route_and_panels(t: float, s_arr, data: PacketParams, q: QuadConfig):
     The Bessel route's phase rate is t hypot(m, k0) over theta in [0, pi]:
     it grows with the mass but its integrand is local in s.  The momentum
     route's is |s -+ v(k) t| over a window of width 16 / sigma: it does not
-    grow with the mass but does with the farthest position.  The momentum
-    route runs up to ``_KSPACE_PANEL_RATIO`` times the Bessel count, and
-    never at an inf count.  On grids of tens of positions it costs less per
-    panel, as its plane-wave basis factors over the panels (``_kspace_grid``),
-    and it evaluates no Bessel function, so a run that stays on it never
-    loads scipy.special.
+    grow with the mass but does with the farthest position.  An inf Bessel
+    count means E0 t = t hypot(m, k0) overflows, which neither route
+    integrates; ``_integrate_field`` fails it before evaluating anything.
+    The momentum route costs less per panel on grids of tens of positions
+    (``_kspace_grid``) and evaluates no Bessel function, so a run that stays
+    on it never loads scipy.special.
     """
-    kspace = _kspace_panels(t, s_arr, data, q)
+    kspace = _kspace_panels(t, s_arr, data)
     bessel = _bessel_panels(t, data)
-    if np.isfinite(kspace) and kspace <= _KSPACE_PANEL_RATIO * bessel:
+    if np.isfinite(bessel) and kspace <= _KSPACE_PANEL_RATIO * bessel:
         return _kspace_grid, kspace
     return _bessel_grid, bessel
 
@@ -287,7 +290,6 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
 # Half-width of the momentum window in units of 1/sigma: the Gaussian
 # spectrum e^{-sigma^2 u^2} leaves e^{-64} ~ 1.6e-28 of its peak outside it.
 _K_WINDOW = 8.0
-_EPS = float(np.finfo(float).eps)
 # The momentum route's plans of the last _PLAN_CACHE_SIZE packets used, and
 # their node tables of up to _PLAN_CACHE_NODES nodes, the last
 # _PLAN_CACHE_SIZE used: with 32 bytes per node (the shift factor and three
@@ -343,9 +345,7 @@ class _KspacePlan:
     energy0_frac: float
     energy0_exp: int
     energy0_excess: float  # sqrt(k0^2 + m^2) - E0
-    k_edge_ulp: float  # spacing of the window's far edge |k0| + 8 / sigma
-    e_edge: float  # E and |v| = |k| / E at that edge
-    v_edge: float
+    v_edge: float  # |v| = |k| / E at the window's far edge |k0| + 8 / sigma
     # (6, 8) real: the rows of c, twice, as (Re, Im) of both components and
     # of i times them; a call rotates them by E0 t.
     coeffs: np.ndarray
@@ -374,7 +374,6 @@ def _kspace_plan(data: PacketParams) -> _KspacePlan:
     frac, exp = frexp(energy0)
     r = _square_residual(ldexp(k0, -exp), ldexp(m, -exp), frac)
     k_edge = abs(k0) + half
-    e_edge = hypot(k_edge, m)
     # The rows of c against g (cos(E t), sin(E t) k / E, sin(E t) / E); see
     # _kspace_grid.
     c = [[cm, cp, 1j * cm, 1j * cp],
@@ -384,7 +383,7 @@ def _kspace_plan(data: PacketParams) -> _KspacePlan:
         k0=k0, mass=m, half=half, neg_sigma2=-sigma * sigma, scale=scale,
         energy0=energy0, energy0_frac=frac, energy0_exp=exp,
         energy0_excess=ldexp(r / (2 * frac), exp),
-        k_edge_ulp=ulp(k_edge), e_edge=e_edge, v_edge=k_edge / e_edge,
+        v_edge=k_edge / hypot(k_edge, m),
         coeffs=np.array(c + c).view(float))
 
 
@@ -425,29 +424,14 @@ def _node_table(plan: _KspacePlan, n_panels: int, centre):
     return _cached_node_table(plan, n_panels)[:, lo:lo + _PANEL_NODES * centre.size]
 
 
-def _kspace_panels(t: float, s_arr, data: PacketParams, q: QuadConfig) -> float:
-    """Starting panels of the momentum route, inf where its nodes are too coarse.
+def _kspace_panels(t: float, s_arr, data: PacketParams) -> float:
+    """Starting panels of the momentum route over the window |u| <= 8 / sigma.
 
     The phase of e^{i(u s -+ E t)} changes at the rate |s -+ v(k) t|, at most
     max|s| + t max|v| with |v| = |k| / E largest at the window's far edge.
-    The route is refused (count inf) where x^2 exceeds rel_tol, or machine
-    epsilon if that is larger, with x = spacing(k_edge) (max|s| + t) and
-    k_edge = |k0| + 8 / sigma; that includes a window that rounds away
-    (k0 +- 8 / sigma == k0).  It is also refused where E t at the window's
-    edge overflows a float, so that no node's phase is inf.
-
-    The x^2 rule was made for a kernel that took its phase E t from the
-    rounded momentum k0 + u, which moved each node's phase by up to x / 2,
-    an error the convergence test cannot see.  That premise no longer holds:
-    ``_kspace_grid`` takes the phase's variation from u, so the phase no
-    longer moves by x / 2, and the rule now also refuses inputs the route
-    would compute to 1e-14.
     """
     plan = _kspace_plan(data)
     reach = float(np.abs(s_arr).max(initial=0.0))
-    x = plan.k_edge_ulp * (reach + t)
-    if not (x * x <= max(q.rel_tol, _EPS) and np.isfinite(plan.e_edge * t)):
-        return np.inf
     return _initial_panels(reach + t * plan.v_edge, 2 * plan.half)
 
 
@@ -460,15 +444,13 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     with H(k) = ((k, m), (m, -k)), E = sqrt(k^2 + m^2), c the initial spinor
     and phi_hat(k) = 2 sigma sqrt(pi) (2 pi sigma^2)^{-1/4} e^{-sigma^2 (k - k0)^2}
     (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.  ``n0`` is the
-    starting panel count, ``_kspace_panels(t, s_arr, data, q)``.
+    starting panel count, ``_kspace_panels(t, s_arr, data)``.
 
     The phase is split as E t = E0 t + t u (2 k0 + u) / (E + E0) with
     E0 = hypot(k0, m): cos and sin of E0 t are formed once and combined with
     each node's shift by angle addition.  The shift comes from u, so the
-    rounding of k0 + u, up to half a spacing of |k0| + 8 / sigma, no longer
-    moves the phase by that spacing times t.  The shift also carries the
-    rounding error of E0 t as a double (``_KspacePlan.energy_phase``),
-    which would otherwise move every node's phase alike by up to ulp(E0 t).
+    rounding of k0 + u does not move the phase, and it carries the rounding
+    error of E0 t as a double (``_KspacePlan.energy_phase``).
 
     Everything that t and s do not change is made once per packet
     (``_kspace_plan``) and, per panel count, once per pass's nodes

@@ -56,6 +56,7 @@ __all__ = [
     "expected_momentum",
     "expected_energy",
     "truncation_half_width",
+    "momentum_band",
     "spa_regime_report",
 ]
 
@@ -355,17 +356,33 @@ def bohmian_observables(ck: CayleyKlein, mass: float) -> Tuple[float, float, flo
 # =============================================================================
 
 def truncation_half_width(p: PacketParams, t: float) -> float:
-    """Half-width L for expectation-value grids: Gaussian tails are negligible beyond."""
-    return max(10 * p.sigma, abs(p.k0) * t + 10 * p.sigma + t)
+    """Half-width L for expectation-value grids: the light cone 10 sigma + t."""
+    return 10 * p.sigma + t
 
 
-# The spectral grid doubles from 2048 points up to this many.
+def momentum_band(p: PacketParams) -> float:
+    """|k0| + 8 / sigma: |psi_hat(t, k)|, the same at every t, is e^{-64} of its peak there."""
+    return abs(p.k0) + 8 / p.sigma
+
+
+# The spectral grid doubles up to this many points.
 _MAX_SPECTRAL_POINTS = 2**17
 
 
-def _spectral_expectation(psi_fn, half_width, quad_tol, mass=None):
-    """<P> (mass None) or <H> of the Spinor psi_fn(s) on a periodic grid, refined until stable."""
+def _spectral_expectation(psi_fn, half_width, quad_tol, band, mass=None):
+    """<P> (mass None) or <H> of the Spinor psi_fn(s) on a periodic grid, refined until stable.
+
+    The grid starts at the first power of two from 2048 on whose wavenumbers
+    pi n / (2 L) reach ``band``, so that no part of the spectrum aliases.
+    """
+    if not quad_tol > 0:
+        raise DomainError("quad_tol must be > 0")
     n = 2048
+    while n <= _MAX_SPECTRAL_POINTS and np.pi * n / (2 * half_width) < band:
+        n *= 2
+    if 2 * n > _MAX_SPECTRAL_POINTS:  # no second grid to compare with: evaluate none
+        raise IntegrationError(f"expectation value needs more than {_MAX_SPECTRAL_POINTS} grid "
+                               f"points for |k| <= {band:g}", partial=None, residual=np.inf)
     prev = None
     while n <= _MAX_SPECTRAL_POINTS:
         s = -half_width + (2 * half_width / n) * np.arange(n)
@@ -386,24 +403,15 @@ def _spectral_expectation(psi_fn, half_width, quad_tol, mass=None):
             return val, abs(val - prev)
         prev = val
         n *= 2
-    raise IntegrationError(
-        f"expectation value did not converge to {quad_tol:g}",
-        partial=prev,
-        residual=abs(val - prev),
-    )
+    raise IntegrationError(f"expectation value did not converge to {quad_tol:g}",
+                           partial=prev, residual=abs(val - prev))
 
 
-def expected_momentum(psi_fn, quad_tol: float, half_width: float) -> float:
-    """<psi, P psi> with P = -i d/ds, by spectral differentiation on [-L, L]."""
-    if not quad_tol > 0:
-        raise DomainError("quad_tol must be > 0")
-    val, _ = _spectral_expectation(psi_fn, half_width, quad_tol)
-    return val
+def expected_momentum(psi_fn, quad_tol: float, half_width: float, band: float) -> float:
+    """<psi, P psi> with P = -i d/ds, spectrally on [-L, L] over |k| <= band (``momentum_band``)."""
+    return _spectral_expectation(psi_fn, half_width, quad_tol, band)[0]
 
 
-def expected_energy(psi_fn, mass: float, quad_tol: float, half_width: float) -> float:
-    """<psi, H psi> with H = ((P, m), (m, -P)), by spectral differentiation on [-L, L]."""
-    if not quad_tol > 0:
-        raise DomainError("quad_tol must be > 0")
-    val, _ = _spectral_expectation(psi_fn, half_width, quad_tol, mass=mass)
-    return val
+def expected_energy(psi_fn, mass: float, quad_tol: float, half_width: float, band: float) -> float:
+    """<psi, H psi> with H = ((P, m), (m, -P)), spectrally on [-L, L] over |k| <= band."""
+    return _spectral_expectation(psi_fn, half_width, quad_tol, band, mass=mass)[0]

@@ -36,3 +36,21 @@ def dirac_spectral(t, data, half_width=60.0, n=2**14):
     gm = cos_t * fm - 1j * sinc_t * (k * fm + m * fp)
     gp = cos_t * fp - 1j * sinc_t * (m * fm - k * fp)
     return s, np.fft.ifft(gm), np.fft.ifft(gp)
+
+
+def massless_transport(t, s, data):
+    """(rho, j) where the whole momentum window has |v| = 1 to a double (k0 >> m, 1/sigma).
+
+    Each component moves undeformed at the speed of light, the minus one to
+    the right and the plus one to the left: rho = |c-|^2 f^2(s - t) +
+    |c+|^2 f^2(s + t) and j = |c-|^2 f^2(s - t) - |c+|^2 f^2(s + t), with f^2
+    the N(0, sigma^2) density.
+    """
+    s = np.asarray(s, dtype=float)
+
+    def density(x):
+        return np.exp(-x**2 / (2 * data.sigma**2)) / np.sqrt(2 * np.pi * data.sigma**2)
+
+    right = np.cos(data.theta0 / 2) ** 2 * density(s - t)
+    left = np.sin(data.theta0 / 2) ** 2 * density(s + t)
+    return right + left, right - left

@@ -31,6 +31,7 @@ from diracflow import (
     integrate_density,
     integrate_trajectory,
     make_initial_packet,
+    momentum_band,
     phase_diagnostics,
     phase_function,
     run_ensemble,
@@ -88,7 +89,7 @@ def test_criterion_03_momentum_and_energy():
         else:
             def fn(s, tt=t):
                 return evolve_exact_grid(tt, s, FIG3)[0]
-        p = expected_momentum(fn, 1e-6, truncation_half_width(FIG3, t))
+        p = expected_momentum(fn, 1e-6, truncation_half_width(FIG3, t), momentum_band(FIG3))
         worst_p = max(worst_p, abs(p - FIG3.k0))
     rng = np.random.default_rng(33)
     worst_e = 0.0
@@ -100,7 +101,7 @@ def test_criterion_03_momentum_and_energy():
         want = (pk.k0 * np.cos(pk.theta0)
                 + pk.mass * np.sin(pk.theta0) * np.cos(pk.omega0))
         got = expected_energy(make_initial_packet(pk), pk.mass, 1e-9,
-                              truncation_half_width(pk, 0))
+                              truncation_half_width(pk, 0), momentum_band(pk))
         worst_e = max(worst_e, abs(got - want))
     _report(3, worst_p <= 1e-4 and worst_e <= 1e-8,
             f"<P> drift {worst_p:.2e} (<= 1e-04), <H>(0) error {worst_e:.2e} (<= 1e-08)")

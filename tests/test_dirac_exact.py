@@ -33,7 +33,7 @@ from diracflow.packets import spinor_amplitudes
 from diracflow.quadrature import _GL_ORDER, _PANEL_NODES, integrate_panels
 from diracflow.spa import SpaParams, spa_spinor_grid
 
-from _oracles import dirac_spectral
+from _oracles import dirac_spectral, massless_transport
 
 
 # =============================================================================
@@ -125,7 +125,7 @@ def test_matches_spectral_propagator_over_benchmark_range(data, t, s_lo, s_hi):
 
 
 def route_of(t, s, data):
-    return dirac_exact._route_and_panels(t, s, data, QuadConfig())[0]
+    return dirac_exact._route_and_panels(t, s, data)[0]
 
 
 def assert_converged_to_oracle(data, t, s_lo, s_hi):
@@ -259,7 +259,7 @@ def assert_routes_agree(data, t, s):
     """Both grid routes, called directly, within 1e-12 of each other."""
     q = QuadConfig()
     bessel, _ = dirac_exact._bessel_grid(t, s, data, q, dirac_exact._bessel_panels(t, data))
-    kspace, _ = dirac_exact._kspace_grid(t, s, data, q, dirac_exact._kspace_panels(t, s, data, q))
+    kspace, _ = dirac_exact._kspace_grid(t, s, data, q, dirac_exact._kspace_panels(t, s, data))
     assert np.max(np.abs(kspace.minus - bessel.minus)) <= 1e-12
     assert np.max(np.abs(kspace.plus - bessel.plus)) <= 1e-12
 
@@ -293,8 +293,7 @@ def test_grid_route_choice():
     for t, start in ((0.5, 8), (2.0, 12), (8.0, 27)):
         half = v0 * t + 5.0
         s = np.linspace(-half, half, 64)
-        assert dirac_exact._route_and_panels(t, s, FIG3, QuadConfig()) == (
-            dirac_exact._kspace_grid, start)
+        assert dirac_exact._route_and_panels(t, s, FIG3) == (dirac_exact._kspace_grid, start)
     # The macroscopic ladder: 15 or 16 panels against 18 to 142.
     for omega in (50.0, 100.0, 200.0, 400.0):
         data = PacketParams.macroscopic(0.2, 1.0, omega)
@@ -305,8 +304,8 @@ def test_grid_route_choice():
         for s in (-v0 * t, v0 * t):
             assert route_of(t, np.array([s]), FIG3) is dirac_exact._kspace_grid
     # Wide grids stay on the Bessel route: over [-12.7, 12.7] at t = 0.5 the
-    # momentum route would start from 17 panels against 8, and a far
-    # position makes its count inf.
+    # momentum route would start from 17 panels against 8, and from 1.3e307
+    # with a far position.
     assert route_of(0.5, np.linspace(-12.7, 12.7, 64), FIG3) is dirac_exact._bessel_grid
     assert route_of(1.0, np.array([0.0, 1e307]), FIG3) is dirac_exact._bessel_grid
 
@@ -463,30 +462,64 @@ def test_bessel_error_bound_combines_the_theta_residuals(monkeypatch):
 
 
 def test_collapsed_momentum_window_is_unresolvable():
-    # At k0 = 1e300 the window k0 +- 8 / sigma rounds to k0 itself: every
-    # momentum node would sit at k0, so the route is never chosen, and the
-    # Bessel route's start exceeds the budget before anything is evaluated.
+    # At k0 = 1e300 the window k0 +- 8 / sigma rounds to k0 itself, but the
+    # phase split takes every node's phase from u: the momentum route runs
+    # and gives the massless transport to 1e-15.
     data = PacketParams(sigma=1.0, k0=1e300, theta0=np.pi / 2, omega0=0.0, mass=3.0)
     s = np.linspace(-1.0, 1.0, 3)
-    q = QuadConfig()
-    assert dirac_exact._kspace_panels(0.5, s, data, q) == np.inf
-    assert route_of(0.5, s, data) is dirac_exact._bessel_grid
-    with pytest.raises(IntegrationError, match="panel budget") as info:
-        evolve_exact_grid(0.5, s, data)
-    assert info.value.partial is None
+    assert route_of(0.5, s, data) is dirac_exact._kspace_grid
+    psi, _ = evolve_exact_grid(0.5, s, data)
+    rho, j = massless_transport(0.5, s, data)
+    assert np.max(np.abs(psi.density - rho)) <= 1e-15
+    assert np.max(np.abs(psi.current - j)) <= 1e-15
 
 
-@pytest.mark.parametrize("k0", [1e13, 1e14, 1e15, 1e16])
+# rho at (t, s) = (0.5, -0.5) of FIG3 with these k0, from a 50-digit mpmath
+# quadrature of the momentum integral.
+RHO_50_DIGITS = {1e9: 0.32045650222483068, 1e12: 0.32045650246005256, 1e13: 0.32045650246026447,
+                 1e14: 0.32045650246028566, 1e15: 0.32045650246028778,
+                 1e16: 0.32045650246028799}
+
+
+@pytest.mark.parametrize("k0", list(RHO_50_DIGITS))
 def test_coarse_momentum_nodes_are_unresolvable(k0):
-    # Nodes at |k| = k0 + u are rounded by up to half a spacing of k0, which
-    # cost the momentum route up to 1e-2 in rho at (t, s) = (0.5, -0.5) for
-    # k0 = 1e16.  The route is refused and the Bessel route's start exceeds
-    # the budget, so the point fails instead of returning wrong digits.
+    # Nodes at |k| = k0 + u are rounded by up to half a spacing of k0, but
+    # the phase split takes their phase from u: the momentum route runs and
+    # rho is within 1e-15 of the 50-digit value, at rel_tol = 1e-15 too.
     data = PacketParams(sigma=1.0, k0=k0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
-    assert dirac_exact._kspace_panels(0.5, np.array([-0.5]), data, QuadConfig()) == np.inf
-    with pytest.raises(IntegrationError, match="panel budget") as info:
-        evolve_exact(0.5, -0.5, data)
-    assert info.value.partial is None
+    assert route_of(0.5, np.array([-0.5]), data) is dirac_exact._kspace_grid
+    for q in (QuadConfig(), QuadConfig(rel_tol=1e-15)):
+        assert abs(evolve_exact(0.5, -0.5, data, q).psi.density - RHO_50_DIGITS[k0]) <= 1e-15
+
+
+@pytest.mark.parametrize("k0", [10.0, 1e9, 1e14])
+def test_route_does_not_depend_on_the_tolerance(k0, monkeypatch):
+    # Route and starting count come from the phase rates alone, so every
+    # tolerance takes the momentum route's 8 panels at (t, s) = (0.5, -0.5).
+    data = PacketParams(sigma=1.0, k0=k0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    choose = dirac_exact._route_and_panels
+    chosen = []
+    monkeypatch.setattr(dirac_exact, "_route_and_panels",
+                        lambda *args: chosen.append(choose(*args)) or chosen[-1])
+    for rel_tol in (1e-6, 1e-9, 1e-15):
+        evolve_exact(0.5, -0.5, data, QuadConfig(rel_tol=rel_tol))
+    assert chosen == [(dirac_exact._kspace_grid, 8.0)] * 3
+
+
+@pytest.mark.parametrize("s, minus, plus", [
+    (0.0, 0.20863101644459668291 + 0.38362363718592991447j,
+     0.20863101644459668291 - 0.38362340701181477747j),
+    (0.25, -0.43922871365685673111 - 0.079373698721574754134j,
+     0.15965396362000645662 + 0.38207650782677894601j),
+])
+def test_large_k0_point_runs_on_the_momentum_route(s, minus, plus):
+    # At k0 = 1e7, t = 0.3 the momentum route starts from 8 panels and the
+    # Bessel route from 750001; psi matches a 50-digit mpmath quadrature of
+    # the momentum integral.
+    data = PacketParams(sigma=1.0, k0=1e7, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    assert route_of(0.3, np.array([s]), data) is dirac_exact._kspace_grid
+    psi = evolve_exact(0.3, s, data).psi
+    assert abs(psi.minus - minus) <= 1e-14 and abs(psi.plus - plus) <= 1e-14
 
 
 def test_fine_momentum_nodes_keep_the_momentum_route():
@@ -551,7 +584,7 @@ def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch)
 
 
 def test_far_position_takes_bessel_route():
-    # The momentum route's panel count overflows to inf at |s| = 1e307; the
+    # The momentum route would start from 1.3e307 panels at |s| = 1e307; the
     # Bessel route runs and the packets are negligible there.
     with np.errstate(over="ignore"):
         sample = evolve_exact(1.0, 1e307, FIG3)
@@ -560,8 +593,8 @@ def test_far_position_takes_bessel_route():
 
 
 def test_overflowing_phase_is_an_integration_error():
-    # At t = 1e308 both routes' starting counts overflow to inf: no panel
-    # count resolves the phase, and nothing is evaluated on the way.
+    # At t = 1e308 E0 t overflows, and with it the Bessel route's count: no
+    # panel count resolves the phase, and nothing is evaluated on the way.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as single:
@@ -575,15 +608,28 @@ def test_overflowing_phase_is_an_integration_error():
 
 def test_overflowing_momentum_phase_is_an_integration_error():
     # m t = 1e310 overflows a float while |s| + t |v| stays small: the
-    # momentum route is refused rather than handed inf phases (which refined
-    # NaN to the full budget), and the Bessel route's count overflows too.
+    # Bessel route's count is inf, so the momentum route is not handed inf
+    # phases (which refined NaN to the full budget) and the Bessel route fails.
     data = PacketParams(sigma=1.0, k0=0.0, theta0=np.pi / 2, omega0=0.0, mass=1e300)
-    assert dirac_exact._kspace_panels(1e10, np.array([0.0]), data, QuadConfig()) == np.inf
+    assert dirac_exact._route_and_panels(1e10, np.array([0.0]), data) == (
+        dirac_exact._bessel_grid, np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="phase overflows") as info:
             evolve_exact(1e10, 0.0, data)
     assert info.value.partial is None
+
+
+def test_finite_energy_phase_keeps_the_momentum_route():
+    # m t = 1e307 is finite, though the Bessel count (2.5e306 panels) is far
+    # beyond any budget: the momentum route runs from 8 panels.  At k0 = 0
+    # the packet sits still, with rho the N(0, sigma^2) density and j = 0.
+    data = PacketParams(sigma=1.0, k0=0.0, theta0=np.pi / 2, omega0=0.0, mass=1e307)
+    s = np.array([-1.0, 0.0, 1.0])
+    assert dirac_exact._route_and_panels(1.0, s, data) == (dirac_exact._kspace_grid, 8.0)
+    psi, _ = evolve_exact_grid(1.0, s, data)
+    assert np.max(np.abs(psi.density - np.exp(-s**2 / 2) / np.sqrt(2 * np.pi))) <= 1e-15
+    assert np.max(np.abs(psi.current)) <= 1e-15
 
 
 @settings(max_examples=20, deadline=None, database=None)

@@ -4,6 +4,7 @@ import pytest
 from diracflow import (
     DomainError,
     InfiniteMomentumError,
+    IntegrationError,
     NodeError,
     PacketParams,
     QuadConfig,
@@ -18,6 +19,7 @@ from diracflow import (
     expected_momentum,
     gaussian_amplitude,
     make_initial_packet,
+    momentum_band,
     spa_regime_report,
     spinor_amplitudes,
     spinor_from_cayley_klein,
@@ -209,19 +211,20 @@ def test_singular_observables_signal():
 
 def test_expected_momentum_is_k0():
     p = PacketParams(sigma=1.0, k0=3.0, theta0=0.8, omega0=0.4, mass=1.0)
-    val = expected_momentum(make_initial_packet(p), 1e-8, truncation_half_width(p, 0))
+    val = expected_momentum(make_initial_packet(p), 1e-8, truncation_half_width(p, 0),
+                            momentum_band(p))
     assert val == pytest.approx(3.0, abs=1e-8)
 
 
 def test_expected_energy_closed_form():
     p = PacketParams(sigma=1.0, k0=0.0, theta0=np.pi / 2, omega0=0.0, mass=1.7)
     val = expected_energy(make_initial_packet(p), p.mass, 1e-9,
-                          truncation_half_width(p, 0))
+                          truncation_half_width(p, 0), momentum_band(p))
     assert val == pytest.approx(1.7, abs=1e-8)
     p2 = PacketParams(sigma=0.8, k0=2.0, theta0=1.0, omega0=0.6, mass=1.3)
     want = p2.k0 * np.cos(p2.theta0) + p2.mass * np.sin(p2.theta0) * np.cos(p2.omega0)
     got = expected_energy(make_initial_packet(p2), p2.mass, 1e-9,
-                          truncation_half_width(p2, 0))
+                          truncation_half_width(p2, 0), momentum_band(p2))
     assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -231,18 +234,45 @@ def test_expected_energy_of_eigen_packets():
     for sign in (+1, -1):
         p = PacketParams.energy_eigen(1.0, k0, m, sign)
         got = expected_energy(make_initial_packet(p), m, 1e-9,
-                              truncation_half_width(p, 0))
+                              truncation_half_width(p, 0), momentum_band(p))
         assert got == pytest.approx(sign * energy, abs=1e-8)
 
 
 @pytest.mark.parametrize("quad_tol", [0.0, -1e-6, np.nan])
 def test_expectations_reject_bad_quad_tol(quad_tol):
     p = PacketParams(sigma=1.0, k0=3.0, theta0=0.8, omega0=0.4, mass=1.0)
-    half = truncation_half_width(p, 0)
+    half, band = truncation_half_width(p, 0), momentum_band(p)
     with pytest.raises(DomainError, match="quad_tol"):
-        expected_momentum(make_initial_packet(p), quad_tol, half)
+        expected_momentum(make_initial_packet(p), quad_tol, half, band)
     with pytest.raises(DomainError, match="quad_tol"):
-        expected_energy(make_initial_packet(p), p.mass, quad_tol, half)
+        expected_energy(make_initial_packet(p), p.mass, quad_tol, half, band)
+
+
+@pytest.mark.parametrize("k0", [1000.0, 3000.0])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_expected_momentum_at_large_k0(k0, t):
+    # The grid starts where its wavenumbers cover |k0| + 8 / sigma; a start
+    # of 2048 points aliased the spectrum (<P> = 426.4 at k0 = 3000) and
+    # could still pass the doubling test.
+    p = PacketParams(sigma=1.0, k0=k0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    if t == 0:
+        fn = make_initial_packet(p)
+    else:
+        def fn(s):
+            return evolve_exact_grid(t, s, p)[0]
+    val = expected_momentum(fn, 1e-6, truncation_half_width(p, t), momentum_band(p))
+    assert val == pytest.approx(k0, abs=1e-6)
+
+
+def test_expectation_beyond_the_grid_cap_evaluates_nothing():
+    # At k0 = 1e4 and t = 0.5 the band needs 2^17 points on the light cone
+    # [-10.5, 10.5], the cap, which leaves no finer grid to compare with.
+    p = PacketParams(sigma=1.0, k0=1e4, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    assert truncation_half_width(p, 0.5) == 10.5
+    calls = []
+    with pytest.raises(IntegrationError, match="more than 131072 grid points") as info:
+        expected_momentum(calls.append, 1e-6, 10.5, momentum_band(p))
+    assert not calls and info.value.partial is None
 
 
 def test_momentum_conserved_under_evolution():
@@ -255,7 +285,7 @@ def test_momentum_conserved_under_evolution():
         else:
             def fn(s, tt=t):
                 return evolve_exact_grid(tt, s, p, quad)[0]
-        values.append(expected_momentum(fn, 1e-7, truncation_half_width(p, t)))
+        values.append(expected_momentum(fn, 1e-7, truncation_half_width(p, t), momentum_band(p)))
     assert np.ptp(values) <= 1e-5
     assert values[0] == pytest.approx(3.0, abs=1e-6)
 
