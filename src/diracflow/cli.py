@@ -26,7 +26,6 @@ import configparser
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -92,8 +91,8 @@ def _finite_float(token: str) -> float:
 class RunConfig:
     """Raw run configuration: a command plus string-valued sections.
 
-    Values stay strings until validated, so a config round-trips through the
-    INI form losslessly.
+    Values stay strings until validated, so the manifest records them as
+    the INI file and ``--set`` gave them.
     """
 
     command: str
@@ -151,21 +150,7 @@ class RunConfig:
         self.sections.setdefault(section, {})[key] = (
             value if isinstance(value, str) else repr(value))
 
-    # -- (de)serialization ----------------------------------------------------
-
-    def to_ini(self) -> str:
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.optionxform = str
-        parser["run"] = {"command": self.command}
-        for name in sorted(self.sections):
-            if name == "run":
-                merged = {"command": self.command, **self.sections[name]}
-                parser["run"] = dict(sorted(merged.items()))
-            else:
-                parser[name] = dict(sorted(self.sections[name].items()))
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
+    # -- parsing --------------------------------------------------------------
 
     @classmethod
     def from_ini(cls, text: str, command: Optional[str] = None) -> "RunConfig":
@@ -526,11 +511,8 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     band = momentum_band(data)
     with writer.phase("expectations"):
         for t in times:
-            if t == 0:
-                fn = make_initial_packet(data)
-            else:
-                def fn(s, tt=t):
-                    return evolve_exact_grid(tt, s, data, quad)[0]
+            def fn(s, tt=t):
+                return evolve_exact_grid(tt, s, data, quad)[0]
             half = truncation_half_width(data, t)
             payload["momentum"][repr(float(t))] = expected_momentum(fn, quad_tol, half, band)
         payload["energy_t0"] = expected_energy(

@@ -115,7 +115,6 @@ class PacketParams:
     mass  : microscopic m, or the large parameter omega in macroscopic mode
     phase0 : overall phase (Phi of the initial spinor), nonzero only for mixtures
     energy_sign : +-1 when the packet is an energy eigen-packet, else None
-    mixing_theta : the mixing angle vartheta when built by a mixture constructor
     """
 
     sigma: float
@@ -125,15 +124,14 @@ class PacketParams:
     mass: float
     phase0: float = 0.0
     energy_sign: Optional[int] = None
-    mixing_theta: Optional[float] = None
 
     def __post_init__(self):
         if not (_SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
             lo, hi = _SIGMA_RANGE
             raise ValidationError(f"sigma must lie in [{lo:.3g}, {hi:.3g}] (sigma^2 and "
                                   f"2*pi*sigma^2 normal doubles), got {self.sigma}")
-        if not np.isfinite(self.k0):
-            raise ValidationError("k0 must be finite")
+        if not (np.isfinite(self.k0) and np.isfinite(self.phase0)):
+            raise ValidationError(f"k0 and phase0 must be finite, got {self.k0}, {self.phase0}")
         if not (0.0 <= self.theta0 <= np.pi):
             raise ValidationError(f"theta0 must lie in [0, pi], got {self.theta0}")
         if not (0.0 <= self.omega0 < 2 * np.pi):
@@ -177,8 +175,7 @@ class PacketParams:
         omega0 = ck.omega % (2 * np.pi)
         # The wrap from [-pi, pi) to [0, 2*pi) shifts phi by the same 2*pi.
         phase0 = ck.phi + (2 * np.pi if ck.omega < 0 else 0.0)
-        return cls(sigma=sigma, k0=k0, theta0=ck.theta, omega0=omega0, mass=mass,
-                   phase0=phase0, mixing_theta=vartheta)
+        return cls(sigma=sigma, k0=k0, theta0=ck.theta, omega0=omega0, mass=mass, phase0=phase0)
 
     @classmethod
     def macroscopic(cls, sigma: float, p0: float, omega: float, vartheta: float = 0.0):
@@ -192,8 +189,7 @@ class PacketParams:
             raise ValidationError("vartheta must lie in [0, pi]")
         if omega <= 0:
             raise ValidationError("omega must be > 0")
-        return cls(sigma=sigma, k0=omega * p0, theta0=vartheta, omega0=0.0,
-                   mass=omega, mixing_theta=vartheta)
+        return cls(sigma=sigma, k0=omega * p0, theta0=vartheta, omega0=0.0, mass=omega)
 
     def rescaled(self, length: float) -> "PacketParams":
         """Rescale to macroscopic variables with characteristic length L.
@@ -275,28 +271,18 @@ def spa_regime_report(p: PacketParams) -> dict:
 # =============================================================================
 
 def cayley_klein(psi: Spinor) -> CayleyKlein:
-    """Decompose a spinor into (R, Theta, Omega, Phi)."""
-    am = np.abs(psi.minus)
-    ap = np.abs(psi.plus)
-    r2 = am * am + ap * ap
-    if r2 == 0:
+    """Decompose a spinor into (R, Theta, Omega, Phi): ``cayley_klein_series`` at one point."""
+    ck = {key: float(v[0]) for key, v in cayley_klein_series([psi.minus], [psi.plus]).items()}
+    if ck["r"] == 0:
         raise NodeError("zero spinor: Cayley-Klein angles undefined")
-    arg_m = float(np.angle(psi.minus))
-    arg_p = float(np.angle(psi.plus))
-    omega = arg_m - arg_p
-    phi = arg_m + arg_p
-    if omega < -np.pi:
-        omega += 2 * np.pi
-        phi += 2 * np.pi
-    elif omega >= np.pi:
-        omega -= 2 * np.pi
-        phi -= 2 * np.pi
-    return CayleyKlein(
-        r=float(np.sqrt(r2)),
-        theta=float(2 * np.arctan2(ap, am)),
-        omega=float(omega),
-        phi=float(phi),
-    )
+    # Omega into [-pi, pi), and Phi by the same 2*pi.
+    if ck["omega"] < -np.pi:
+        ck["omega"] += 2 * np.pi
+        ck["phi"] += 2 * np.pi
+    elif ck["omega"] >= np.pi:
+        ck["omega"] -= 2 * np.pi
+        ck["phi"] -= 2 * np.pi
+    return CayleyKlein(**ck)
 
 
 def cayley_klein_series(minus: np.ndarray, plus: np.ndarray) -> dict:
@@ -306,13 +292,10 @@ def cayley_klein_series(minus: np.ndarray, plus: np.ndarray) -> dict:
     and Phi = arg(psi-) + arg(psi+) vary continuously and dPhi/dt is well
     defined along a trajectory.
     """
-    minus = np.asarray(minus)
-    plus = np.asarray(plus)
-    r = np.sqrt(np.abs(minus) ** 2 + np.abs(plus) ** 2)
-    theta = 2 * np.arctan2(np.abs(plus), np.abs(minus))
-    arg_m = np.unwrap(np.angle(minus))
-    arg_p = np.unwrap(np.angle(plus))
-    return {"r": r, "theta": theta, "omega": arg_m - arg_p, "phi": arg_m + arg_p}
+    am, ap = np.abs(minus), np.abs(plus)
+    arg_m, arg_p = np.unwrap(np.angle([minus, plus]))
+    return {"r": np.sqrt(am**2 + ap**2), "theta": 2 * np.arctan2(ap, am),
+            "omega": arg_m - arg_p, "phi": arg_m + arg_p}
 
 
 def spinor_from_cayley_klein(ck: CayleyKlein) -> Spinor:

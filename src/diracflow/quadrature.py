@@ -6,9 +6,13 @@ Gauss-Legendre rule G16 (Laurie, Math. Comp. 66, 1997; the pairing is
 QUADPACK's, Piessens et al. 1983).  One pass evaluates the integrand once
 at the 33 nodes of each of P panels and forms both sums from the same
 weighted product; it returns K33 with the error estimate |K33 - G16|.  P
-is doubled only while that estimate misses the tolerance.  The caller sets
-the starting panel count, typically from the integrand's phase rate so the
-first pass already samples every oscillation.
+is doubled only while that estimate misses the tolerance, and doubling
+stops with a failure once it cannot help: at the panel budget, at a worst
+estimate that is not finite, or at one that failed to halve the previous
+pass's and sits at the rounding floor 256 eps max|K33|, as QUADPACK flags
+roundoff when refinement stalls.  The caller sets the starting panel
+count, typically from the integrand's phase rate so the first pass already
+samples every oscillation.
 
 Integrands are vectorized: ``f(nodes)`` receives a 1-D array of abscissas,
 whole panels of 33 ascending nodes each, and returns one of three forms.
@@ -52,6 +56,9 @@ _NODE_CHUNK = 16384
 # integrand cost dwarfs the layout's, are built per call and freed with it.
 _LAYOUT_CACHE_NODES = 2**13
 _LAYOUT_CACHE_SIZE = 16
+# A residual at most this multiple of max|K33| is rounding (QUADPACK floors
+# its estimate at 50 eps times the integral of |f|).
+_ROUNDOFF_FLOOR = 256 * np.finfo(float).eps
 
 
 @cache
@@ -176,8 +183,9 @@ def integrate_panels(
     ``value`` is the K33 estimate and ``err_est`` its distance from G16.
     Raises IntegrationError if the starting count exceeds the panel budget,
     before evaluating ``f``, with no partial result; and if a pass misses
-    the tolerance where doubling would exceed the budget, carrying that
-    pass's K33 estimate as the partial result and |K33 - G16| as residual.
+    the tolerance where doubling cannot help (see the module docstring),
+    carrying that pass's K33 estimate as the partial result and
+    |K33 - G16| as residual.
     """
     if b <= a:
         return _weighted_sums(np.zeros((1, 1)), f(np.array([a])))[0], 0.0, 0
@@ -185,17 +193,23 @@ def integrate_panels(
     if n > max_panels:
         raise IntegrationError(f"panel budget {max_panels} is below the {n:.6g} starting panels",
                                partial=None, residual=np.inf)
+    previous = np.inf
     while True:
         kronrod, gauss = _composite(f, a, b, n, node_chunk)
         err = np.abs(kronrod - gauss)
         target = np.maximum(abs_tol, rel_tol * np.abs(kronrod))
         if (err <= target).all():
             return kronrod, err, n
-        if 2 * n > max_panels:
+        worst = float(np.max(err))
+        floor = _ROUNDOFF_FLOOR * float(np.max(np.abs(kronrod)))
+        stalled = not np.isfinite(worst) or previous / 2 < worst <= floor
+        if stalled or 2 * n > max_panels:
+            stop = f"; refinement stopped at {n} panels" if stalled else ""
             raise IntegrationError(
                 f"quadrature did not converge within {max_panels} panels "
-                f"(max residual {float(np.max(err)):.3e})",
+                f"(max residual {worst:.3e}{stop})",
                 partial=kronrod,
                 residual=err,
             )
+        previous = worst
         n *= 2

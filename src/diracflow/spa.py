@@ -67,10 +67,10 @@ class SpaParams:
         if not np.isfinite(float(self.p0) * float(self.p0)):
             raise ValidationError(f"p0^2 must be a finite float (E0 = sqrt(1 + p0^2)), "
                                   f"got p0 = {self.p0!r}")
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be > 0")
-        if self.omega <= 0:
-            raise ValidationError("omega must be > 0")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValidationError(f"omega must be finite and > 0, got {self.omega}")
         if not (0.0 <= self.vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
 

@@ -23,7 +23,7 @@ equals ``scipy.special.ndtri`` bit for bit and imports nothing from scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 import numpy as np
@@ -43,13 +43,8 @@ __all__ = [
 _J0_FIRST_ZERO = 2.404825557695772768621632
 
 
-@dataclass(frozen=True)
-class BesselEval:
-    """One kernel evaluation together with a conservative absolute error estimate."""
-
-    x: float
-    value: float
-    abs_err_est: float
+# One kernel evaluation together with a conservative absolute error estimate.
+BesselEval = namedtuple("BesselEval", "x value abs_err_est")
 
 
 @cache
@@ -80,20 +75,20 @@ def bessel_j1(x):
     return _apply("j1", x)
 
 
-def _err_estimate(x: float) -> float:
+def _eval(kernel, x) -> BesselEval:
     # Rounding in the series/rational fits plus phase-argument reduction at
     # large x; conservative and well under 1e-12 for |x| <= 1e4.
-    return 5e-15 + 3e-16 * np.sqrt(max(abs(x), 1.0))
+    return BesselEval(float(x), kernel(float(x)), 5e-15 + 3e-16 * np.sqrt(max(abs(x), 1.0)))
 
 
 def j0_eval(x: float) -> BesselEval:
     """J0 evaluation bundled with its absolute error estimate."""
-    return BesselEval(x=float(x), value=bessel_j0(float(x)), abs_err_est=_err_estimate(x))
+    return _eval(bessel_j0, x)
 
 
 def j1_eval(x: float) -> BesselEval:
     """J1 evaluation bundled with its absolute error estimate."""
-    return BesselEval(x=float(x), value=bessel_j1(float(x)), abs_err_est=_err_estimate(x))
+    return _eval(bessel_j1, x)
 
 
 def j0_first_zero() -> float:

@@ -1,6 +1,8 @@
 import decimal
 import gc
 import math
+import re
+import time
 import warnings
 import weakref
 from decimal import Decimal
@@ -48,6 +50,21 @@ def test_time_zero_returns_initial_data():
     assert np.array_equal(psi.minus, pk.minus)
     assert np.array_equal(psi.plus, pk.plus)
     assert np.all(err == 0)
+
+
+@pytest.mark.parametrize("data", [
+    PacketParams(sigma=0.8, k0=4.0, theta0=0.7, omega0=1.3, mass=2.0),
+    PacketParams.energy_eigen(0.8, 4.0, 2.0, -1),
+    PacketParams.mixed_energy_eigen(1.0, 2.0, 1.0, 1.1),
+], ids=["bloch", "eigen", "mixed"])
+def test_time_zero_is_the_initial_packet_bit_for_bit(data):
+    # ``observables`` evaluates t = 0 through the field like any other time.
+    s = np.concatenate([np.linspace(-6, 6, 101), [-0.0, 0.0, 1e-300]])
+    psi, err = evolve_exact_grid(0.0, s, data)
+    want = make_initial_packet(data)(s)
+    assert psi.minus.tobytes() == want.minus.tobytes()
+    assert psi.plus.tobytes() == want.plus.tobytes()
+    assert not err.any()
 
 
 def test_negative_time_rejected():
@@ -200,6 +217,20 @@ def test_budget_failure_partial_is_the_field(t):
     assert np.max(np.abs(partial.minus - psi.minus)) <= 1e-12
     assert np.max(np.abs(partial.plus - psi.plus)) <= 1e-12
     assert info.value.residual.shape == (2, s.size)
+    assert np.all(np.isfinite(info.value.residual))
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_unreachable_tolerance_stops_at_rounding(n):
+    # |K33 - G16| sits at rounding level from the first pass on, so doubling
+    # stops once it fails to halve, far below the 2**20-panel budget.
+    s = np.linspace(-12.7, 12.7, n)
+    evolve_exact_grid(0.5, s, FIG3)  # loads scipy.special, outside the timing
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="did not converge within 1048576 panels") as info:
+        evolve_exact_grid(0.5, s, FIG3, QuadConfig(rel_tol=1e-300, abs_tol=1e-300))
+    assert time.perf_counter() - start < 1.0
+    assert int(re.search(r"refinement stopped at (\d+) panels", str(info.value))[1]) <= 64
     assert np.all(np.isfinite(info.value.residual))
 
 

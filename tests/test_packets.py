@@ -94,6 +94,12 @@ def test_packet_validation_messages():
                      energy_sign=+1)
 
 
+@pytest.mark.parametrize("phase0", [np.nan, np.inf, -np.inf])
+def test_non_finite_phase0_rejected(phase0):
+    with pytest.raises(ValidationError, match="phase0"):
+        PacketParams(sigma=1.0, k0=1.0, theta0=0.5, omega0=0.0, mass=1.0, phase0=phase0)
+
+
 def test_spa_regime_report_warns_for_wide_packet(fig3_packet):
     with pytest.warns(UserWarning, match="SPA regime"):
         report = spa_regime_report(fig3_packet)
@@ -159,6 +165,50 @@ def test_bloch_trivial_directions():
 def test_zero_spinor_is_a_node():
     with pytest.raises(NodeError):
         cayley_klein(Spinor(0.0, 0.0))
+
+
+def _cayley_klein_scalar(psi):
+    """The scalar formulas cayley_klein had before it became the series' one-point case."""
+    am = np.abs(psi.minus)
+    ap = np.abs(psi.plus)
+    r2 = am * am + ap * ap
+    if r2 == 0:
+        raise NodeError("zero spinor: Cayley-Klein angles undefined")
+    arg_m = float(np.angle(psi.minus))
+    arg_p = float(np.angle(psi.plus))
+    omega = arg_m - arg_p
+    phi = arg_m + arg_p
+    if omega < -np.pi:
+        omega += 2 * np.pi
+        phi += 2 * np.pi
+    elif omega >= np.pi:
+        omega -= 2 * np.pi
+        phi -= 2 * np.pi
+    return float(np.sqrt(r2)), float(2 * np.arctan2(ap, am)), float(omega), float(phi)
+
+
+def _cayley_klein_bits(decompose, psi):
+    try:
+        return np.array(decompose(psi)).tobytes()
+    except NodeError:
+        return "node"
+
+
+def test_cayley_klein_equals_scalar_formulas_bit_for_bit():
+    # Magnitudes 1e-200 to 1e200 (whose squares under- and overflow), and
+    # edge values: arguments exactly +-pi, so that Omega lands on +-pi or
+    # -2 pi, signed and subnormal zeros, and real components.
+    rng = np.random.default_rng(2024)
+    z = 10.0 ** rng.uniform(-200, 200, (100_000, 2)) * np.exp(1j * rng.uniform(-4, 4, (100_000, 2)))
+    edge = [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(1.0, -0.0), 1.0, -1.0, -0.0,
+            1j, -1j, 5e-324, -5e-324, complex(-2e-310, 0.0), complex(4e-320, -0.0),
+            complex(0.0, -0.0), complex(-0.0, 0.0), 1e200, -3e-200, complex(-1e154, -0.0)]
+    pairs = z.tolist() + [(a, b) for a in edge for b in edge]
+    with np.errstate(all="ignore"):
+        for minus, plus in pairs:
+            psi = Spinor(minus, plus)
+            got = _cayley_klein_bits(lambda x: tuple(vars(cayley_klein(x)).values()), psi)
+            assert got == _cayley_klein_bits(_cayley_klein_scalar, psi), (minus, plus)
 
 
 # =============================================================================

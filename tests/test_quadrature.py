@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -113,6 +114,46 @@ def test_start_without_room_to_double(initial_panels, max_panels):
     want, gauss = _composite(pair, 0.0, np.pi, initial_panels, _NODE_CHUNK)
     assert_close(info.value.partial, want)
     assert np.array_equal(info.value.residual, np.abs(want - gauss))
+
+
+def test_non_finite_integrand_is_evaluated_once():
+    # No number of panels makes a NaN converge: the first pass is the last.
+    calls = []
+
+    def nan(nodes):
+        calls.append(nodes.size)
+        return np.full((nodes.size, 2), np.nan)
+
+    with pytest.raises(IntegrationError, match="refinement stopped at 8 panels") as info:
+        integrate_panels(nan, 0.0, 1.0, initial_panels=8)
+    assert calls == [8 * _PANEL_NODES]
+    assert info.value.partial.shape == (2,)
+
+
+def test_residual_at_rounding_stops_refining():
+    # exp on one panel is already exact to rounding; no count reaches 1e-300.
+    with pytest.raises(IntegrationError, match="did not converge within 1048576 panels") as info:
+        integrate_panels(np.exp, 0.0, 1.0, rel_tol=1e-300, abs_tol=1e-300, initial_panels=1)
+    assert int(re.search(r"refinement stopped at (\d+) panels", str(info.value))[1]) <= 64
+    assert abs(info.value.partial - (np.e - 1)) <= 1e-15
+
+
+def test_converging_after_doublings_returns_the_first_passing_pass():
+    # From one panel cos(40 x) needs several doublings; the result is the
+    # first count whose pass meets the tolerance, bit for bit.
+    def f(x):
+        return np.stack([np.cos(40 * x), x * np.sin(40 * x)], axis=1)
+
+    value, err, n = integrate_panels(f, 0.0, 3.0, initial_panels=1)
+    count = 1
+    while True:
+        kronrod, gauss = _composite(f, 0.0, 3.0, count, _NODE_CHUNK)
+        if (np.abs(kronrod - gauss) <= np.maximum(1e-12, 1e-9 * np.abs(kronrod))).all():
+            break
+        count *= 2
+    assert n == count >= 4
+    assert value.tobytes() == kronrod.tobytes()
+    assert err.tobytes() == np.abs(kronrod - gauss).tobytes()
 
 
 def test_cached_layouts_are_read_only_and_capped():

@@ -53,6 +53,13 @@ def test_parameter_validation():
         SpaParams(p0=1.0, sigma=0.2, omega=10.0, vartheta=4.0)
 
 
+@pytest.mark.parametrize("key", ["sigma", "omega"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_scales_rejected(key, value):
+    with pytest.raises(ValidationError, match=key):
+        SpaParams(**{"p0": 1.0, "sigma": 0.2, "omega": 10.0, key: value})
+
+
 def test_from_packet_round_trip(fig3_packet):
     p = SpaParams.from_packet(fig3_packet)
     assert p.p0 == pytest.approx(10.0 / 3.0)

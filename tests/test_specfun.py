@@ -89,6 +89,8 @@ def test_eval_error_estimates():
         for ev in (j0_eval(x), j1_eval(x)):
             assert abs(ev.value) <= 1.0
             assert 0 < ev.abs_err_est <= 1e-12
+            assert ev.abs_err_est == 5e-15 + 3e-16 * np.sqrt(max(abs(x), 1.0))
+            assert ev.x == x
 
 
 def test_non_finite_inputs_rejected():
