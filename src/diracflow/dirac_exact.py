@@ -2,7 +2,7 @@
 
 Three evaluation routes are provided; the first two serve ``evolve_exact``
 and ``evolve_exact_grid``, which run the momentum route where it starts from
-at most twice the Bessel route's panels (``_route_and_panels``):
+at most 2.5 times the Bessel route's nodes (``_route_and_panels``):
 
 * The Bessel-kernel route.  The substitution ``sigma = s - t*cos(theta)``
   removes the square-root endpoint singularity of the J1 kernel, leaving
@@ -19,12 +19,13 @@ at most twice the Bessel route's panels (``_route_and_panels``):
   t*hypot(w, k0) in theta, but its integrand is local in s.
 
 * The momentum route: the Fourier integral of the free propagator over the
-  Gaussian spectrum, k0 +- 8/sigma (see ``_kspace_grid``).  Its phase grows
-  with |s| + t, not with w, so it runs on the macroscopic ladder, at single
-  points near the packets and on grids over both FIG3 packets
-  (|s| <= v0 t + 5 sigma, 1.0 to 1.6 times the Bessel count), at any k0.
-  Wider grids and far positions stay on the Bessel route.  The momentum
-  route needs no Bessel function, so it loads no scipy module.
+  Gaussian spectrum, k0 +- 8/sigma, by the trapezoid rule (see
+  ``_kspace_grid``).  Its nodes grow with max|s| + t, not with w, so it runs
+  on the macroscopic ladder, at single points near the packets and on grids
+  over both FIG3 packets (|s| <= v0 t + 5 sigma, 0.3 to 0.5 times the Bessel
+  nodes), at any k0.  Wide grids and far positions stay on the Bessel
+  route.  The momentum route needs no Bessel function, so it loads no scipy
+  module.
 
 * ``evolve_exact_spherical`` rewrites the kernels through their integral
   representation as a 2D quadrature over the unit sphere, with the polar
@@ -49,7 +50,8 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError
 from .packets import PacketParams, Spinor, gaussian_amplitude, spinor_amplitudes
-from .quadrature import _GL_ORDER, _PANEL_NODES, _gk_rule, _layout, integrate_panels
+from .quadrature import (_GL_ORDER, _PANEL_NODES, _TRAPEZOID_NODES, _gk_rule, _layout,
+                         _trapezoid_rule, integrate_panels)
 
 __all__ = [
     "QuadConfig",
@@ -124,13 +126,8 @@ def _bessel_node_chunk(n_cols: int) -> int:
     return max(16, 2**14 // max(1, n_cols))
 
 
-def _kspace_node_chunk(n_cols: int) -> int:
-    # Whole panels, as many as keep the momentum route's real
-    # (8 P, 33) @ (33, n_cols) product on one thread.
-    return _PANEL_NODES * max(1, _SERIAL_GEMM // (8 * _PANEL_NODES * max(1, n_cols)))
-
-
-def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_chunk):
+def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_chunk,
+                     rule=_gk_rule):
     """Run the quadrature and ``assemble`` its integrals into (Spinor, err[2, n]).
 
     On a budget failure the partial integrals and their residual assemble
@@ -146,7 +143,7 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_c
         value, err, _ = integrate_panels(
             integrand, a, b,
             rel_tol=q.rel_tol, abs_tol=abs_tol,
-            initial_panels=n0, max_panels=q.max_panels, node_chunk=node_chunk,
+            initial_panels=n0, max_panels=q.max_panels, node_chunk=node_chunk, rule=rule,
         )
     except IntegrationError as exc:
         partial, residual = None, np.full((2, n_points), np.inf)
@@ -171,8 +168,8 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     One quadrature is shared by all positions, so the cost is
     O(n_nodes * n_s) with fully vectorized inner arithmetic.  The Bessel
     route integrates over theta and the momentum route over k; the
-    momentum route runs where it starts from at most twice the Bessel
-    route's panels (``_route_and_panels``).
+    momentum route runs where it starts from at most 2.5 times the Bessel
+    route's nodes (``_route_and_panels``).
     """
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
@@ -198,29 +195,27 @@ def evolve_exact(t: float, s: float, data: PacketParams,
     )
 
 
-# The momentum route runs where its starting count is at most this multiple
-# of the Bessel route's: grids over both FIG3 packets need 1.0 to 1.6.
-_KSPACE_PANEL_RATIO = 2.0
+# The momentum route runs where its starting nodes are at most this multiple
+# of the Bessel route's.  In forced-route timings of both on FIG3 grids of 1
+# to 256 positions, the momentum route was the faster up to a ratio of 2.5,
+# either could be from 2.6 to 3.5, and the Bessel route was at 5.
+_KSPACE_NODE_RATIO = 2.5
 
 
 def _route_and_panels(t: float, s_arr, data: PacketParams):
-    """The momentum route if it starts from at most twice the Bessel route's panels.
+    """The momentum route if it starts from at most 2.5 times the Bessel route's nodes.
 
     Returns the route with its starting panel count, which it is handed, so
-    that the count is made once.  Both counts come from ``_initial_panels``.
-    The Bessel route's phase rate is t hypot(m, k0) over theta in [0, pi]:
-    it grows with the mass but its integrand is local in s.  The momentum
-    route's is |s -+ v(k) t| over a window of width 16 / sigma: it does not
-    grow with the mass but does with the farthest position.  An inf Bessel
-    count means E0 t = t hypot(m, k0) overflows, which neither route
-    integrates; ``_integrate_field`` fails it before evaluating anything.
-    The momentum route costs less per panel on grids of tens of positions
-    (``_kspace_grid``) and evaluates no Bessel function, so a run that stays
-    on it never loads scipy.special.
+    that the count is made once.  The Bessel start grows with t hypot(m, k0)
+    but its integrand is local in s; the momentum start grows with t and the
+    farthest position, not with the mass.  An inf Bessel count means
+    E0 t = t hypot(m, k0) overflows, which neither route integrates;
+    ``_integrate_field`` fails it before evaluating anything.
     """
     kspace = _kspace_panels(t, s_arr, data)
     bessel = _bessel_panels(t, data)
-    if np.isfinite(bessel) and kspace <= _KSPACE_PANEL_RATIO * bessel:
+    if (np.isfinite(bessel)
+            and _TRAPEZOID_NODES * kspace <= _KSPACE_NODE_RATIO * _PANEL_NODES * bessel):
         return _kspace_grid, kspace
     return _bessel_grid, bessel
 
@@ -345,9 +340,8 @@ class _KspacePlan:
     energy0_frac: float
     energy0_exp: int
     energy0_excess: float  # sqrt(k0^2 + m^2) - E0
-    v_edge: float  # |v| = |k| / E at the window's far edge |k0| + 8 / sigma
-    # (6, 8) real: the rows of c, twice, as (Re, Im) of both components and
-    # of i times them; a call rotates them by E0 t.
+    # (6, 4) real: the rows of c, twice, as (Re, Im) of both components; a
+    # call rotates them by E0 t.
     coeffs: np.ndarray
 
     def energy_phase(self, t: float):
@@ -366,36 +360,28 @@ def _kspace_plan(data: PacketParams) -> _KspacePlan:
     """The momentum route's constants of one packet, made once.  Needs m > 0."""
     cm, cp = spinor_amplitudes(data)
     sigma, k0, m = data.sigma, data.k0, data.mass
-    half = _K_WINDOW / sigma
     scale = 2 * sigma * sqrt(pi) * (2 * pi * sigma**2) ** -0.25 / (2 * pi)
     energy0 = hypot(k0, m)
     # E0's rounding sqrt(k0^2 + m^2) - E0 = r / (2 E0), to a relative eps,
     # from the residual r = k0^2 + m^2 - E0^2, at the scale 2^-exp of E0.
     frac, exp = frexp(energy0)
     r = _square_residual(ldexp(k0, -exp), ldexp(m, -exp), frac)
-    k_edge = abs(k0) + half
     # The rows of c against g (cos(E t), sin(E t) k / E, sin(E t) / E); see
     # _kspace_grid.
-    c = [[cm, cp, 1j * cm, 1j * cp],
-         [-1j * cm, 1j * cp, cm, -cp],
-         [-1j * m * cp, -1j * m * cm, m * cp, m * cm]]
+    c = [[cm, cp], [-1j * cm, 1j * cp], [-1j * m * cp, -1j * m * cm]]
     return _KspacePlan(
-        k0=k0, mass=m, half=half, neg_sigma2=-sigma * sigma, scale=scale,
-        energy0=energy0, energy0_frac=frac, energy0_exp=exp,
+        k0=k0, mass=m, half=_K_WINDOW / sigma, neg_sigma2=-sigma * sigma,
+        scale=scale, energy0=energy0, energy0_frac=frac, energy0_exp=exp,
         energy0_excess=ldexp(r / (2 * frac), exp),
-        v_edge=k_edge / hypot(k_edge, m),
         coeffs=np.array(c + c).view(float))
 
 
-def _build_node_table(plan: _KspacePlan, n_panels: int, centre):
-    """The (4, N) node table of the panels centred at ``centre``, in a pass of n_panels.
+def _build_node_table(plan: _KspacePlan, u):
+    """The (4, N) node table at the window offsets ``u``.
 
-    Its rows at the nodes u = c_p + o_r are the shift factor
-    u (2 k0 + u) / (E + E0), in halves, which stay finite for any k0, and
-    g, g k / E and g / E with g = e^{-sigma^2 u^2}.
+    Its rows are the shift factor u (2 k0 + u) / (E + E0), in halves, which
+    stay finite for any k0, and g, g k / E and g / E with g = e^{-sigma^2 u^2}.
     """
-    offset = (plan.half / n_panels) * _gk_rule()[0]
-    u = (centre[:, None] + offset).ravel()
     k = plan.k0 + u
     energy = np.hypot(k, plan.mass)
     table = np.empty((4, u.size))
@@ -409,30 +395,49 @@ def _build_node_table(plan: _KspacePlan, n_panels: int, centre):
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _cached_node_table(plan: _KspacePlan, n_panels: int):
     """``_build_node_table`` of a whole pass, read-only and shared by every call."""
-    nodes, _ = _layout(-plan.half, plan.half, n_panels)
-    table = _build_node_table(plan, n_panels, nodes[_GL_ORDER::_PANEL_NODES])
+    nodes, _ = _layout(-plan.half, plan.half, n_panels, _trapezoid_rule)
+    table = _build_node_table(plan, nodes)
     table.flags.writeable = False
     return table
 
 
-def _node_table(plan: _KspacePlan, n_panels: int, centre):
-    """``_build_node_table``, sliced from the pass's cached table up to the node cap."""
-    if n_panels * _PANEL_NODES > _PLAN_CACHE_NODES:
-        return _build_node_table(plan, n_panels, centre)
-    # The first panel's index p, from its centre -half + (p + 1/2) 2 half / n_panels.
-    lo = _PANEL_NODES * round((centre[0] + plan.half) / (2 * plan.half) * n_panels - 0.5)
-    return _cached_node_table(plan, n_panels)[:, lo:lo + _PANEL_NODES * centre.size]
+def _node_table(plan: _KspacePlan, n_panels: int, nodes):
+    """``_build_node_table`` of a chunk's nodes, sliced from the pass's table up to the cap."""
+    if n_panels * _TRAPEZOID_NODES > _PLAN_CACHE_NODES:
+        return _build_node_table(plan, nodes)
+    # The first node's index j, from its offset -half + j h.
+    lo = round((nodes[0] + plan.half) / (2 * plan.half) * n_panels * _TRAPEZOID_NODES)
+    return _cached_node_table(plan, n_panels)[:, lo:lo + nodes.size]
 
 
 def _kspace_panels(t: float, s_arr, data: PacketParams) -> float:
-    """Starting panels of the momentum route over the window |u| <= 8 / sigma.
+    """Starting panels of the momentum route: the fewest where T_2h cannot alias.
 
-    The phase of e^{i(u s -+ E t)} changes at the rate |s -+ v(k) t|, at most
-    max|s| + t max|v| with |v| = |k| / E largest at the window's far edge.
+    By Poisson summation the trapezoid sum at spacing h differs from the
+    integral by psi itself at the aliases s + 2 pi k / h, k != 0, up to the
+    window's e^{-64}; psi(t, x) is below that beyond the light cone
+    |x| = t + 16 sigma (the initial amplitude is e^{-64} at 16 sigma), so
+    T_2h does not alias once pi / h >= max|s| + t + 16 sigma.  A whole
+    number as a float, inf only past the largest double.
     """
-    plan = _kspace_plan(data)
-    reach = float(np.abs(s_arr).max(initial=0.0))
-    return _initial_panels(reach + t * plan.v_edge, 2 * plan.half)
+    reach = float(np.abs(s_arr).max(initial=0.0)) + t + 16.0 * data.sigma
+    return float(np.ceil(2 * _K_WINDOW / data.sigma * reach / (pi * _TRAPEZOID_NODES)))
+
+
+def _expi(angle):
+    """e^{i angle} from its cos and sin, elementwise."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _kspace_node_chunk(n_cols: int) -> int:
+    # Whole panels, as many as keep the momentum route's complex
+    # (4 P, 16) @ (16, n_cols) product on one thread: OpenBLAS weighs a
+    # complex m n k four times, and threads from 4 m n k = 2**18 on.
+    per_panel = 4 * 4 * _TRAPEZOID_NODES * max(1, n_cols)
+    return _TRAPEZOID_NODES * max(1, (_SERIAL_GEMM - 1) // per_panel)
 
 
 def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
@@ -446,82 +451,55 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.  ``n0`` is the
     starting panel count, ``_kspace_panels(t, s_arr, data)``.
 
+    The integrand is entire and decays like e^{-sigma^2 u^2}, so the
+    trapezoid pair converges geometrically from an alias-free start.
+
     The phase is split as E t = E0 t + t u (2 k0 + u) / (E + E0) with
     E0 = hypot(k0, m): cos and sin of E0 t are formed once and combined with
     each node's shift by angle addition.  The shift comes from u, so the
     rounding of k0 + u does not move the phase, and it carries the rounding
     error of E0 t as a double (``_KspacePlan.energy_phase``).
 
-    Everything that t and s do not change is made once per packet
-    (``_kspace_plan``) and, per panel count, once per pass's nodes
-    (``_node_table``): the shift factor and the rows g, g k / E and g / E.
-    A call forms the rest: E0 t and its error, cos and sin of each node's
-    shift, the rows times them, and the plane-wave bases of its positions.
+    What t and s do not change is made once per packet (``_kspace_plan``)
+    and once per pass's nodes (``_node_table``); a call forms E0 t, cos and
+    sin of each node's shift, the rows times them, and the plane waves.
     """
     plan = _kspace_plan(data)
     half = plan.half
     phase0, phase0_err = plan.energy_phase(t)
     cos0, sin0 = plan.scale * cos(phase0), plan.scale * sin(phase0)
     # g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-)
-    # is (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times the rows of c,
-    # each followed by i times itself.  By angle addition from E0 t and the
-    # node's shift, that is the rows g (cos, cos k / E, cos / E, sin,
-    # sin k / E, sin / E) of the shift times the rows of ``coeffs``: one
-    # real product whose columns are (Re, Im) of both components, then of
-    # i times them.
+    # is (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times the rows of c.
+    # By angle addition from E0 t and the node's shift, that is the rows
+    # g (cos, cos k / E, cos / E, sin, sin k / E, sin / E) of the shift
+    # times the rows of ``coeffs``: one real product whose columns are
+    # (Re, Im) of both components.
     rotation = np.array([[cos0], [sin0], [sin0], [-sin0], [cos0], [cos0]])
     coeffs = rotation * plan.coeffs
 
-    # Each call gets whole panels, so its nodes are u_pr = c_p + o_r with
-    # panel centres c_p and in-panel offsets o_r shared by every panel, and
-    # the basis e^{i u s} = e^{i c_p s} e^{i o_r s} is a (P, n) panel basis
-    # times a (33, n) offset basis (see integrate_panels).  The kernel is
-    # evaluated at the same c_p + o_r, which differ from the nodes by
-    # rounding only.  The offsets are mirror-symmetric, o_{16-i} = -o_{16+i},
-    # and so are the weights: the kernel's mirror pairs a, b combine into
-    # (a + b) at the upper offset and i (a - b) at the lower one, against
-    # the real rows cos(o s) and sin(o s).
-    upper, lower = slice(_GL_ORDER + 1, None), slice(_GL_ORDER - 1, None, -1)
-    passes = {}
-
-    def offset_basis_of(panels):
-        """The pass's panel count and real offset basis (33, n), made on its first chunk."""
-        # The first panel's node span, 2 x_max of its width, names the pass
-        # by its panel count.
-        base = _gk_rule()[0]
-        n_panels = round(2 * half * base[-1] / (panels[0, -1] - panels[0, 0]))
-        if n_panels not in passes:
-            angle = ((half / n_panels) * base[upper])[:, None] * s_arr
-            basis = np.empty((_PANEL_NODES, s_arr.size))
-            basis[_GL_ORDER] = 1.0
-            np.cos(angle, out=basis[upper])
-            np.sin(angle, out=basis[lower])
-            passes.clear()
-            passes[n_panels] = basis
-        return n_panels, passes[n_panels]
+    # Each call gets whole panels of B nodes at spacing h, so node b of
+    # panel p is u_p + b h, and the basis e^{i u s} is the (P, n) panel
+    # basis e^{i u_p s} times the (B, n) offset basis e^{i b h s} (see
+    # integrate_panels).  The kernel is evaluated at the nodes themselves,
+    # which differ from u_p + b h by rounding only.
+    offset_bases = {}
 
     def integrand(nodes):
-        panels = nodes.reshape(-1, _PANEL_NODES)
-        centre = panels[:, _GL_ORDER]
-        n_panels, offset_basis = offset_basis_of(panels)
-        table = _node_table(plan, n_panels, centre)
+        # The node spacing names the pass by its panel count; the pass's
+        # offset basis is made on its first chunk.
+        n_panels = round(2 * half / (nodes[1] - nodes[0])) // _TRAPEZOID_NODES
+        if n_panels not in offset_bases:
+            offset_bases.clear()
+            h = 2 * half / (n_panels * _TRAPEZOID_NODES)
+            offset_bases[n_panels] = _expi((h * np.arange(_TRAPEZOID_NODES))[:, None] * s_arr)
+        table = _node_table(plan, n_panels, nodes)
         shift = phase0_err + t * table[0]
         rows = np.empty((6, nodes.size))
         np.multiply(table[1:], np.cos(shift), out=rows[:3])
         np.multiply(table[1:], np.sin(shift), out=rows[3:])
-        # The kernel and i times it, as (panel, offset, (Re, Im) of both
-        # components), folded into a + b and i (a - b).
-        both = (rows.T @ coeffs).reshape(panels.shape + (8,))
-        kernel = np.empty(panels.shape + (4,))
-        kernel[:, _GL_ORDER] = both[:, _GL_ORDER, :4]
-        np.add(both[:, upper, :4], both[:, lower, :4], out=kernel[:, upper])
-        np.subtract(both[:, upper, 4:], both[:, lower, 4:], out=kernel[:, lower])
-        kernel = kernel.reshape(nodes.size, 4).view(complex)
-        angle = centre[:, None] * s_arr
-        panel_basis = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=panel_basis.real)
-        np.sin(angle, out=panel_basis.imag)
-        return kernel, panel_basis, offset_basis
+        kernel = (rows.T @ coeffs).view(complex)
+        panel_basis = _expi(nodes[::_TRAPEZOID_NODES, None] * s_arr)
+        return kernel, panel_basis, offset_bases[n_panels]
 
     phase = np.exp(1j * plan.k0 * s_arr)
 
@@ -529,7 +507,8 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
         return Spinor(minus=value[0] * phase, plus=value[1] * phase), err
 
     return _integrate_field(integrand, -half, half, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol, n0=n0, node_chunk=_kspace_node_chunk(s_arr.size))
+                            abs_tol=q.abs_tol, n0=n0, node_chunk=_kspace_node_chunk(s_arr.size),
+                            rule=_trapezoid_rule)
 
 
 # =============================================================================

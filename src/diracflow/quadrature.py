@@ -1,21 +1,24 @@
 """Panel quadrature for smooth, possibly highly oscillatory integrands.
 
-Composite Gauss-Kronrod panels with global doubling.  Each panel carries
-the 33-point Kronrod rule K33, whose nodes include those of the 16-point
-Gauss-Legendre rule G16 (Laurie, Math. Comp. 66, 1997; the pairing is
-QUADPACK's, Piessens et al. 1983).  One pass evaluates the integrand once
-at the 33 nodes of each of P panels and forms both sums from the same
-weighted product; it returns K33 with the error estimate |K33 - G16|.  P
-is doubled only while that estimate misses the tolerance, and doubling
-stops with a failure once it cannot help: at the panel budget, at a worst
-estimate that is not finite, or at one that failed to halve the previous
-pass's and sits at the rounding floor 256 eps max|K33|, as QUADPACK flags
-roundoff when refinement stalls.  The caller sets the starting panel
-count, typically from the integrand's phase rate so the first pass already
-samples every oscillation.
+Composite panels with global doubling, each panel carrying a pair of rules
+on the same nodes.  The default pair is the 33-point Kronrod rule K33,
+whose nodes include those of the 16-point Gauss-Legendre rule G16 (Laurie,
+Math. Comp. 66, 1997; the pairing is QUADPACK's, Piessens et al. 1983).
+``_trapezoid_rule`` pairs the trapezoid sums T_h and T_2h on uniform nodes,
+for integrands smooth and negligible at both ends, where the trapezoid
+rule converges geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).
+One pass evaluates the integrand once at the nodes of each of P panels and
+forms both sums from the same weighted product; it returns the first with
+the error estimate |first - second|.  P is doubled only while that
+estimate misses the tolerance, and doubling stops with a failure once it
+cannot help: at the panel budget, at a worst estimate that is not finite,
+or at one that failed to halve the previous pass's and sits at the
+rounding floor 256 eps max|first|, as QUADPACK flags roundoff when
+refinement stalls.  The caller sets the starting panel count, typically so
+that the first pass already samples every oscillation.
 
 Integrands are vectorized: ``f(nodes)`` receives a 1-D array of abscissas,
-whole panels of 33 ascending nodes each, and returns one of three forms.
+whole panels of ascending nodes each, and returns one of three forms.
 
 * An array whose leading axis matches ``nodes``, with any trailing shape
   (e.g. one column per field point), so whole grids integrate in one pass.
@@ -29,9 +32,7 @@ whole panels of 33 ascending nodes each, and returns one of three forms.
   wave e^{i u s} does at u = c_p + o_r.  The sums are then one product of
   the (2c P, R) weighted kernel rows with the offset basis, followed by a
   multiply-and-sum over panels with the panel basis; the (N, n) basis is
-  never formed.  The panels are those of the pass, R = 33, and the
-  weights are mirror-symmetric within each panel, which lets an integrand
-  fold node pairs into a real offset basis (``dirac_exact._kspace_grid``).
+  never formed.  The panels are those of the pass, of R nodes each.
 
 In both factored forms a complex kernel on a real (offset) basis is summed
 as one real product, with the kernel's real and imaginary parts as rows.
@@ -49,6 +50,7 @@ __all__ = ["integrate_panels"]
 
 _GL_ORDER = 16  # Gauss-Legendre nodes per panel, the embedded rule G16
 _PANEL_NODES = 2 * _GL_ORDER + 1  # Kronrod nodes per panel, the rule K33
+_TRAPEZOID_NODES = 16  # nodes per panel of the trapezoid pair, even
 _NODE_CHUNK = 16384
 # Panel layouts of up to _LAYOUT_CACHE_NODES nodes are cached, the last
 # _LAYOUT_CACHE_SIZE used: with 24 bytes per node (node and two weights),
@@ -56,8 +58,8 @@ _NODE_CHUNK = 16384
 # integrand cost dwarfs the layout's, are built per call and freed with it.
 _LAYOUT_CACHE_NODES = 2**13
 _LAYOUT_CACHE_SIZE = 16
-# A residual at most this multiple of max|K33| is rounding (QUADPACK floors
-# its estimate at 50 eps times the integral of |f|).
+# A residual at most this multiple of max|value| is rounding (QUADPACK
+# floors its estimate at 50 eps times the integral of |f|).
 _ROUNDOFF_FLOOR = 256 * np.finfo(float).eps
 
 
@@ -95,9 +97,26 @@ def _gk_rule():
     return nodes, weights
 
 
-def _build_layout(a: float, b: float, n_panels: int):
-    """Abscissas (N,) and K33 and G16 weights (2, N) of n_panels panels over [a, b]."""
-    base, wts = _gk_rule()
+@cache
+def _trapezoid_rule():
+    """The trapezoid pair on [-1, 1]: nodes (B,) and weights (2, B).
+
+    The nodes are uniform at spacing 2 / B from the left end; the right end
+    is the next panel's first node (and is negligible after the last).  Row
+    0 is T_h, 2 / B on every node, and row 1 T_2h, 4 / B on the even nodes.
+    These include u = 0 on a symmetric interval, where midpoint nodes would
+    make the even nodes the odd ones' mirror and T_2h equal T_h on every
+    even integrand.
+    """
+    b = _TRAPEZOID_NODES
+    weights = np.zeros((2, b))
+    weights[0], weights[1, ::2] = 2.0 / b, 4.0 / b
+    return 2.0 * np.arange(b) / b - 1.0, weights
+
+
+def _build_layout(a: float, b: float, n_panels: int, rule=_gk_rule):
+    """Abscissas (N,) and the two weight rows (2, N) of n_panels ``rule`` panels over [a, b]."""
+    base, wts = rule()
     h = (b - a) / n_panels
     left = a + h * np.arange(n_panels)
     nodes = (left[:, None] + 0.5 * h * (base[None, :] + 1.0)).ravel()
@@ -105,21 +124,21 @@ def _build_layout(a: float, b: float, n_panels: int):
 
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _cached_layout(a: float, b: float, n_panels: int):
+def _cached_layout(a: float, b: float, n_panels: int, rule):
     """``_build_layout``, read-only and shared by every call with the same key."""
-    nodes, weights = _build_layout(a, b, n_panels)
+    nodes, weights = _build_layout(a, b, n_panels, rule)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def _layout(a: float, b: float, n_panels: int):
+def _layout(a: float, b: float, n_panels: int, rule=_gk_rule):
     """The panel layout, from the cache up to ``_LAYOUT_CACHE_NODES`` nodes."""
-    if n_panels * _PANEL_NODES <= _LAYOUT_CACHE_NODES:
+    if n_panels * rule()[0].size <= _LAYOUT_CACHE_NODES:
         # Plain numbers as the key, so that 0-d array bounds hash; float()
         # of a float64 is exact.
-        return _cached_layout(float(a), float(b), int(n_panels))
-    return _build_layout(a, b, n_panels)
+        return _cached_layout(float(a), float(b), int(n_panels), rule)
+    return _build_layout(a, b, n_panels, rule)
 
 
 def _weighted_sums(w, vals):
@@ -153,13 +172,14 @@ def _weighted_sums(w, vals):
     return sums.reshape(w.shape[0], n_rows // w.shape[0], -1)
 
 
-def _composite(f, a: float, b: float, n_panels: int, node_chunk: int):
-    """The K33 and G16 estimates over [a, b] with n_panels panels, stacked first."""
+def _composite(f, a: float, b: float, n_panels: int, node_chunk: int, rule=_gk_rule):
+    """Both estimates of ``rule`` over [a, b] with n_panels panels, stacked first."""
     # All abscissas for all panels at once; the integrand sees them in
     # chunks of whole panels, the fewest that hold node_chunk nodes, which
     # bounds its memory.
-    nodes, weights = _layout(a, b, n_panels)
-    step = _PANEL_NODES * max(1, -(-node_chunk // _PANEL_NODES))
+    nodes, weights = _layout(a, b, n_panels, rule)
+    per_panel = rule()[0].size
+    step = per_panel * max(1, -(-node_chunk // per_panel))
     total = None
     for lo in range(0, nodes.size, step):
         part = _weighted_sums(weights[:, lo:lo + step], f(nodes[lo:lo + step]))
@@ -177,15 +197,16 @@ def integrate_panels(
     initial_panels: int = 8,
     max_panels: int = 2**20,
     node_chunk: int = _NODE_CHUNK,
+    rule=_gk_rule,
 ):
     """Integrate ``f`` over [a, b]; returns ``(value, err_est, panels_used)``.
 
-    ``value`` is the K33 estimate and ``err_est`` its distance from G16.
-    Raises IntegrationError if the starting count exceeds the panel budget,
-    before evaluating ``f``, with no partial result; and if a pass misses
-    the tolerance where doubling cannot help (see the module docstring),
-    carrying that pass's K33 estimate as the partial result and
-    |K33 - G16| as residual.
+    ``rule`` is ``_gk_rule`` or ``_trapezoid_rule``; ``value`` is its first
+    estimate and ``err_est`` the distance from its second.  Raises
+    IntegrationError if the starting count exceeds the panel budget, before
+    evaluating ``f``, with no partial result; and if a pass misses the
+    tolerance where doubling cannot help (see the module docstring),
+    carrying that pass's value as the partial result and err as residual.
     """
     if b <= a:
         return _weighted_sums(np.zeros((1, 1)), f(np.array([a])))[0], 0.0, 0
@@ -195,20 +216,20 @@ def integrate_panels(
                                partial=None, residual=np.inf)
     previous = np.inf
     while True:
-        kronrod, gauss = _composite(f, a, b, n, node_chunk)
-        err = np.abs(kronrod - gauss)
-        target = np.maximum(abs_tol, rel_tol * np.abs(kronrod))
+        value, coarse = _composite(f, a, b, n, node_chunk, rule)
+        err = np.abs(value - coarse)
+        target = np.maximum(abs_tol, rel_tol * np.abs(value))
         if (err <= target).all():
-            return kronrod, err, n
+            return value, err, n
         worst = float(np.max(err))
-        floor = _ROUNDOFF_FLOOR * float(np.max(np.abs(kronrod)))
+        floor = _ROUNDOFF_FLOOR * float(np.max(np.abs(value)))
         stalled = not np.isfinite(worst) or previous / 2 < worst <= floor
         if stalled or 2 * n > max_panels:
             stop = f"; refinement stopped at {n} panels" if stalled else ""
             raise IntegrationError(
                 f"quadrature did not converge within {max_panels} panels "
                 f"(max residual {worst:.3e}{stop})",
-                partial=kronrod,
+                partial=value,
                 residual=err,
             )
         previous = worst

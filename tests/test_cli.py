@@ -560,9 +560,10 @@ def test_field_failure_is_reported_on_stderr(tmp_path, t_values, budget, failed,
     assert not (out / LOCK_NAME).exists()
 
 
-@pytest.mark.parametrize("override", ["grid.t_values=1e6"])
+@pytest.mark.parametrize("override", ["grid.t_values=1e7"])
 def test_start_beyond_panel_budget_fails_before_evaluating(tmp_path, capsys, override):
-    # The starting panel count alone exceeds the 2^20-panel budget.
+    # The starting panel count alone exceeds the 2^20-panel budget: the
+    # momentum route's 3.2e6 panels at t = 1e7.
     out = tmp_path / "over"
     start = time.perf_counter()
     code = run_cli("field", "--out", out, *FIG3, *GRID, "--set", "grid.t_values=0.5",
@@ -1033,7 +1034,7 @@ def test_library_loads_each_scipy_stack_on_first_use():
         "df.find_bifurcation(fig3, 8.0, 0.5)\n"
         "stage()\n"
         "for t in (0.5, 2.0, 8.0):\n"
-        "    df.evolve_exact_grid(t, np.linspace(-12.7, 12.7, 64), fig3)\n"
+        "    df.evolve_exact_grid(t, np.linspace(-120.0, 120.0, 64), fig3)\n"
         "stage()\n")
     assert not imported
     # The ensemble draw's ndtri is specfun's own; SPA trajectories load nothing.
@@ -1077,7 +1078,7 @@ def test_benchmark_grids_load_no_scipy(tmp_path):
         f"assert main({ensembles[0]!r}) == 0\n"
         f"assert main({ensembles[1]!r}) == 0\n"
         "stage()\n"
-        "s = np.linspace(-40.0, 40.0, 64)\n"
+        "s = np.linspace(-120.0, 120.0, 64)\n"
         "route, _ = dirac_exact._route_and_panels(0.5, s, fig3)\n"
         "assert route is dirac_exact._bessel_grid\n"
         "df.evolve_exact_grid(0.5, s, fig3)\n"

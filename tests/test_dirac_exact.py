@@ -32,7 +32,7 @@ from diracflow import (
     spherical_cut,
 )
 from diracflow.packets import spinor_amplitudes
-from diracflow.quadrature import _GL_ORDER, _PANEL_NODES, integrate_panels
+from diracflow.quadrature import _TRAPEZOID_NODES, _trapezoid_rule, integrate_panels
 from diracflow.spa import SpaParams, spa_spinor_grid
 
 from _oracles import dirac_spectral, massless_transport
@@ -184,9 +184,9 @@ def test_no_false_convergence(sigma, k0, mass, theta0, omega0, t):
 
 
 def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
-    # FIG3 at t = 8 converges at its 27 starting panels on the momentum
-    # route (21 on the Bessel route).  A Bessel start that counts panels
-    # rather than nodes per 2 pi of phase needs 832.
+    # FIG3 at t = 8 converges at its 12 starting panels of 16 nodes on the
+    # momentum route (21 panels of 33 on the Bessel route).  A Bessel start
+    # that counts panels rather than nodes per 2 pi of phase needs 832.
     used = []
 
     def counting(*args, **kwargs):
@@ -205,9 +205,9 @@ def test_budget_failure_partial_is_the_field(t):
     # A budget of eight panels leaves no room to refine, and the tolerances
     # are out of reach: the eight-panel theta-integrals assemble into the
     # field itself, with the field's error bound from the same pass.  The
-    # grid reaches s = -14, where the momentum route would start from more
-    # than twice the Bessel route's eight panels.
-    s = np.linspace(-14.0, 4.0 + 10 * t, 41)
+    # grid reaches s = -120, where the momentum route would start from 704
+    # nodes, more than 2.5 times the Bessel route's 264.
+    s = np.linspace(-120.0, 4.0 + 10 * t, 41)
     assert route_of(t, s, FIG3) is dirac_exact._bessel_grid
     psi, _ = evolve_exact_grid(t, s, FIG3)
     with pytest.raises(IntegrationError) as info:
@@ -225,7 +225,7 @@ def test_unreachable_tolerance_stops_at_rounding(n):
     # |K33 - G16| sits at rounding level from the first pass on, so doubling
     # stops once it fails to halve, far below the 2**20-panel budget.
     s = np.linspace(-12.7, 12.7, n)
-    evolve_exact_grid(0.5, s, FIG3)  # loads scipy.special, outside the timing
+    evolve_exact_grid(0.5, s, FIG3)  # builds the route's tables, outside the timing
     start = time.perf_counter()
     with pytest.raises(IntegrationError, match="did not converge within 1048576 panels") as info:
         evolve_exact_grid(0.5, s, FIG3, QuadConfig(rel_tol=1e-300, abs_tol=1e-300))
@@ -239,7 +239,7 @@ MACRO_W400 = PacketParams.macroscopic(0.2, 1.0, 400.0)
 
 @pytest.mark.parametrize("data, t, s", [
     (FIG3, 0.5, np.linspace(-4.0, 9.0, 27)),
-    # The momentum route, which starts here from 15 panels.
+    # The momentum route, which starts here from 10 panels.
     (MACRO_W400, 1.0, np.linspace(-1.5, 1.5, 33)),
 ], ids=["fig3-bessel", "macro-w400-kspace"])
 def test_unconverged_partial_carries_field_residual(data, t, s):
@@ -259,7 +259,7 @@ def test_unconverged_partial_carries_field_residual(data, t, s):
 
 def test_kspace_budget_failure_carries_its_residual():
     # Sixteen panels leave no room to double the momentum route's start of
-    # 15, and the tolerances are out of reach: the one pass still gives the
+    # 10, and the tolerances are out of reach: the one pass still gives the
     # partial field an error bound.
     s = np.linspace(-1.5, 1.5, 33)
     with pytest.raises(IntegrationError) as info:
@@ -272,10 +272,10 @@ def test_kspace_budget_failure_carries_its_residual():
 
 
 def test_start_beyond_budget_has_no_partial():
-    # Eight panels are fewer than the momentum route's start of 15: nothing
+    # Eight panels are fewer than the momentum route's start of 10: nothing
     # is evaluated, so there is neither a partial field nor a residual.
     s = np.linspace(-1.5, 1.5, 33)
-    with pytest.raises(IntegrationError, match="panel budget 8 is below the 15 starting") as info:
+    with pytest.raises(IntegrationError, match="panel budget 8 is below the 10 starting") as info:
         evolve_exact_grid(1.0, s, MACRO_W400, QuadConfig(max_panels=8))
     assert info.value.partial is None
     assert info.value.residual.shape == (2, s.size)
@@ -315,29 +315,31 @@ def test_grid_routes_agree_on_macroscopic_ladder(omega, vartheta, t):
 
 
 def test_grid_route_choice():
-    # Pinned to timings of both routes forced on the benchmark's grids: the
-    # momentum route runs where it starts from at most twice the Bessel
-    # route's panels.
+    # Pinned to timings of both routes forced on FIG3 grids: the momentum
+    # route runs where it starts from at most 2.5 times the Bessel route's
+    # nodes (16 per momentum panel, 33 per Bessel panel).
     v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
-    # FIG3 grids over both packets: momentum at 8, 12 and 27 panels against
-    # Bessel's 8, 8 and 21.
-    for t, start in ((0.5, 8), (2.0, 12), (8.0, 27)):
+    # FIG3 grids over both packets: momentum at 7, 8 and 12 panels (112,
+    # 128 and 192 nodes) against Bessel's 8, 8 and 21 (264, 264 and 693).
+    for t, start in ((0.5, 7), (2.0, 8), (8.0, 12)):
         half = v0 * t + 5.0
         s = np.linspace(-half, half, 64)
         assert dirac_exact._route_and_panels(t, s, FIG3) == (dirac_exact._kspace_grid, start)
-    # The macroscopic ladder: 15 or 16 panels against 18 to 142.
+    # The macroscopic ladder: 160 nodes against 594 to 4686.
     for omega in (50.0, 100.0, 200.0, 400.0):
         data = PacketParams.macroscopic(0.2, 1.0, omega)
-        assert route_of(1.0, np.linspace(-1.5, 1.5, 33), data) is dirac_exact._kspace_grid
-    # Single points on the FIG3 packets' centres: 10 against 11 panels at
-    # t = 4, 20 against 21 at t = 8.
+        assert dirac_exact._route_and_panels(1.0, np.linspace(-1.5, 1.5, 33), data) == (
+            dirac_exact._kspace_grid, 10)
+    # Single points on the FIG3 packets' centres: 128 against 363 nodes at
+    # t = 4, 176 against 693 at t = 8.
     for t in (4.0, 8.0):
         for s in (-v0 * t, v0 * t):
             assert route_of(t, np.array([s]), FIG3) is dirac_exact._kspace_grid
-    # Wide grids stay on the Bessel route: over [-12.7, 12.7] at t = 0.5 the
-    # momentum route would start from 17 panels against 8, and from 1.3e307
-    # with a far position.
-    assert route_of(0.5, np.linspace(-12.7, 12.7, 64), FIG3) is dirac_exact._bessel_grid
+    # Wide grids stay on the Bessel route: over [-120, 120] at t = 0.5 the
+    # momentum route would start from 704 nodes against 264, and from
+    # 5.1e307 with a far position.
+    assert route_of(0.5, np.linspace(-12.7, 12.7, 64), FIG3) is dirac_exact._kspace_grid
+    assert route_of(0.5, np.linspace(-120.0, 120.0, 64), FIG3) is dirac_exact._bessel_grid
     assert route_of(1.0, np.array([0.0, 1e307]), FIG3) is dirac_exact._bessel_grid
 
 
@@ -361,8 +363,9 @@ def assert_layout_cache_transparent(t, s, data, monkeypatch):
 @pytest.mark.parametrize("case", ["fig3_bessel", "ladder_kspace"])
 def test_layout_cache_keeps_field_bits(case, monkeypatch):
     if case == "fig3_bessel":
-        # Wide enough that the momentum route would start from 61 panels.
-        t, s, data = 8.0, np.linspace(-40.0, 40.0, 64), FIG3
+        # Wide enough that the momentum route would start from 704 nodes,
+        # against the Bessel route's 264.
+        t, s, data = 0.5, np.linspace(-120.0, 120.0, 64), FIG3
         assert route_of(t, s, data) is dirac_exact._bessel_grid
     else:
         t, s, data = 1.0, np.linspace(-1.5, 1.5, 33), PacketParams.macroscopic(0.2, 1.0, 400.0)
@@ -391,12 +394,13 @@ def clear_momentum_plans():
 def test_momentum_plan_keeps_field_bits(case, monkeypatch):
     # A call that builds the packet's plan and node tables, one that finds
     # them cached, and one that builds each chunk's table itself give the
-    # same psi and err, bit for bit.  FIG3 at t = 8 takes 27 panels in two
-    # chunks of 15 and 12, so its second chunk is sliced from the table.
+    # same psi and err, bit for bit.  FIG3 at t = 8 on 128 positions takes
+    # its 12 panels in chunks of 7 and 5, so the second chunk is sliced
+    # from the table.
     if case == "fig3":
         v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
-        cases = [(t, np.linspace(-(v0 * t + 5.0), v0 * t + 5.0, 64), FIG3)
-                 for t in (0.5, 2.0, 8.0)]
+        cases = [(t, np.linspace(-(v0 * t + 5.0), v0 * t + 5.0, n), FIG3)
+                 for t, n in ((0.5, 64), (2.0, 64), (8.0, 64), (8.0, 128))]
     else:
         cases = [(1.0, np.linspace(-1.5, 1.5, 33), PacketParams.macroscopic(0.2, 1.0, omega))
                  for omega in (50.0, 400.0)]
@@ -417,14 +421,14 @@ def test_momentum_plan_cache_stays_within_its_budget():
     # the cache keeps at most _PLAN_CACHE_SIZE plans, and the node tables
     # still alive afterwards (those it keeps) hold at most 4 MiB, read-only.
     clear_momentum_plans()
-    at_cap = dirac_exact._PLAN_CACHE_NODES // _PANEL_NODES
+    at_cap = dirac_exact._PLAN_CACHE_NODES // _TRAPEZOID_NODES
     refs = []
     for j in range(3 * dirac_exact._PLAN_CACHE_SIZE):
         plan = dirac_exact._kspace_plan(
             PacketParams(sigma=1.0 + j, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0))
         for n_panels in (at_cap, at_cap + 1):
-            nodes, _ = quadrature._layout(-plan.half, plan.half, n_panels)
-            table = dirac_exact._node_table(plan, n_panels, nodes[_GL_ORDER::_PANEL_NODES])
+            nodes, _ = quadrature._layout(-plan.half, plan.half, n_panels, _trapezoid_rule)
+            table = dirac_exact._node_table(plan, n_panels, nodes)
             assert table.shape == (4, nodes.size)
             refs.append(weakref.ref(table if table.base is None else table.base))
     del table
@@ -525,8 +529,8 @@ def test_coarse_momentum_nodes_are_unresolvable(k0):
 
 @pytest.mark.parametrize("k0", [10.0, 1e9, 1e14])
 def test_route_does_not_depend_on_the_tolerance(k0, monkeypatch):
-    # Route and starting count come from the phase rates alone, so every
-    # tolerance takes the momentum route's 8 panels at (t, s) = (0.5, -0.5).
+    # Route and starting count come from t, s and sigma alone, so every
+    # tolerance takes the momentum route's 6 panels at (t, s) = (0.5, -0.5).
     data = PacketParams(sigma=1.0, k0=k0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
     choose = dirac_exact._route_and_panels
     chosen = []
@@ -534,7 +538,7 @@ def test_route_does_not_depend_on_the_tolerance(k0, monkeypatch):
                         lambda *args: chosen.append(choose(*args)) or chosen[-1])
     for rel_tol in (1e-6, 1e-9, 1e-15):
         evolve_exact(0.5, -0.5, data, QuadConfig(rel_tol=rel_tol))
-    assert chosen == [(dirac_exact._kspace_grid, 8.0)] * 3
+    assert chosen == [(dirac_exact._kspace_grid, 6.0)] * 3
 
 
 @pytest.mark.parametrize("s, minus, plus", [
@@ -544,7 +548,7 @@ def test_route_does_not_depend_on_the_tolerance(k0, monkeypatch):
      0.15965396362000645662 + 0.38207650782677894601j),
 ])
 def test_large_k0_point_runs_on_the_momentum_route(s, minus, plus):
-    # At k0 = 1e7, t = 0.3 the momentum route starts from 8 panels and the
+    # At k0 = 1e7, t = 0.3 the momentum route starts from 6 panels and the
     # Bessel route from 750001; psi matches a 50-digit mpmath quadrature of
     # the momentum integral.
     data = PacketParams(sigma=1.0, k0=1e7, theta0=np.pi / 2, omega0=0.0, mass=3.0)
@@ -589,13 +593,13 @@ def record_panels(monkeypatch):
 def test_momentum_phase_on_a_high_ladder_rung(omega, monkeypatch):
     # From omega = 1e7 on, E t rounds by ulp(E t) >= 1.9e-9 at every node,
     # which stalled the doubling; taken from u, the phase converges at the
-    # 15 starting panels.  The density then matches the SPA's, whose error
+    # 10 starting panels.  The density then matches the SPA's, whose error
     # falls as 1 / omega (9.8e-13 at omega = 1e9).
     data = PacketParams.macroscopic(0.2, 1.0, omega)
     s = np.linspace(-1.5, 1.5, 101)
     used = record_panels(monkeypatch)
     psi, err = evolve_exact_grid(1.0, s, data)
-    assert used == [(15.0, 15)]
+    assert used == [(10.0, 10)]
     assert np.max(err) <= 1e-15
     spa = spa_spinor_grid(1.0, s, SpaParams(p0=1.0, sigma=0.2, omega=omega))
     assert np.max(np.abs(psi.density - spa.density)) <= 2e-3 / omega
@@ -603,19 +607,75 @@ def test_momentum_phase_on_a_high_ladder_rung(omega, monkeypatch):
 
 @pytest.mark.parametrize("data, t, s, start", [
     *[(FIG3, t, np.linspace(-(FIG3_V0 * t + 5.0), FIG3_V0 * t + 5.0, 64), n)
-      for t, n in ((0.5, 8), (2.0, 12), (8.0, 27))],
+      for t, n in ((0.5, 7), (2.0, 8), (8.0, 12))],
     *[(PacketParams.macroscopic(0.2, 1.0, w), 1.0, np.linspace(-1.5, 1.5, 33), n)
-      for w, n in ((50.0, 16), (100.0, 15), (200.0, 15), (400.0, 15))],
+      for w, n in ((50.0, 10), (100.0, 10), (200.0, 10), (400.0, 10))],
 ], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w50", "macro-w100", "macro-w200", "macro-w400"])
 def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch):
-    # The benchmark's field grids: one K33 pass at the starting count.
+    # The benchmark's field grids: one trapezoid pass at the alias-free start.
     used = record_panels(monkeypatch)
     evolve_exact_grid(t, s, data)
     assert used == [(start, start)]
 
 
+def record_chunks(monkeypatch):
+    """The node count of every integrand call the field's quadratures make."""
+    sizes = []
+
+    def recording(f, *args, **kwargs):
+        def counted(nodes):
+            sizes.append(nodes.size)
+            return f(nodes)
+
+        return integrate_panels(counted, *args, **kwargs)
+
+    monkeypatch.setattr(dirac_exact, "integrate_panels", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("data, t, s", [
+    *[(FIG3, t, np.linspace(-(FIG3_V0 * t + 5.0), FIG3_V0 * t + 5.0, 64)) for t in (0.5, 2.0, 8.0)],
+    (MACRO_W400, 1.0, np.linspace(-1.5, 1.5, 33)),
+    # The CLI benchmark's field grid.
+    *[(FIG3, t, np.linspace(-8.0, 8.0, 64)) for t in (0.5, 2.0)],
+], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w400", "cli-t0.5", "cli-t2"])
+def test_field_grids_take_one_integrand_call_per_pass(data, t, s, monkeypatch):
+    sizes = record_chunks(monkeypatch)
+    evolve_exact_grid(t, s, data)
+    assert sizes == [_TRAPEZOID_NODES * dirac_exact._kspace_panels(t, s, data)]
+
+
+def test_large_grid_is_chunked_within_the_bound(monkeypatch):
+    # 4096 positions over both FIG3 packets at t = 8: no chunk of panels
+    # keeps the complex (4 P, 16) @ (16, 4096) product on one thread, so
+    # each of the 12 panels is its own call, the smallest chunk there is.
+    s = np.linspace(-(FIG3_V0 * 8.0 + 5.0), FIG3_V0 * 8.0 + 5.0, 4096)
+    assert dirac_exact._kspace_node_chunk(s.size) == _TRAPEZOID_NODES
+    sizes = record_chunks(monkeypatch)
+    evolve_exact_grid(8.0, s, FIG3)
+    assert sizes == [_TRAPEZOID_NODES] * 12
+
+
+def test_start_below_the_alias_bound_doubles_once(monkeypatch):
+    # A start where pi / h covers only max|s| + t + 6 sigma lets T_2h alias:
+    # its estimate misses the tolerance, and one doubling, where T_2h has
+    # the first pass's spacing and 2 pi / h covers the light cone, meets it.
+    t = 8.0
+    s_ref, minus_ref, plus_ref = dirac_spectral(t, FIG3, 60.0, 2**14)
+    idx = np.searchsorted(s_ref, np.linspace(-12.7, 12.7, 33))
+    s = s_ref[idx]
+    reach = np.abs(s).max() + t + 6.0 * FIG3.sigma
+    start = float(np.ceil(16.0 / FIG3.sigma * reach / (np.pi * _TRAPEZOID_NODES)))
+    assert start < dirac_exact._kspace_panels(t, s, FIG3)
+    used = record_panels(monkeypatch)
+    psi, _ = dirac_exact._kspace_grid(t, s, FIG3, QuadConfig(), start)
+    assert used == [(start, 2 * start)]
+    assert np.max(np.abs(psi.minus - minus_ref[idx])) <= 1e-12
+    assert np.max(np.abs(psi.plus - plus_ref[idx])) <= 1e-12
+
+
 def test_far_position_takes_bessel_route():
-    # The momentum route would start from 1.3e307 panels at |s| = 1e307; the
+    # The momentum route would start from 3.2e306 panels at |s| = 1e307; the
     # Bessel route runs and the packets are negligible there.
     with np.errstate(over="ignore"):
         sample = evolve_exact(1.0, 1e307, FIG3)
@@ -653,11 +713,11 @@ def test_overflowing_momentum_phase_is_an_integration_error():
 
 def test_finite_energy_phase_keeps_the_momentum_route():
     # m t = 1e307 is finite, though the Bessel count (2.5e306 panels) is far
-    # beyond any budget: the momentum route runs from 8 panels.  At k0 = 0
+    # beyond any budget: the momentum route runs from 6 panels.  At k0 = 0
     # the packet sits still, with rho the N(0, sigma^2) density and j = 0.
     data = PacketParams(sigma=1.0, k0=0.0, theta0=np.pi / 2, omega0=0.0, mass=1e307)
     s = np.array([-1.0, 0.0, 1.0])
-    assert dirac_exact._route_and_panels(1.0, s, data) == (dirac_exact._kspace_grid, 8.0)
+    assert dirac_exact._route_and_panels(1.0, s, data) == (dirac_exact._kspace_grid, 6.0)
     psi, _ = evolve_exact_grid(1.0, s, data)
     assert np.max(np.abs(psi.density - np.exp(-s**2 / 2) / np.sqrt(2 * np.pi))) <= 1e-15
     assert np.max(np.abs(psi.current)) <= 1e-15

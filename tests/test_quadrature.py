@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from diracflow import IntegrationError, quadrature
-from diracflow.quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _composite, _gk_rule,
-                                  integrate_panels)
+from diracflow.quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _TRAPEZOID_NODES,
+                                  _composite, _gk_rule, _trapezoid_rule, integrate_panels)
 
 S = np.linspace(-1.0, 2.0, 7)
 
@@ -254,6 +254,59 @@ def test_one_pass_per_panel_count():
     seen.clear()
     integrate_panels(counted, 0.0, np.pi, initial_panels=8, node_chunk=40)
     assert seen == [2 * _PANEL_NODES] * 4
+
+
+# =============================================================================
+# The trapezoid pair
+# =============================================================================
+
+@pytest.mark.parametrize("a, b, n_panels", [(-8.0, 8.0, 7), (-40.0, 40.0, 10), (0.0, np.pi, 3)])
+def test_trapezoid_layout(a, b, n_panels):
+    nodes, weights = quadrature._build_layout(a, b, n_panels, _trapezoid_rule)
+    width = (b - a) / n_panels
+    h = width / _TRAPEZOID_NODES
+    per_panel = weights.reshape(2, n_panels, _TRAPEZOID_NODES)
+    # Row 0 sums to the panel width; row 1 is the trapezoid at spacing 2 h
+    # over the same nodes, 2 h on the even ones and nothing on the odd.
+    assert np.all(np.abs(per_panel[0].sum(axis=1) - width) <= 2 * np.spacing(width))
+    assert np.array_equal(weights[1, 0::2], 2 * weights[0, 0::2])
+    assert np.all(weights[1, 1::2] == 0)
+    # The nodes are uniform at spacing h, across panel boundaries too, from
+    # a to b - h.
+    scale = max(abs(a), abs(b))
+    assert np.all(np.abs(np.diff(nodes) - h) <= 4 * np.spacing(scale))
+    assert nodes[0] == a and abs(nodes[-1] - (b - h)) <= 2 * np.spacing(scale)
+
+
+def test_trapezoid_rule_table():
+    nodes, weights = _trapezoid_rule()
+    assert nodes.shape == (_TRAPEZOID_NODES,) and weights.shape == (2, _TRAPEZOID_NODES)
+    assert _TRAPEZOID_NODES % 2 == 0
+    assert nodes[0] == -1.0 and np.all(np.diff(nodes) == 2 / _TRAPEZOID_NODES)
+    assert weights[0].sum() == 2.0 and weights[1].sum() == 2.0
+
+
+def even_gaussian_wave(u):
+    """e^{-u^2} cos(3 u), whose integral is sqrt(pi) e^{-9/4}."""
+    return np.exp(-u * u) * np.cos(3 * u)
+
+
+def test_trapezoid_estimate_sees_even_integrands():
+    # On a symmetric interval the nodes at spacing 2 h are their own mirror
+    # image, so an even integrand under-resolved at 2 h shows in the
+    # estimate: at h = 1 on [-8, 8].
+    value, coarse = _composite(even_gaussian_wave, -8.0, 8.0, 1, _NODE_CHUNK, _trapezoid_rule)
+    assert abs(value - coarse) > 0.1
+
+
+def test_trapezoid_pair_converges_geometrically_on_a_gaussian():
+    # Entire and negligible at the ends of [-8, 8]: T_h is 0.12 off at
+    # h = 1, 2e-10 at h = 1/2 and exact to rounding at 1/4; the estimate is
+    # T_2h's error, so the pair stops at h = 1/8, one doubling later.
+    value, err, n = integrate_panels(even_gaussian_wave, -8.0, 8.0, initial_panels=1,
+                                     rule=_trapezoid_rule)
+    assert abs(value - np.sqrt(np.pi) * np.exp(-2.25)) <= 1e-15
+    assert err <= 1e-15 and n == 8
 
 
 # =============================================================================
