@@ -174,6 +174,8 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if s_arr.ndim > 1:
+        raise DomainError(f"s must be a number or a 1-D array, got shape {s_arr.shape}")
     if not np.isfinite(s_arr).all():
         raise DomainError("s must be finite")
     if t == 0 or data.mass * t == 0:
@@ -186,6 +188,8 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
 def evolve_exact(t: float, s: float, data: PacketParams,
                  q: QuadConfig = QuadConfig()) -> FieldSample:
     """Exact evolved spinor at a single spacetime point."""
+    if np.ndim(s) or np.iscomplexobj(s):
+        raise DomainError(f"s must be a real number, got {s!r}")
     psi, err = evolve_exact_grid(t, [s], data, q)
     return FieldSample(
         t=float(t),

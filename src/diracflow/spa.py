@@ -186,14 +186,18 @@ def has_both_critical_points(t: float, p: SpaParams) -> bool:
     return p.omega * t > specfun.j0_first_zero() * p.e0
 
 
+def weighted_spinor(weights, phi_m, phi_p) -> Spinor:
+    """U = A phi_- + B phi_+ for spinor weights (A, B) from ``spa_weights``."""
+    a, b = weights
+    return Spinor(minus=a[0] * phi_m + b[0] * phi_p, plus=a[1] * phi_m + b[1] * phi_p)
+
+
 def spa_spinor_grid(t: float, s, p: SpaParams) -> Spinor:
     """Vectorized U(t, s) over an array of positions at one time, with that time's weights."""
     if np.ndim(t):
         raise DomainError("spa_spinor_grid takes one time t for every position")
-    a, b = spa_weights(p, has_both_critical_points(t, p))
-    phi_m, phi_p = spa_envelopes(t, s, p)
-    return Spinor(minus=a[0] * phi_m + b[0] * phi_p,
-                  plus=a[1] * phi_m + b[1] * phi_p)
+    return weighted_spinor(spa_weights(p, has_both_critical_points(t, p)),
+                           *spa_envelopes(t, s, p))
 
 
 def spa_evaluate(t: float, s: float, p: SpaParams,
@@ -215,16 +219,13 @@ def spa_evaluate(t: float, s: float, p: SpaParams,
                 f"[{abs(p.v0) * t_horizon / 2:g}, {t_horizon:g}]",
                 stacklevel=2,
             )
-    both = has_both_critical_points(t, p)
-    a, b = spa_weights(p, both)
+    u = spa_spinor_grid(t, float(s), p)
     phi_m, phi_p = spa_envelopes(t, float(s), p)
-    u = Spinor(minus=complex(a[0] * phi_m + b[0] * phi_p),
-               plus=complex(a[1] * phi_m + b[1] * phi_p))
     return SpaResult(
-        u=u,
+        u=Spinor(minus=complex(u.minus), plus=complex(u.plus)),
         phi_minus=complex(phi_m),
         phi_plus=complex(phi_p),
-        both_critical_points=both,
+        both_critical_points=has_both_critical_points(t, p),
         err_bound_scale=error_bound_shape(p.p0, t, p.sigma, p.omega),
     )
 

@@ -11,6 +11,10 @@ quadrature-backed exact field, user functions) once per point.  A velocity
 field's ``spinors(t[], q[])`` (``spinor(t, q)`` at one point) is the spinor
 whose current over density is that velocity; the Bloch data come from it.
 
+The SPA velocity is the rescaled guiding ODE's tanh/sech law, exact because
+the SPA spinor weights are orthogonal: ``SpaVelocityField`` and
+``xy_ode_velocity`` evaluate it through the one ``_guiding_velocity``.
+
 Ensembles draw initial positions from quantum equilibrium N(0, sigma^2) by
 inverse CDF, with a per-trajectory seed derived from (seed, index), so
 results are bit-identical for a seed.
@@ -37,7 +41,7 @@ import numpy as np
 from .dirac_exact import QuadConfig, evolve_exact, schrodinger_reference
 from .errors import BracketingError, DomainError, IntegrationError, NodeError, ValidationError
 from .packets import PacketParams, Spinor, cayley_klein_series
-from .spa import SpaParams, spa_envelopes, spa_weights
+from .spa import SpaParams, spa_envelopes, spa_weights, weighted_spinor
 from .specfun import ndtri
 
 __all__ = [
@@ -147,24 +151,23 @@ class SchrodingerField:
 
 
 class SpaVelocityField:
-    """Closed-form velocity of the SPA spinor, stable in the far Gaussian tails.
+    """Velocity of the SPA spinor U = A phi_- + B phi_+: the rescaled guiding ODE's law.
 
-    Writing w = v0*t*s/sigma^2 and chi = 2*omega*E0*t, the velocity is a
-    ratio of {e^w, e^-w, cos(chi)} combinations with constant weights, so it
-    evaluates without forming the (under/overflowing) envelopes themselves.
+    B is A = |A| (cos alpha, sin alpha) turned by a right angle, with
+    cos(2 alpha) = v0 and sin(2 alpha) = 1 / E0.  So the density has no cross
+    term and v = v0 tanh(u) -+ sech(u) cos(2 omega E0 t) / E0 exactly, with
+    u = v0 t s / sigma^2 + ln(|A| / |B|) and the sign of -(A x B).  |B| is
+    |A x B| / |A|, the part of B orthogonal to A (the rest is rounding); the
+    envelopes are never formed, and |v| <= 1 by construction.
     """
 
     def __init__(self, params: SpaParams):
         self.params = params
         a, b = self._spinor_weights = spa_weights(params, both_critical_points=True)
-        self._na = float(a[0] ** 2 + a[1] ** 2)
-        self._nb = float(b[0] ** 2 + b[1] ** 2)
-        self._nc = 2.0 * float(a[0] * b[0] + a[1] * b[1])
-        self._da = float(a[0] ** 2 - a[1] ** 2)
-        self._db = float(b[0] ** 2 - b[1] ** 2)
-        self._dc = 2.0 * float(a[0] * b[0] - a[1] * b[1])
-        self._weights = np.array([[self._na, self._da], [self._nb, self._db],
-                                  [self._nc, self._dc]])[:, :, None]
+        cross = float(a[0] * b[1] - a[1] * b[0])
+        # A x B = 0 (B is 0 up to rounding) leaves phi_- alone: u = +inf and v = v0.
+        self._u_shift = float(np.log(a @ a) - np.log(abs(cross))) if cross else np.inf
+        self._sech_weight = -np.sign(cross) / params.e0
         self._sigma2 = params.sigma**2
         self._chi_rate = 2 * params.omega * params.e0
         # ln of the envelopes' common peak, 1 / (sqrt(2 pi) sigma).
@@ -173,31 +176,16 @@ class SpaVelocityField:
     def velocities(self, t, s):
         """Velocities at the paired points (t[i], s[i]) of two 1-D arrays, and the node mask.
 
-        A point is a node where both envelopes underflow or, for |w| <= 350,
-        the density is not positive; its velocity is 0.  Beyond |w| = 350
-        the velocity has saturated to its one-packet value.
+        A point is a node where both envelopes underflow; its velocity is 0.
         """
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
         vt = self.params.v0 * t
-        w = vt * s / self._sigma2
-        wc = np.minimum(np.maximum(w, -350.0), 350.0)
-        ew = np.exp(wc)
-        emw = np.exp(-wc)
-        cos_chi = np.cos(self._chi_rate * t)
-        # Rows: density and current, each a {e^w, e^-w, cos chi} combination.
-        rho, cur = self._weights[0] * ew + self._weights[1] * emw + self._weights[2] * cos_chi
+        u = vt * s / self._sigma2 + self._u_shift
+        v = _guiding_velocity(u, self.params.v0, self._sech_weight, np.cos(self._chi_rate * t))
         # Both envelopes underflow where the nearer packet center is too far.
         d = np.abs(s) - np.abs(vt)
         node = self._log_peak - d * d / (2 * self._sigma2) < _LOG_TINY
-        empty = rho <= 0
-        if np.count_nonzero(empty):
-            node |= empty & (w == wc)
-            rho[empty] = 1.0
-        v = cur / rho
-        if np.count_nonzero(w != wc):
-            v[w > 350.0] = self._da / self._na
-            v[w < -350.0] = self._db / self._nb
         if np.count_nonzero(node):
             v[node] = 0.0
         return v, node
@@ -205,14 +193,13 @@ class SpaVelocityField:
     def __call__(self, t: float, s: float) -> float:
         v, node = self.velocities(np.array([t]), np.array([s]))
         if node[0]:
-            raise NodeError("SPA density vanishes or both envelopes underflow at this point")
+            raise NodeError("both SPA envelopes underflow at this point")
         return float(v[0])
 
     def spinors(self, t, s) -> Spinor:
         """The spinor at the paired points (t[i], s[i]), under the velocity's own weights."""
-        phi_m, phi_p = spa_envelopes(np.asarray(t, dtype=float), s, self.params)
-        a, b = self._spinor_weights
-        return Spinor(minus=a[0] * phi_m + b[0] * phi_p, plus=a[1] * phi_m + b[1] * phi_p)
+        return weighted_spinor(self._spinor_weights,
+                               *spa_envelopes(np.asarray(t, dtype=float), s, self.params))
 
     def spinor(self, t: float, s: float) -> Spinor:
         u = self.spinors(np.array([t]), np.array([s]))
@@ -251,18 +238,23 @@ def spa_velocity_field(t: float, s: float, p: SpaParams) -> float:
     return SpaVelocityField(p)(t, s)
 
 
+def _guiding_velocity(u, v_inf, c, cos_phase):
+    """v_inf tanh(u) + c sech(u) cos_phase, with sech(u) = 2 e^-|u| / (1 + e^-2|u|) finite."""
+    e = np.exp(-np.abs(u))
+    return v_inf * np.tanh(u) + c * (2 * e / (1 + e * e)) * cos_phase
+
+
 def xy_ode_velocity(x, y, theta0: float, a_omega: float):
     """Right-hand side F(x, y) of the rescaled guiding ODE at eigen angle theta0.
 
     F = cos(theta0) tanh(x y - ln eta) + sin(theta0) sech(x y - ln eta) cos(a_omega x)
-    with eta = tan(theta0 / 2); equal to the SPA velocity under
+    with eta = tan(theta0 / 2); the same function as ``SpaVelocityField`` under
     x = sqrt(v0) t / sigma, y = sqrt(v0) s / sigma, a_omega = 2 sigma E0 omega / sqrt(v0).
     """
     if not (0.0 < theta0 / 2 and theta0 < np.pi):
         raise DomainError("theta0 must lie in (0, pi), with theta0 / 2 > 0")
     u = np.asarray(x) * np.asarray(y) - np.log(np.tan(theta0 / 2))
-    return np.cos(theta0) * np.tanh(u) + np.sin(theta0) * (1.0 / np.cosh(u)) * np.cos(
-        a_omega * np.asarray(x))
+    return _guiding_velocity(u, np.cos(theta0), np.sin(theta0), np.cos(a_omega * np.asarray(x)))
 
 
 # =============================================================================

@@ -1002,6 +1002,17 @@ def test_barriers_command(tmp_path, capsys):
     assert all(np.isfinite(r[header.index("y0")]) for r in rows)
 
 
+def test_barriers_far_x_is_warning_free(tmp_path, capsys):
+    # Out to x = 1000, x y - ln eta passes 710, where 1 / cosh would overflow.
+    out = tmp_path / "bar"
+    code = run_cli("barriers", "--out", out, "--set", "barriers.theta0_values=0.5",
+                   "--set", "barriers.x_max=1000")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "barriers.json").read_text())
+    assert doc["reports"][0]["violations"] == 0
+
+
 # =============================================================================
 # Start-up: each scipy stack loads on first use
 # =============================================================================

@@ -84,6 +84,35 @@ def test_negative_time_rejected():
             evolve_exact_grid(0.5, [0.0, bad], p)
 
 
+@pytest.mark.parametrize("t, s, route", [
+    (0.5, np.zeros((2, 3)), "_kspace_grid"),
+    (0.5, np.full((2, 3), 400.0), "_bessel_grid"),
+    (0.0, np.zeros((2, 3)), None),
+    (0.5, np.zeros((1, 1)), "_kspace_grid"),
+], ids=["momentum-route", "bessel-route", "t0", "one-by-one"])
+def test_positions_beyond_one_axis_rejected(t, s, route):
+    # The check comes before the route choice and the t = 0 transport, so
+    # no route broadcasts a 2-D grid or returns a 2-D spinor.
+    if route is not None:
+        assert dirac_exact._route_and_panels(t, s.ravel(), FIG3)[0].__name__ == route
+    with pytest.raises(DomainError, match=r"s must be a number or a 1-D array, got shape"):
+        evolve_exact_grid(t, s, FIG3)
+
+
+@pytest.mark.parametrize("s", [[1.0], np.array([1.0]), (0.0, 1.0), 1.0 + 0.5j, np.complex128(1.0)],
+                         ids=["list", "array", "tuple", "complex", "complex128"])
+def test_single_point_needs_a_real_number(s):
+    with pytest.raises(DomainError, match="s must be a real number"):
+        evolve_exact(0.5, s, FIG3)
+
+
+def test_single_point_takes_numpy_scalars():
+    want = evolve_exact(0.5, 0.4, FIG3)
+    for s in (np.float64(0.4), np.array(0.4)):
+        got = evolve_exact(0.5, s, FIG3)
+        assert got.psi == want.psi and got.s == 0.4
+
+
 def test_massless_evolution_is_pure_transport():
     p = PacketParams(sigma=1.0, k0=2.0, theta0=0.9, omega0=0.3, mass=0.0)
     pk = make_initial_packet(p)

@@ -41,7 +41,7 @@ from diracflow import (
     xy_ode_velocity,
 )
 from diracflow import trajectories
-from diracflow.spa import SpaParams
+from diracflow.spa import SpaParams, spa_weights
 from diracflow.trajectories import (
     _RK45,
     MAX_ENSEMBLE_SIZE,
@@ -861,6 +861,43 @@ def test_array_spa_field_matches_spinor_current(fig3_packet):
     assert np.count_nonzero(dense) >= 1000
     ref = psi.current[dense] / psi.density[dense]
     assert np.max(np.abs(v[dense] - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("data", [
+    PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0),
+    # |B|^2 ~ 1e-34: B is rounding, not orthogonal to A.
+    PacketParams.energy_eigen(1, 10, 3, +1),
+    # B = 0 exactly.
+    PacketParams.energy_eigen(1, 0.75, 1, +1),
+], ids=["fig3", "eigen", "eigen-b-zero"])
+def test_spa_field_is_overflow_and_warning_free(data):
+    p = SpaParams.from_packet(data)
+    field = SpaVelocityField(p)
+    for seed in (5, 6):
+        t, s = _spa_points(np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                v, node = field.velocities(t, s)
+        # Both envelopes underflow: ln(peak) - d^2 / (2 sigma^2) below ln(5e-324).
+        d = np.abs(s) - np.abs(p.v0 * t)
+        assert np.array_equal(node, -np.log(np.sqrt(2 * np.pi) * p.sigma)
+                              - d * d / (2 * p.sigma**2) < -744.0)
+        assert np.all(np.isfinite(v)) and np.all(v[node] == 0.0)
+        assert np.max(np.abs(v)) <= 1.0 + 1e-15
+
+
+def test_spa_field_of_one_packet_moves_at_v0():
+    # With B = 0 only phi_- is left, so the velocity is v0 at every point
+    # that is not a node, however far into either tail.
+    p = SpaParams.from_packet(PacketParams.energy_eigen(1, 0.75, 1, +1))
+    assert not np.any(spa_weights(p)[1])
+    field = SpaVelocityField(p)
+    t, s = _spa_points(np.random.default_rng(7))
+    v, node = field.velocities(t, s)
+    assert np.count_nonzero(~node) >= 1000
+    assert np.all(v[~node] == p.v0)
+    assert field(20.0, -30.0) == field(20.0, 30.0) == p.v0
 
 
 def _stacked(field):
