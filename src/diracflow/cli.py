@@ -43,7 +43,9 @@ from . import __version__
 from .dirac_exact import QuadConfig, evolve_exact_grid
 from .errors import DiracflowError, IntegrationError, ValidationError
 from .packets import (
+    CayleyKlein,
     PacketParams,
+    bloch_vector,
     bohmian_observables,
     cayley_klein,
     expected_energy,
@@ -119,8 +121,7 @@ class RunConfig:
         return self._parse(section, key, default, int, "an integer")
 
     def get_str(self, section, key, default=None) -> Optional[str]:
-        raw = self._raw(section, key)
-        return default if raw is None else raw
+        return self._raw(section, key, default)
 
     def get_floats(self, section, key, default=None) -> Optional[List[float]]:
         return self._parse(
@@ -468,10 +469,7 @@ def cmd_bloch(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     for i, (traj, ck) in enumerate(zip(run.trajs, run.series)):
         if ck is None:
             continue
-        st = np.sin(ck["theta"])
-        nx = st * np.cos(ck["omega"])
-        ny = st * np.sin(ck["omega"])
-        nz = np.cos(ck["theta"])
+        nx, ny, nz = bloch_vector(CayleyKlein(**ck))
         blocks.append((np.full(traj.times.size, i), traj.times, nx, ny, nz))
         endpoints.append((nx[-1], ny[-1], nz[-1]))
     writer.write_csv("bloch.csv", "bloch", ["traj", "t", "nx", "ny", "nz"],

@@ -48,8 +48,9 @@ from typing import Tuple
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, IntegrationError, ValidationError
-from .packets import PacketParams, Spinor, gaussian_amplitude, spinor_amplitudes
+from .errors import DomainError, IntegrationError, ValidationError, as_real
+from .packets import (PacketParams, Spinor, gaussian_amplitude, make_initial_packet,
+                      spinor_amplitudes)
 from .quadrature import (_GL_ORDER, _PANEL_NODES, _TRAPEZOID_NODES, _gk_rule, _layout,
                          _trapezoid_rule, integrate_panels)
 
@@ -153,13 +154,10 @@ def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_c
     return assemble(value, err)
 
 
-def _transport(t: float, s_arr, data: PacketParams, cm: complex, cp: complex):
-    """The transport terms c_-+ psi0(s -+ t) of both components (c = spinor_amplitudes)."""
-
-    def phi(x):
-        return gaussian_amplitude(data.sigma, x) * np.exp(1j * data.k0 * x)
-
-    return cm * phi(s_arr - t), cp * phi(s_arr + t)
+def _transport(t: float, s_arr, data: PacketParams):
+    """The transport terms c_-+ psi0(s -+ t) of both components."""
+    packet = make_initial_packet(data)
+    return packet(s_arr - t).minus, packet(s_arr + t).plus
 
 
 def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfig()):
@@ -171,16 +169,14 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     momentum route runs where it starts from at most 2.5 times the Bessel
     route's nodes (``_route_and_panels``).
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    t = as_real(t, "t", scalar=True)
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t!r}")
+    s_arr = np.atleast_1d(as_real(s, "s"))
     if s_arr.ndim > 1:
         raise DomainError(f"s must be a number or a 1-D array, got shape {s_arr.shape}")
-    if not np.isfinite(s_arr).all():
-        raise DomainError("s must be finite")
     if t == 0 or data.mass * t == 0:
-        transport_m, transport_p = _transport(t, s_arr, data, *spinor_amplitudes(data))
-        return Spinor(minus=transport_m, plus=transport_p), np.zeros((2, s_arr.size))
+        return Spinor(*_transport(t, s_arr, data)), np.zeros((2, s_arr.size))
     route, n0 = _route_and_panels(t, s_arr, data)
     return route(t, s_arr, data, q, n0)
 
@@ -188,12 +184,11 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
 def evolve_exact(t: float, s: float, data: PacketParams,
                  q: QuadConfig = QuadConfig()) -> FieldSample:
     """Exact evolved spinor at a single spacetime point."""
-    if np.ndim(s) or np.iscomplexobj(s):
-        raise DomainError(f"s must be a real number, got {s!r}")
+    s = as_real(s, "s", scalar=True)
     psi, err = evolve_exact_grid(t, [s], data, q)
     return FieldSample(
         t=float(t),
-        s=float(s),
+        s=s,
         psi=Spinor(minus=complex(psi.minus[0]), plus=complex(psi.plus[0])),
         err_est=float(err[:, 0].sum()),
     )
@@ -214,11 +209,12 @@ def _route_and_panels(t: float, s_arr, data: PacketParams):
     but its integrand is local in s; the momentum start grows with t and the
     farthest position, not with the mass.  An inf Bessel count means
     E0 t = t hypot(m, k0) overflows, which neither route integrates;
-    ``_integrate_field`` fails it before evaluating anything.
+    ``_integrate_field`` fails it before evaluating anything.  A subnormal
+    mass takes the Bessel route: the momentum route's 1 / E overflows at k = 0.
     """
     kspace = _kspace_panels(t, s_arr, data)
     bessel = _bessel_panels(t, data)
-    if (np.isfinite(bessel)
+    if (np.isfinite(bessel) and data.mass >= np.finfo(float).tiny
             and _TRAPEZOID_NODES * kspace <= _KSPACE_NODE_RATIO * _PANEL_NODES * bessel):
         return _kspace_grid, kspace
     return _bessel_grid, bessel
@@ -269,7 +265,7 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
         e1m, e1p, e0 = err
         # Formed here, so that a phase too large to integrate fails before
         # any value overflows.
-        transport_m, transport_p = _transport(t, s_arr, data, cm, cp)
+        transport_m, transport_p = _transport(t, s_arr, data)
         psi_m = transport_m - 0.5 * wt * cm * a1m - 0.5j * wt * cp * a0
         psi_p = transport_p - 0.5 * wt * cp * a1p - 0.5j * wt * cm * a0
         err_out = np.empty((2, s_arr.size))
@@ -614,8 +610,9 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
     initial spinors are handled by linearity: the lower-component base
     problem plus its parity mirror (components swapped, s -> -s, p0 -> -p0).
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"t must be finite and >= 0, got {t!r}")
+    t, s = as_real(t, "t", scalar=True), as_real(s, "s", scalar=True)
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t!r}")
     omega = data.mass
     if omega <= 0:
         raise DomainError("spherical route requires mass > 0")
@@ -625,7 +622,7 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
     spherical_cut(omega * t)  # raises below the domain cut
     p0 = data.k0 / omega
     cm, cp = spinor_amplitudes(data)
-    s_arr = np.array([float(s)])
+    s_arr = np.array([s])
     n_phi = _phi_quad_points(omega * t)
 
     def base(n_phi_pts):
@@ -648,7 +645,7 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
     m2, p2, e2 = base(2 * n_phi)
     phi_err = abs(m2 - m1) + abs(p2 - p1)
     return FieldSample(
-        t=float(t), s=float(s),
+        t=t, s=s,
         psi=Spinor(minus=m2, plus=p2),
         err_est=float(e2 + phi_err),
     )
@@ -682,6 +679,7 @@ def integrate_density(t: float, data: PacketParams,
 def continuity_residual(t: float, s: float, data: PacketParams, h: float,
                         q: QuadConfig = QuadConfig()) -> float:
     """Central-difference estimate of d_t rho + d_s J at (t, s)."""
+    t, h = as_real(t, "t", scalar=True), as_real(h, "h", scalar=True)
     if h <= 0:
         raise DomainError("h must be > 0")
     if t - h < 0:

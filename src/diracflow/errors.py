@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the real-input conversion that raises them."""
+
+import math
+import reprlib
+
+import numpy as np
 
 
 class DiracflowError(Exception):
@@ -40,3 +45,24 @@ class UndefinedSecantError(DiracflowError, ArithmeticError):
 
 class BracketingError(DiracflowError, RuntimeError):
     """Root bracketing failed (no sign change over the search interval)."""
+
+
+def as_real(x, name: str, scalar: bool = False, error=DomainError):
+    """``x`` as finite floats: a float if ``scalar``, else a float array of any shape.
+
+    Complex values, strings, None, ragged nesting, NaN and inf (and, for
+    ``scalar``, anything with an axis) raise ``error``, so that no raw numpy
+    or Python error escapes a public evaluator.
+    """
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "biufO" or (scalar and arr.ndim):
+            raise TypeError
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be {'a real number' if scalar else 'real numbers'}, "
+                    f"got {reprlib.repr(x)}") from None
+    value = float(arr) if scalar else arr
+    if not (math.isfinite(value) if scalar else np.isfinite(arr).all()):
+        raise error(f"{name} must be finite, got {reprlib.repr(x)}")
+    return value

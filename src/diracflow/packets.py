@@ -307,14 +307,15 @@ def spinor_from_cayley_klein(ck: CayleyKlein) -> Spinor:
     )
 
 
-def bloch_vector(ck: CayleyKlein) -> Tuple[float, float, float]:
+def bloch_vector(ck: CayleyKlein):
     """Unit vector (sin(Theta)cos(Omega), sin(Theta)sin(Omega), cos(Theta)).
 
-    The third component equals the Bohmian velocity of the spinor.
+    Elementwise: a ``CayleyKlein`` of arrays (a series along a path) gives
+    three arrays.  The third component equals the Bohmian velocity of the
+    spinor.
     """
     st = np.sin(ck.theta)
-    return (float(st * np.cos(ck.omega)), float(st * np.sin(ck.omega)),
-            float(np.cos(ck.theta)))
+    return st * np.cos(ck.omega), st * np.sin(ck.omega), np.cos(ck.theta)
 
 
 def bohmian_observables(ck: CayleyKlein, mass: float) -> Tuple[float, float, float]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import specfun
 from .dirac_exact import QuadConfig, evolve_exact_grid
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_real
 from .packets import PacketParams, Spinor, gaussian_amplitude
 
 __all__ = [
@@ -169,6 +169,10 @@ def spa_weights(p: SpaParams, both_critical_points: bool = True):
     u2m = ((e0 + p0) if keep_minus_env else 0.0, (e0 - p0) if keep_plus_env else 0.0)
     a = np.array([s * u1m[0] + c * u2m[0], s * u1p[0] + c * u2p[0]]) / (2 * e0)
     b = np.array([s * u1m[1] + c * u2m[1], s * u1p[1] + c * u2p[1]]) / (2 * e0)
+    # B = 0 for a +E energy eigen-packet (tan(vartheta) = 1 / p0); its
+    # rounding would be a spurious phi_+ where phi_- underflows.
+    if np.hypot(*b) <= 8 * np.finfo(float).eps * np.hypot(*a):
+        b = np.zeros(2)
     return a, b
 
 
@@ -194,10 +198,9 @@ def weighted_spinor(weights, phi_m, phi_p) -> Spinor:
 
 def spa_spinor_grid(t: float, s, p: SpaParams) -> Spinor:
     """Vectorized U(t, s) over an array of positions at one time, with that time's weights."""
-    if np.ndim(t):
-        raise DomainError("spa_spinor_grid takes one time t for every position")
+    t = as_real(t, "t", scalar=True)
     return weighted_spinor(spa_weights(p, has_both_critical_points(t, p)),
-                           *spa_envelopes(t, s, p))
+                           *spa_envelopes(t, as_real(s, "s"), p))
 
 
 def spa_evaluate(t: float, s: float, p: SpaParams,
@@ -208,8 +211,7 @@ def spa_evaluate(t: float, s: float, p: SpaParams,
     t in [|v0| T / 2, T], so values outside that window are flagged with a
     warning rather than rejected.
     """
-    if np.ndim(t):
-        raise DomainError("spa_evaluate takes one time t")
+    t, s = as_real(t, "t", scalar=True), as_real(s, "s", scalar=True)
     if t <= 0:
         raise DomainError("SPA requires t > 0")
     if t_horizon is not None:
@@ -219,8 +221,8 @@ def spa_evaluate(t: float, s: float, p: SpaParams,
                 f"[{abs(p.v0) * t_horizon / 2:g}, {t_horizon:g}]",
                 stacklevel=2,
             )
-    u = spa_spinor_grid(t, float(s), p)
-    phi_m, phi_p = spa_envelopes(t, float(s), p)
+    u = spa_spinor_grid(t, s, p)
+    phi_m, phi_p = spa_envelopes(t, s, p)
     return SpaResult(
         u=Spinor(minus=complex(u.minus), plus=complex(u.plus)),
         phi_minus=complex(phi_m),

@@ -24,9 +24,10 @@ imports nothing from ``scipy.integrate``; the draw's normal quantile is
 ``specfun.ndtri`` (Cephes, bit-identical to scipy's), so an ensemble imports
 no scipy module unless its field takes the Bessel route.
 
-The rescaled-ODE barrier analysis lives here too: the zero curve y0(x),
-the hyperbola constants C_+- with their barrier curves B_+-(x) = C_+- / x,
-and grid checks that the velocity sign is uniform beyond the barriers.
+The rescaled-ODE barrier analysis lives here too: the hyperbola constants
+C_+- with their barrier curves B_+-(x) = C_+- / x, and grid checks that the
+velocity sign is uniform beyond the barriers.  The zero curve y0(x) is
+computed by the ``barriers`` command in ``cli``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dirac_exact import QuadConfig, evolve_exact, schrodinger_reference
-from .errors import BracketingError, DomainError, IntegrationError, NodeError, ValidationError
+from .errors import (BracketingError, DomainError, IntegrationError, NodeError, ValidationError,
+                     as_real)
 from .packets import PacketParams, Spinor, cayley_klein_series
 from .spa import SpaParams, spa_envelopes, spa_weights, weighted_spinor
 from .specfun import ndtri
@@ -165,7 +167,7 @@ class SpaVelocityField:
         self.params = params
         a, b = self._spinor_weights = spa_weights(params, both_critical_points=True)
         cross = float(a[0] * b[1] - a[1] * b[0])
-        # A x B = 0 (B is 0 up to rounding) leaves phi_- alone: u = +inf and v = v0.
+        # A x B = 0 (B = 0, a +E energy eigen-packet) leaves phi_- alone: u = +inf, v = v0.
         self._u_shift = float(np.log(a @ a) - np.log(abs(cross))) if cross else np.inf
         self._sech_weight = -np.sign(cross) / params.e0
         self._sigma2 = params.sigma**2
@@ -233,6 +235,7 @@ class ExactVelocityField:
 
 def spa_velocity_field(t: float, s: float, p: SpaParams) -> float:
     """Velocity of the SPA spinor at (t, s); raises NodeError in the deep tails."""
+    t, s = as_real(t, "t", scalar=True), as_real(s, "s", scalar=True)
     if t < 0:
         raise DomainError("t must be >= 0")
     return SpaVelocityField(p)(t, s)
@@ -347,14 +350,10 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     member, its Trajectory or the IntegrationError that stopped it; the
     other members carry on.
     """
-    t0, t1 = (float(x) for x in t_span)
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValidationError(f"t_span must be finite, got {t_span!r}")
-    if not (np.isfinite(tol) and tol > 0):
+    t0, t1 = (as_real(x, "t_span", scalar=True, error=ValidationError) for x in t_span)
+    if not as_real(tol, "tol", scalar=True, error=ValidationError) > 0:
         raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
-    q0s = np.asarray(q0s, dtype=float)
-    if not np.all(np.isfinite(q0s)):
-        raise ValidationError("initial positions must be finite")
+    q0s = as_real(q0s, "initial positions", error=ValidationError)
     atol = rtol = tol
     exponent = 1 / (_RK45.error_estimator_order + 1)
     if tol < _MIN_RTOL:
@@ -515,6 +514,7 @@ def integrate_trajectory(q0: float, t_span: Tuple[float, float],
     from the field) freeze the velocity to zero for that evaluation and are
     recorded as events; integration proceeds.
     """
+    q0 = as_real(q0, "q0", scalar=True, error=ValidationError)
     (result,) = _integrate_members([q0], t_span, velocity_field, tol)
     if isinstance(result, IntegrationError):
         raise result
@@ -584,7 +584,7 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
         raise ValidationError(f"n must lie in [1, {MAX_ENSEMBLE_SIZE}], got {n}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (np.isfinite(t_final) and t_final > 0):
+    if not as_real(t_final, "t_final", scalar=True, error=ValidationError) > 0:
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
     v0 = _reference_v0(data)
     field_fn = _make_field(data, field_mode, quad)
@@ -597,42 +597,26 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
         else:
             traj.classification, traj.asymptotic_velocity = classify_trajectory(traj, v0)
         trajectories.append(traj)
-    return trajectories, summarize_ensemble(trajectories, v0, data.k0)
+    return trajectories, summarize_ensemble(trajectories, v0)
 
 
-def summarize_ensemble(trajectories: Sequence[Trajectory], v0: float,
-                       k0: float) -> EnsembleSummary:
+def summarize_ensemble(trajectories: Sequence[Trajectory], v0: float) -> EnsembleSummary:
+    """Counts per class and, when every LEFT q0 lies below every RIGHT q0, the s0 bracket."""
     ok = [t for t in trajectories if t.error is None]
-    counts = {RIGHT: 0, LEFT: 0, UNRESOLVED: 0}
-    for t in ok:
-        counts[t.classification] += 1
-    resolved = sorted((t for t in ok if t.classification != UNRESOLVED),
-                      key=lambda t: t.q0)
-    monotone = True
-    boundary = None
-    seen_right = False
-    for t in resolved:
-        going_right = t.classification == RIGHT
-        if seen_right and not going_right:
-            monotone = False
-        seen_right = seen_right or going_right
-    bracket = None
-    if monotone:
-        lefts = [t.q0 for t in resolved if t.classification == LEFT]
-        rights = [t.q0 for t in resolved if t.classification == RIGHT]
-        if lefts and rights:
-            bracket = (max(lefts), min(rights))
-            boundary = 0.5 * (bracket[0] + bracket[1])
+    lefts = [t.q0 for t in ok if t.classification == LEFT]
+    rights = [t.q0 for t in ok if t.classification == RIGHT]
+    bracket = (max(lefts), min(rights)) if lefts and rights else None
+    monotone = bracket is None or bracket[0] < bracket[1]
     return EnsembleSummary(
         n=len(trajectories),
         v0=v0,
-        n_right=counts[RIGHT],
-        n_left=counts[LEFT],
-        n_unresolved=counts[UNRESOLVED],
+        n_right=len(rights),
+        n_left=len(lefts),
+        n_unresolved=len(ok) - len(lefts) - len(rights),
         n_failed=len(trajectories) - len(ok),
         monotone=monotone,
-        s0_estimate=boundary,
-        s0_bracket=bracket,
+        s0_estimate=0.5 * (bracket[0] + bracket[1]) if monotone and bracket else None,
+        s0_bracket=bracket if monotone else None,
     )
 
 
@@ -649,9 +633,9 @@ def find_bifurcation(data: PacketParams, t_final: float, tol_s: float,
     bisecting one trajectory at a time, and a point bisection does not
     visit raises nothing.
     """
-    if not (np.isfinite(t_final) and t_final > 0):
+    if not as_real(t_final, "t_final", scalar=True, error=ValidationError) > 0:
         raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
-    if not (np.isfinite(tol_s) and tol_s > 0):
+    if not as_real(tol_s, "tol_s", scalar=True, error=ValidationError) > 0:
         raise ValidationError(f"tol_s must be finite and > 0, got {tol_s!r}")
     v0 = _reference_v0(data)
     field_fn = _make_field(data, field_mode, quad)

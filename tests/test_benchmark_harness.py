@@ -3,14 +3,16 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import diracflow
 from diracflow import cli, dirac_exact, spa, specfun, trajectories
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -19,7 +21,7 @@ def _load_tracing():
 def test_tracer_patches_and_restores_every_attribute():
     # install() looks traced methods up in each class's own __dict__, so a
     # refactor that moves one onto a base class breaks ``--trace 1`` here.
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     owners = (diracflow, cli, dirac_exact, spa, specfun, trajectories,
               trajectories.ExactVelocityField, trajectories.SpaVelocityField)
     before = [dict(vars(owner)) for owner in owners]
@@ -36,3 +38,29 @@ def test_tracer_patches_and_restores_every_attribute():
         assert dict(vars(owner)) == snapshot, owner
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+@pytest.mark.parametrize("workload", ["field_grid", "cli_mix"])
+def test_traced_passes_check_out_and_repeat(workload, tmp_path, monkeypatch):
+    # One traced pass of the workload's ops, as ``--trace 1`` runs them: a
+    # refactor that changes a traced call's shape fails an op or a check.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports reference
+    tracing = _load("tracing")
+    wl = _load("workloads").WORKLOADS[workload](diracflow, 1, str(tmp_path / "scratch"))
+    wl.prepare_checks()
+    counters = []
+    try:
+        for _ in range(2):
+            tracer = tracing.Tracer()
+            tracing.install(tracer, diracflow)
+            try:
+                problems = [p for i in range(wl.pass_ops) for p in wl.check(i, wl.op(i))[0]]
+            finally:
+                tracer.uninstall()
+            assert not problems
+            metrics = tracing.pass_metrics(tracer)
+            counters.append({k: v for k, v in metrics.items() if not k.endswith("_s")})
+    finally:
+        wl.cleanup()
+    assert counters[0] == counters[1]
+    assert counters[0]["dirac_exact.calls" if workload == "field_grid" else "cli.calls"] > 0

@@ -136,6 +136,22 @@ def test_small_mass_limit_approaches_transport():
     assert np.max(np.abs(psi.plus - pk(s + t).plus)) <= 1e-5
 
 
+@pytest.mark.parametrize("mass", [5e-324, 1e-310])
+@pytest.mark.parametrize("k0", [0.0, 2.0])
+def test_subnormal_mass_is_transport_without_warnings(mass, k0):
+    # The momentum route's 1 / E would overflow at the node k = 0; the
+    # Bessel route's kernel terms carry the factor m t, below 1e-300 here.
+    data = PacketParams(sigma=1.0, k0=k0, theta0=0.7, omega0=0.0, mass=mass)
+    s = np.linspace(-6, 6, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi, err = evolve_exact_grid(1.0, s, data)
+    pk = make_initial_packet(data)
+    assert np.max(np.abs(psi.minus - pk(s - 1.0).minus)) <= 1e-300
+    assert np.max(np.abs(psi.plus - pk(s + 1.0).plus)) <= 1e-300
+    assert np.all(np.isfinite(err))
+
+
 def test_matches_spectral_propagator():
     data = PacketParams(sigma=1.0, k0=2.0, theta0=0.9, omega0=0.7, mass=1.5)
     t = 1.3

@@ -1,0 +1,70 @@
+"""Every public evaluator turns input that is not a finite real number into a DiracflowError."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from diracflow import (
+    DomainError,
+    PacketParams,
+    SchrodingerField,
+    SpaParams,
+    ValidationError,
+    continuity_residual,
+    evolve_exact,
+    evolve_exact_grid,
+    evolve_exact_spherical,
+    find_bifurcation,
+    integrate_trajectory,
+    run_ensemble,
+    spa_evaluate,
+    spa_spinor_grid,
+    spa_velocity_field,
+)
+
+FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+SPA = SpaParams(p0=1.0, sigma=0.2, omega=60.0)
+
+
+def _trajectory(q0, t_span=(0.0, 1.0), tol=1e-8):
+    return integrate_trajectory(q0, t_span, SchrodingerField(1.0), tol=tol)
+
+
+# ValidationError and DomainError are also ValueErrors, so each case names
+# the DiracflowError subclass it expects rather than accepting any ValueError.
+CASES = {
+    "grid-t-str": (DomainError, lambda: evolve_exact_grid("a", [0.0], FIG3)),
+    "grid-t-complex": (DomainError, lambda: evolve_exact_grid(1j, [0.0], FIG3)),
+    "grid-s-complex": (DomainError, lambda: evolve_exact_grid(0.5, [1 + 1j], FIG3)),
+    "grid-s-str": (DomainError, lambda: evolve_exact_grid(0.5, "abc", FIG3)),
+    "grid-s-ragged": (DomainError, lambda: evolve_exact_grid(0.5, [[1.0], [2.0, 3.0]], FIG3)),
+    "point-s-str": (DomainError, lambda: evolve_exact(0.5, "abc", FIG3)),
+    "point-t-none": (DomainError, lambda: evolve_exact(None, 0.0, FIG3)),
+    "spherical-s-str": (DomainError, lambda: evolve_exact_spherical(0.5, "abc", FIG3)),
+    "spherical-s-complex": (DomainError, lambda: evolve_exact_spherical(0.5, 1j, FIG3)),
+    "spherical-s-nan": (DomainError, lambda: evolve_exact_spherical(0.5, np.nan, FIG3)),
+    "spherical-s-inf": (DomainError, lambda: evolve_exact_spherical(0.5, np.inf, FIG3)),
+    "spa-grid-s-complex": (DomainError, lambda: spa_spinor_grid(0.5, [1j], SPA)),
+    "spa-point-s-str": (DomainError, lambda: spa_evaluate(0.5, "x", SPA)),
+    "trajectory-q0-complex": (ValidationError, lambda: _trajectory(1j)),
+    "trajectory-q0-str": (ValidationError, lambda: _trajectory("a")),
+    "trajectory-q0-pair": (ValidationError, lambda: _trajectory([0.1, 0.2])),
+    "trajectory-t-span-str": (ValidationError, lambda: _trajectory(0.3, t_span=(0.0, "a"))),
+    "trajectory-tol-complex": (ValidationError, lambda: _trajectory(0.3, tol=1j)),
+    "ensemble-t-final-str": (ValidationError, lambda: run_ensemble(2, FIG3, "a")),
+    "bifurcation-tol-s-none": (ValidationError, lambda: find_bifurcation(FIG3, 8.0, None)),
+    "continuity-t-str": (DomainError, lambda: continuity_residual("a", 0.0, FIG3, h=1e-3)),
+    "spa-velocity-s-nan": (DomainError, lambda: spa_velocity_field(1.0, np.nan, SPA)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_non_real_input_raises_a_diracflow_error(case):
+    expected, call = CASES[case]
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(expected) as info:
+        warnings.simplefilter("always")
+        call()
+    assert type(info.value) is expected
+    # Rejected before any arithmetic: no numpy warning on the way.
+    assert not caught

@@ -3,6 +3,7 @@ import pytest
 
 from diracflow import (
     DomainError,
+    PacketParams,
     ValidationError,
     bohmian_observables,
     cayley_klein,
@@ -109,6 +110,20 @@ def test_lower_component_data_weights():
     res = spa_evaluate(0.8, 0.2, p)
     want_minus = (res.phi_minus - res.phi_plus) / (2 * p.e0)
     assert res.u.minus == pytest.approx(want_minus, rel=1e-14)
+
+
+# (k0, m) of +E energy eigen-packets whose B rounded to 2e-17 .. 9e-17.
+EIGEN_PACKETS = [(10, 3), (1, 1), (-10, 3), (2.5, 7)]
+
+
+@pytest.mark.parametrize("k0, m", EIGEN_PACKETS)
+def test_energy_eigen_packet_has_no_phi_plus(k0, m):
+    # tan(vartheta) = 1 / p0 makes B = 0 in exact arithmetic, so the
+    # weights hold no rounding where B belongs.
+    p = SpaParams.from_packet(PacketParams.energy_eigen(1, k0, m, +1))
+    a, b = spa_weights(p)
+    assert np.all(b == 0.0)
+    assert np.hypot(*a) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_gaussian_tails_vanish():

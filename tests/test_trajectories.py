@@ -327,10 +327,23 @@ def test_non_monotone_ensemble_has_no_bifurcation_point():
                           velocities=np.zeros(1), q0=q0, classification=side)
 
     summary = summarize_ensemble([member(0.5, LEFT), member(-0.5, RIGHT), member(1.0, RIGHT)],
-                                 0.9, 10.0)
+                                 0.9)
     assert (summary.n_right, summary.n_left) == (2, 1)
     assert not summary.monotone
     assert summary.s0_estimate is None and summary.s0_bracket is None
+
+
+def test_equal_q0_on_both_sides_is_not_monotone():
+    # A LEFT and a RIGHT member at one q0 leave no point between the sides,
+    # whichever comes first.
+    def member(q0, side):
+        return Trajectory(times=np.zeros(1), positions=np.array([q0]),
+                          velocities=np.zeros(1), q0=q0, classification=side)
+
+    for sides in ((LEFT, RIGHT), (RIGHT, LEFT)):
+        summary = summarize_ensemble([member(0.5, side) for side in sides], 0.9)
+        assert not summary.monotone
+        assert summary.s0_estimate is None and summary.s0_bracket is None
 
 
 @pytest.mark.parametrize("t_final", [0.0, -1.0, np.nan, np.inf])
@@ -349,6 +362,20 @@ def test_classification_sides(fig3_packet):
             assert tr.classification == RIGHT
         else:
             assert tr.classification == LEFT
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_exact_flow_splits_the_ensemble_as_the_spa_flow(fig3_packet, seed):
+    # The headline under the exact field: every member escapes to the same
+    # side as under the SPA field, with one bifurcation point.
+    exact, exact_summary = run_ensemble(20, fig3_packet, 8.0, field_mode="EXACT", seed=seed)
+    spa, spa_summary = run_ensemble(20, fig3_packet, 8.0, field_mode="SPA", seed=seed)
+    assert [t.classification for t in exact] == [t.classification for t in spa]
+    for summary in (exact_summary, spa_summary):
+        assert summary.monotone and summary.s0_estimate is not None
+        assert summary.n_left and summary.n_right
+        assert summary.n_unresolved == summary.n_failed == 0
+    assert not any(t.node_events for t in exact + spa)
 
 
 def test_negative_momentum_reverses_energy_sides():
@@ -865,7 +892,7 @@ def test_array_spa_field_matches_spinor_current(fig3_packet):
 
 @pytest.mark.parametrize("data", [
     PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0),
-    # |B|^2 ~ 1e-34: B is rounding, not orthogonal to A.
+    # B's rounding (|B| ~ 2e-17) is set to 0.
     PacketParams.energy_eigen(1, 10, 3, +1),
     # B = 0 exactly.
     PacketParams.energy_eigen(1, 0.75, 1, +1),
@@ -898,6 +925,20 @@ def test_spa_field_of_one_packet_moves_at_v0():
     assert np.count_nonzero(~node) >= 1000
     assert np.all(v[~node] == p.v0)
     assert field(20.0, -30.0) == field(20.0, 30.0) == p.v0
+
+
+@pytest.mark.parametrize("k0, m", [(10, 3), (1, 1), (-10, 3), (2.5, 7)])
+def test_energy_eigen_spinor_current_is_the_field_velocity(k0, m):
+    # With B = 0 the spinor is A phi_- alone, so current over density is v0
+    # wherever the density is a normal double, deep in phi_+'s tail too.
+    field = SpaVelocityField(SpaParams.from_packet(PacketParams.energy_eigen(1, k0, m, +1)))
+    for seed in (5, 6, 7, 8):
+        t, s = _spa_points(np.random.default_rng(seed))
+        v, _ = field.velocities(t, s)
+        psi = field.spinors(t, s)
+        normal = psi.density >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) >= 2000
+        assert np.max(np.abs(psi.current[normal] / psi.density[normal] - v[normal])) <= 1e-12
 
 
 def _stacked(field):
