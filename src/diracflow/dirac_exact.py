@@ -40,9 +40,10 @@ field evaluation over (t, s) grids vectorizes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, cos, frexp, hypot, ldexp, pi, sin, sqrt
+from math import ceil, cos, frexp, hypot, isfinite, ldexp, pi, sin, sqrt
 from typing import Tuple
 
 import numpy as np
@@ -51,8 +52,8 @@ from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError, as_real
 from .packets import (PacketParams, Spinor, gaussian_amplitude, make_initial_packet,
                       spinor_amplitudes)
-from .quadrature import (_GL_ORDER, _PANEL_NODES, _TRAPEZOID_NODES, _gk_rule, _layout,
-                         _trapezoid_rule, integrate_panels)
+from .quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _TRAPEZOID_NODES, _layout,
+                         _trapezoid_rule, integrate_panels, refine_panels)
 
 __all__ = [
     "QuadConfig",
@@ -77,6 +78,8 @@ class QuadConfig:
     max_panels: int = 2**20
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "max_panels"):
+            as_real(getattr(self, name), name, scalar=True, error=ValidationError)
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValidationError("tolerances must be > 0")
         if not (self.max_panels >= 8):
@@ -102,6 +105,11 @@ class FieldSample:
 _NODES_PER_CYCLE = 8.0
 
 
+def _whole(x: float) -> float:
+    """The least whole number >= x, as a float; inf and NaN as they are."""
+    return float(ceil(x)) if isfinite(x) else x
+
+
 def _initial_panels(rate: float, length: float) -> float:
     """Starting panels: ``_NODES_PER_CYCLE`` Gauss nodes per 2*pi of phase, at least 8.
 
@@ -110,8 +118,8 @@ def _initial_panels(rate: float, length: float) -> float:
     nothing overflows before the count does), so that ``_route_and_panels``
     can compare both routes' counts for any input.
     """
-    phase_per_panel = 2 * np.pi * _GL_ORDER / _NODES_PER_CYCLE
-    return max(8.0, float(np.ceil(16 * (rate / 16 * length / phase_per_panel))))
+    phase_per_panel = 2 * pi * _GL_ORDER / _NODES_PER_CYCLE
+    return max(8.0, _whole(16 * (rate / 16 * length / phase_per_panel)))
 
 
 # OpenBLAS runs a real matrix product on one thread up to m n k = 2**18;
@@ -127,25 +135,20 @@ def _bessel_node_chunk(n_cols: int) -> int:
     return max(16, 2**14 // max(1, n_cols))
 
 
-def _integrate_field(integrand, a, b, assemble, n_points, q, abs_tol, n0, node_chunk,
-                     rule=_gk_rule):
-    """Run the quadrature and ``assemble`` its integrals into (Spinor, err[2, n]).
+def _integrate_field(integrate, assemble, n_points, n0):
+    """Run the quadrature ``integrate()`` and ``assemble`` its integrals into (Spinor, err[2, n]).
 
     On a budget failure the partial integrals and their residual assemble
     into a partial field and its error bound.  Where the phase overflows (an
-    inf starting count) or the start alone exceeds the budget, nothing is
-    evaluated: there is no partial field and the residual is inf.
+    inf starting count ``n0``) or the start alone exceeds the budget,
+    nothing is evaluated: there is no partial field and the residual is inf.
     """
-    if not np.isfinite(n0):
+    if not isfinite(n0):
         raise IntegrationError(
             "integrand phase overflows a float: no panel count resolves it",
             partial=None, residual=np.full((2, n_points), np.inf))
     try:
-        value, err, _ = integrate_panels(
-            integrand, a, b,
-            rel_tol=q.rel_tol, abs_tol=abs_tol,
-            initial_panels=n0, max_panels=q.max_panels, node_chunk=node_chunk, rule=rule,
-        )
+        value, err, _ = integrate()
     except IntegrationError as exc:
         partial, residual = None, np.full((2, n_points), np.inf)
         if exc.partial is not None:
@@ -199,6 +202,8 @@ def evolve_exact(t: float, s: float, data: PacketParams,
 # to 256 positions, the momentum route was the faster up to a ratio of 2.5,
 # either could be from 2.6 to 3.5, and the Bessel route was at 5.
 _KSPACE_NODE_RATIO = 2.5
+# The smallest normal double.
+_TINY = sys.float_info.min
 
 
 def _route_and_panels(t: float, s_arr, data: PacketParams):
@@ -214,7 +219,7 @@ def _route_and_panels(t: float, s_arr, data: PacketParams):
     """
     kspace = _kspace_panels(t, s_arr, data)
     bessel = _bessel_panels(t, data)
-    if (np.isfinite(bessel) and data.mass >= np.finfo(float).tiny
+    if (isfinite(bessel) and data.mass >= _TINY
             and _TRAPEZOID_NODES * kspace <= _KSPACE_NODE_RATIO * _PANEL_NODES * bessel):
         return _kspace_grid, kspace
     return _bessel_grid, bessel
@@ -273,9 +278,12 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
         err_out[1] = 0.5 * wt * (abs(cp) * e1p + abs(cm) * e0)
         return Spinor(minus=psi_m, plus=psi_p), err_out
 
-    return _integrate_field(integrand, 0.0, np.pi, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol / max(1.0, wt), n0=n0,
-                            node_chunk=_bessel_node_chunk(s_arr.size))
+    def integrate():
+        return integrate_panels(integrand, 0.0, np.pi, rel_tol=q.rel_tol,
+                                abs_tol=q.abs_tol / max(1.0, wt), initial_panels=n0,
+                                max_panels=q.max_panels, node_chunk=_bessel_node_chunk(s_arr.size))
+
+    return _integrate_field(integrate, assemble, s_arr.size, n0)
 
 
 # =============================================================================
@@ -289,7 +297,7 @@ _K_WINDOW = 8.0
 # their node tables of up to _PLAN_CACHE_NODES nodes, the last
 # _PLAN_CACHE_SIZE used: with 32 bytes per node (the shift factor and three
 # rows), the tables keep at most 4 MiB between calls.  Larger passes, whose
-# integrand cost dwarfs their table's, build each chunk's values per call.
+# plane-wave cost dwarfs their table's, build each chunk's table per call.
 _PLAN_CACHE_NODES = 2**13
 _PLAN_CACHE_SIZE = 16
 # Dekker's splitter 2^27 + 1: a double times it splits into two halves of
@@ -340,9 +348,10 @@ class _KspacePlan:
     energy0_frac: float
     energy0_exp: int
     energy0_excess: float  # sqrt(k0^2 + m^2) - E0
-    # (6, 4) real: the rows of c, twice, as (Re, Im) of both components; a
-    # call rotates them by E0 t.
-    coeffs: np.ndarray
+    # (2, 24) real: the rows of c, twice, as (Re, Im) of each component in
+    # the layout (component, row, Re/Im), split into the parts a call
+    # multiplies by cos(E0 t) and by sin(E0 t) (see _momentum_kernel).
+    rotations: np.ndarray
 
     def energy_phase(self, t: float):
         """E0 t as the double fl(E0 t), and sqrt(k0^2 + m^2) t - fl(E0 t).
@@ -369,11 +378,13 @@ def _kspace_plan(data: PacketParams) -> _KspacePlan:
     # The rows of c against g (cos(E t), sin(E t) k / E, sin(E t) / E); see
     # _kspace_grid.
     c = [[cm, cp], [-1j * cm, 1j * cp], [-1j * m * cp, -1j * m * cm]]
+    coeffs = np.array(c + c).view(float).reshape(6, 2, 2).transpose(1, 0, 2)
+    by_cos, by_sin = np.array([[1, 0, 0, 0, 1, 1], [0, 1, 1, -1, 0, 0]])[:, None, :, None]
     return _KspacePlan(
         k0=k0, mass=m, half=_K_WINDOW / sigma, neg_sigma2=-sigma * sigma,
         scale=scale, energy0=energy0, energy0_frac=frac, energy0_exp=exp,
         energy0_excess=ldexp(r / (2 * frac), exp),
-        coeffs=np.array(c + c).view(float))
+        rotations=np.stack([by_cos * coeffs, by_sin * coeffs]).reshape(2, -1))
 
 
 def _build_node_table(plan: _KspacePlan, u):
@@ -395,19 +406,41 @@ def _build_node_table(plan: _KspacePlan, u):
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _cached_node_table(plan: _KspacePlan, n_panels: int):
     """``_build_node_table`` of a whole pass, read-only and shared by every call."""
-    nodes, _ = _layout(-plan.half, plan.half, n_panels, _trapezoid_rule)
-    table = _build_node_table(plan, nodes)
+    table = _build_node_table(plan, _layout(-plan.half, plan.half, n_panels, _trapezoid_rule)[0])
     table.flags.writeable = False
     return table
 
 
 def _node_table(plan: _KspacePlan, n_panels: int, nodes):
-    """``_build_node_table`` of a chunk's nodes, sliced from the pass's table up to the cap."""
+    """The node table at ``nodes`` of a pass of n_panels panels.
+
+    A pass of up to the cap is one chunk (``_PASS_PANELS``), whose table
+    comes from the cache; a larger pass builds each chunk's table.
+    """
     if n_panels * _TRAPEZOID_NODES > _PLAN_CACHE_NODES:
         return _build_node_table(plan, nodes)
-    # The first node's index j, from its offset -half + j h.
-    lo = round((nodes[0] + plan.half) / (2 * plan.half) * n_panels * _TRAPEZOID_NODES)
-    return _cached_node_table(plan, n_panels)[:, lo:lo + nodes.size]
+    return _cached_node_table(plan, n_panels)
+
+
+def _momentum_kernel(plan: _KspacePlan, t: float, table):
+    """The spinor kernel g(k0 + u) (see ``_kspace_grid``) at the nodes of ``table``, (2, N).
+
+    g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-)
+    is (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times the rows of c.
+    By angle addition from E0 t and the node's shift, that is the rows
+    g (cos, cos k / E, cos / E, sin, sin k / E, sin / E) of the shift times
+    the rows of c rotated by E0 t: one real product per component, whose
+    columns are its (Re, Im).
+    """
+    phase0, phase0_err = plan.energy_phase(t)
+    cos0, sin0 = plan.scale * cos(phase0), plan.scale * sin(phase0)
+    shift = phase0_err + t * table[0]
+    trig = np.empty((2, 1, table.shape[1]))
+    np.cos(shift, out=trig[0, 0])
+    np.sin(shift, out=trig[1, 0])
+    rows = (table[1:] * trig).reshape(6, -1)
+    coeffs = (np.array((cos0, sin0)) @ plan.rotations).reshape(2, 6, 2)
+    return np.matmul(rows.T, coeffs).view(complex)[..., 0]
 
 
 def _kspace_panels(t: float, s_arr, data: PacketParams) -> float:
@@ -421,23 +454,111 @@ def _kspace_panels(t: float, s_arr, data: PacketParams) -> float:
     number as a float, inf only past the largest double.
     """
     reach = float(np.abs(s_arr).max(initial=0.0)) + t + 16.0 * data.sigma
-    return float(np.ceil(2 * _K_WINDOW / data.sigma * reach / (pi * _TRAPEZOID_NODES)))
+    return _whole(2 * _K_WINDOW / data.sigma * reach / (pi * _TRAPEZOID_NODES))
 
 
-def _expi(angle):
-    """e^{i angle} from its cos and sin, elementwise."""
-    out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
+def _plane_waves(k0: float, width: float, n_panels: int, first: int, count: int, s):
+    """The plane-wave bases of panels [first, first + count) of a pass: (offset, panel).
+
+    The offset basis e^{i (k0 + b h) s}, h = width / 16, has rows b < 16,
+    so it carries the plane wave e^{i k0 s} of the momentum integral, and
+    the panel basis e^{i u_p s} one row per panel at its first window
+    offset u_p = m width, m = p - P / 2, over the positions s.  The window
+    is symmetric, so a row at u < 0 is the conjugate of the one at -u > 0,
+    and only the rows at the |m| the panels need are made, from the
+    smallest up.
+
+    Both come in chains of 16 rows e^{i (a + j d) s}, j < 16, each from a
+    directly evaluated first row e^{i a s} and step e^{i d s}: the offset
+    chain from a = k0 in steps of h, and one panel chain per 16 values of
+    |m| in steps of ``width``.  For a whole pass that is
+    2 + 2 ceil((P // 2 + 1) / 16) rows of cos and sin per position, instead
+    of one per row.  Row j is the first row times the powers e^{i 2^k d s}
+    of j's binary digits, each power the square of the one before, so no
+    row is more than 7 products from a direct value.  A panel chain only
+    grows |u|, so the rounding of its step's phase adds up to at most that
+    of u s itself.
+    """
+    chain = _TRAPEZOID_NODES  # rows per chain, as many as a panel's nodes
+    # 2 m at the first and last panel, and the smallest 2 |m| among them.
+    lo, hi = 2 * first - n_panels, 2 * (first + count - 1) - n_panels
+    base = n_panels % 2 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    rows = (max(-lo, hi) - base) // 2 + 1
+    runs = -(-rows // chain)
+    angles = np.array([k0, *[(0.5 * base + j * chain) * width for j in range(runs)],
+                       width / chain, *[width] * runs])
+    # Rows along the first axis, so that each doubling writes a block of
+    # memory apart from the one it reads; the last row holds the powers.
+    chains = np.empty((chain + 1, 1 + runs, s.size), dtype=complex)
+    ends = chains[::chain]
+    x = np.multiply.outer(angles.reshape(2, -1), s)
+    np.cos(x, out=ends.real)
+    np.sin(x, out=ends.imag)
+    power = chains[chain]
+    done = 1
+    while True:
+        np.multiply(chains[:done], power, out=chains[done:2 * done])
+        done *= 2
+        if done == chain:
+            break
+        np.multiply(power, power, out=power)
+    # Row j of the waves is e^{i (base / 2 + j) width s}.
+    waves = chains[:chain, 1:].transpose(1, 0, 2).reshape(-1, s.size)
+    negative = max(0, min(count, (n_panels + 1) // 2 - first))  # the panels at u < 0
+    panel_basis = np.empty((count, s.size), dtype=complex)
+    top = (-lo - base) // 2
+    np.conjugate(waves[top - negative + 1:top + 1][::-1], out=panel_basis[:negative])
+    start = (lo + 2 * negative - base) // 2
+    panel_basis[negative:] = waves[start:start + count - negative]
+    return chains[:chain, 0], panel_basis
 
 
-def _kspace_node_chunk(n_cols: int) -> int:
-    # Whole panels, as many as keep the momentum route's complex
-    # (4 P, 16) @ (16, n_cols) product on one thread: OpenBLAS weighs a
-    # complex m n k four times, and threads from 4 m n k = 2**18 on.
-    per_panel = 4 * 4 * _TRAPEZOID_NODES * max(1, n_cols)
-    return _TRAPEZOID_NODES * max(1, (_SERIAL_GEMM - 1) // per_panel)
+def _kspace_columns(n_panels: int) -> int:
+    # Positions per block: as many as keep the block's complex
+    # (4 P, 16) @ (16, n) product on one thread (OpenBLAS weighs a complex
+    # m n k four times, and threads from 4 m n k = 2**18 on), and never
+    # fewer than 16.  From 64 panels on, blocks of 16 positions hold a
+    # product of 64 P entries: 2 MiB at the 1919 panels of an observables
+    # grid at t = 3000, where blocks of 1 to 4 positions ran 2.5 times
+    # slower than blocks of 16 to 256, which ran alike (2-core x86-64).
+    return max(16, (_SERIAL_GEMM - 1) // (4 * 4 * _TRAPEZOID_NODES * n_panels))
+
+
+# Panels per chunk of a pass: the nodes integrate_panels hands an integrand
+# at most.  A pass the node-table cache holds is one chunk.
+_PASS_PANELS = _NODE_CHUNK // _TRAPEZOID_NODES
+assert _PLAN_CACHE_NODES <= _NODE_CHUNK
+
+
+def _kspace_pass(plan: _KspacePlan, t: float, s_arr, n_panels: int):
+    """Both trapezoid sums (T_h, T_2h) of psi(t, s), shape (2, 2, n) (see ``_kspace_grid``).
+
+    Node b of panel p is u_p + b h, so e^{i (k0 + u) s} = e^{i u_p s} e^{i (k0 + b h) s}:
+    the weighted kernel rows, (2 rules * 2 components * P, 16), times the
+    (16, n) offset basis e^{i (k0 + b h) s} in one complex product, then a
+    multiply-and-sum over panels with the (P, n) panel basis e^{i u_p s}.
+    The (nodes, n) basis is never formed, and both bases come from product
+    chains (``_plane_waves``).  Panels run in chunks of ``_PASS_PANELS`` and
+    positions in blocks of ``_kspace_columns``, so that every temporary
+    stays bounded; benchmark-sized passes are one chunk of one block.
+    """
+    nodes, weights = _layout(-plan.half, plan.half, n_panels, _trapezoid_rule)
+    width = 2 * plan.half / n_panels
+    cols = _kspace_columns(n_panels)
+    total = None
+    for first in range(0, n_panels, _PASS_PANELS):
+        count = min(_PASS_PANELS, n_panels - first)
+        part = slice(first * _TRAPEZOID_NODES, (first + count) * _TRAPEZOID_NODES)
+        kernel = _momentum_kernel(plan, t, _node_table(plan, n_panels, nodes[part]))
+        weighted = (weights[:, None, part] * kernel).reshape(-1, _TRAPEZOID_NODES)
+        sums = np.empty((4, s_arr.size), dtype=complex)
+        for lo in range(0, s_arr.size, cols):
+            s = s_arr[lo:lo + cols]
+            offset_basis, panel_basis = _plane_waves(plan.k0, width, n_panels, first, count, s)
+            block = (weighted @ offset_basis).reshape(4, count, -1)
+            np.add.reduce(block * panel_basis, axis=1, out=sums[:, lo:lo + cols])
+        total = sums if total is None else total + sums
+    return total.reshape(2, 2, -1)
 
 
 def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
@@ -461,54 +582,19 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     error of E0 t as a double (``_KspacePlan.energy_phase``).
 
     What t and s do not change is made once per packet (``_kspace_plan``)
-    and once per pass's nodes (``_node_table``); a call forms E0 t, cos and
-    sin of each node's shift, the rows times them, and the plane waves.
+    and once per pass's nodes (``_node_table``); each pass of the shared
+    doubling loop (``refine_panels``) is ``_kspace_pass``.
     """
     plan = _kspace_plan(data)
-    half = plan.half
-    phase0, phase0_err = plan.energy_phase(t)
-    cos0, sin0 = plan.scale * cos(phase0), plan.scale * sin(phase0)
-    # g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-)
-    # is (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times the rows of c.
-    # By angle addition from E0 t and the node's shift, that is the rows
-    # g (cos, cos k / E, cos / E, sin, sin k / E, sin / E) of the shift
-    # times the rows of ``coeffs``: one real product whose columns are
-    # (Re, Im) of both components.
-    rotation = np.array([[cos0], [sin0], [sin0], [-sin0], [cos0], [cos0]])
-    coeffs = rotation * plan.coeffs
-
-    # Each call gets whole panels of B nodes at spacing h, so node b of
-    # panel p is u_p + b h, and the basis e^{i u s} is the (P, n) panel
-    # basis e^{i u_p s} times the (B, n) offset basis e^{i b h s} (see
-    # integrate_panels).  The kernel is evaluated at the nodes themselves,
-    # which differ from u_p + b h by rounding only.
-    offset_bases = {}
-
-    def integrand(nodes):
-        # The node spacing names the pass by its panel count; the pass's
-        # offset basis is made on its first chunk.
-        n_panels = round(2 * half / (nodes[1] - nodes[0])) // _TRAPEZOID_NODES
-        if n_panels not in offset_bases:
-            offset_bases.clear()
-            h = 2 * half / (n_panels * _TRAPEZOID_NODES)
-            offset_bases[n_panels] = _expi((h * np.arange(_TRAPEZOID_NODES))[:, None] * s_arr)
-        table = _node_table(plan, n_panels, nodes)
-        shift = phase0_err + t * table[0]
-        rows = np.empty((6, nodes.size))
-        np.multiply(table[1:], np.cos(shift), out=rows[:3])
-        np.multiply(table[1:], np.sin(shift), out=rows[3:])
-        kernel = (rows.T @ coeffs).view(complex)
-        panel_basis = _expi(nodes[::_TRAPEZOID_NODES, None] * s_arr)
-        return kernel, panel_basis, offset_bases[n_panels]
-
-    phase = np.exp(1j * plan.k0 * s_arr)
 
     def assemble(value, err):
-        return Spinor(minus=value[0] * phase, plus=value[1] * phase), err
+        return Spinor(minus=value[0], plus=value[1]), err
 
-    return _integrate_field(integrand, -half, half, assemble, s_arr.size, q,
-                            abs_tol=q.abs_tol, n0=n0, node_chunk=_kspace_node_chunk(s_arr.size),
-                            rule=_trapezoid_rule)
+    def integrate():
+        return refine_panels(lambda n: _kspace_pass(plan, t, s_arr, n), n0,
+                             rel_tol=q.rel_tol, abs_tol=q.abs_tol, max_panels=q.max_panels)
+
+    return _integrate_field(integrate, assemble, s_arr.size, n0)
 
 
 # =============================================================================

@@ -39,6 +39,7 @@ from .errors import (
     NodeError,
     UndefinedSecantError,
     ValidationError,
+    as_real,
 )
 
 __all__ = [
@@ -126,17 +127,17 @@ class PacketParams:
     energy_sign: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("sigma", "k0", "theta0", "omega0", "mass", "phase0"):
+            as_real(getattr(self, name), name, scalar=True, error=ValidationError)
         if not (_SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
             lo, hi = _SIGMA_RANGE
             raise ValidationError(f"sigma must lie in [{lo:.3g}, {hi:.3g}] (sigma^2 and "
                                   f"2*pi*sigma^2 normal doubles), got {self.sigma}")
-        if not (np.isfinite(self.k0) and np.isfinite(self.phase0)):
-            raise ValidationError(f"k0 and phase0 must be finite, got {self.k0}, {self.phase0}")
         if not (0.0 <= self.theta0 <= np.pi):
             raise ValidationError(f"theta0 must lie in [0, pi], got {self.theta0}")
         if not (0.0 <= self.omega0 < 2 * np.pi):
             raise ValidationError(f"omega0 must lie in [0, 2*pi), got {self.omega0}")
-        if not (np.isfinite(self.mass) and self.mass >= 0):
+        if not self.mass >= 0:
             raise ValidationError(f"mass must be >= 0, got {self.mass}")
         if self.energy_sign is not None:
             expect = _eigen_angles(self.k0, self.mass, self.energy_sign)

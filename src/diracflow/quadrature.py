@@ -7,18 +7,22 @@ Math. Comp. 66, 1997; the pairing is QUADPACK's, Piessens et al. 1983).
 ``_trapezoid_rule`` pairs the trapezoid sums T_h and T_2h on uniform nodes,
 for integrands smooth and negligible at both ends, where the trapezoid
 rule converges geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).
-One pass evaluates the integrand once at the nodes of each of P panels and
-forms both sums from the same weighted product; it returns the first with
-the error estimate |first - second|.  P is doubled only while that
-estimate misses the tolerance, and doubling stops with a failure once it
-cannot help: at the panel budget, at a worst estimate that is not finite,
-or at one that failed to halve the previous pass's and sits at the
-rounding floor 256 eps max|first|, as QUADPACK flags roundoff when
+
+``refine_panels`` is the doubling loop shared by every caller.  It runs a
+pass function n -> (first, second), the two rules' sums over n panels, and
+returns the first with the error estimate |first - second|.  n is doubled
+only while that estimate misses the tolerance, and doubling stops with a
+failure once it cannot help: at the panel budget, at a worst estimate that
+is not finite, or at one that failed to halve the previous pass's and sits
+at the rounding floor 256 eps max|first|, as QUADPACK flags roundoff when
 refinement stalls.  The caller sets the starting panel count, typically so
 that the first pass already samples every oscillation.
 
-Integrands are vectorized: ``f(nodes)`` receives a 1-D array of abscissas,
-whole panels of ascending nodes each, and returns one of three forms.
+``integrate_panels`` runs that loop on the pass of a vectorized integrand:
+it evaluates the integrand once at the nodes of each of P panels and forms
+both sums from the same weighted product.  ``f(nodes)`` receives a 1-D
+array of abscissas, whole panels of ascending nodes each, and returns one
+of two forms.
 
 * An array whose leading axis matches ``nodes``, with any trailing shape
   (e.g. one column per field point), so whole grids integrate in one pass.
@@ -26,27 +30,20 @@ whole panels of ascending nodes each, and returns one of three forms.
   integrand whose value at node j is the outer product kernel_j (x) basis_j.
   The weighted sums of both rules are then one matrix product, the (2c, N)
   rows w_r * kernel^T times the basis, that never forms the (N, c, n) array.
-* A triple ``(kernel, panel_basis, offset_basis)`` of shapes (N, c), (P, n)
-  and (R, n), for N = P R nodes in P panels of R, where node j = (p, r)
-  has the basis panel_basis_p * offset_basis_r (elementwise), as a plane
-  wave e^{i u s} does at u = c_p + o_r.  The sums are then one product of
-  the (2c P, R) weighted kernel rows with the offset basis, followed by a
-  multiply-and-sum over panels with the panel basis; the (N, n) basis is
-  never formed.  The panels are those of the pass, of R nodes each.
-
-In both factored forms a complex kernel on a real (offset) basis is summed
-as one real product, with the kernel's real and imaginary parts as rows.
+  A complex kernel on a real basis is summed as one real product, with the
+  kernel's real and imaginary parts as rows.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from math import inf, isfinite
 
 import numpy as np
 
 from .errors import IntegrationError
 
-__all__ = ["integrate_panels"]
+__all__ = ["integrate_panels", "refine_panels"]
 
 _GL_ORDER = 16  # Gauss-Legendre nodes per panel, the embedded rule G16
 _PANEL_NODES = 2 * _GL_ORDER + 1  # Kronrod nodes per panel, the rule K33
@@ -146,30 +143,24 @@ def _weighted_sums(w, vals):
 
     ``vals`` is one of the integrand forms of the module docstring; ``w`` is
     (R, N) and the sums are stacked along a new leading axis of length R.
-    A pair is the triple's case of one panel of N nodes with no panel basis.
     """
     if not isinstance(vals, tuple):
         return np.tensordot(w, np.asarray(vals), axes=1)
-    kernel, *bases = vals
-    panel_basis = bases[0] if len(bases) == 2 else None
-    basis = bases[-1]
-    n_rows = w.shape[0] * kernel.shape[1]
+    kernel, basis = vals
+    n_cols = kernel.shape[1]
     split = np.iscomplexobj(kernel) and not np.iscomplexobj(basis)
     if split:
         # Real and imaginary parts as rows of one real product, so that the
         # real basis is never cast to complex.
         kernel = np.ascontiguousarray(kernel).view(kernel.real.dtype)
-    # Nodes along the last axis, so that the weighting runs over long rows;
-    # the product's rows are (rule, kernel column, panel).
+    # Nodes along the last axis, so that the weighting runs over long rows.
     weighted = w[:, None, :] * np.ascontiguousarray(kernel.T)[None, :, :]
     sums = weighted.reshape(-1, basis.shape[0]) @ basis
     if split:
-        parts = sums.reshape(n_rows, 2, -1)
-        sums = np.empty((n_rows, parts.shape[2]), dtype=complex)
+        parts = sums.reshape(-1, 2, sums.shape[1])
+        sums = np.empty((parts.shape[0], parts.shape[2]), dtype=complex)
         sums.real, sums.imag = parts[:, 0], parts[:, 1]
-    if panel_basis is not None:
-        sums = (sums.reshape(n_rows, *panel_basis.shape) * panel_basis).sum(axis=1)
-    return sums.reshape(w.shape[0], n_rows // w.shape[0], -1)
+    return sums.reshape(w.shape[0], n_cols, -1)
 
 
 def _composite(f, a: float, b: float, n_panels: int, node_chunk: int, rule=_gk_rule):
@@ -187,6 +178,43 @@ def _composite(f, a: float, b: float, n_panels: int, node_chunk: int, rule=_gk_r
     return total
 
 
+def refine_panels(run_pass, initial_panels, *, rel_tol: float, abs_tol: float, max_panels: int):
+    """Double the panel count of ``run_pass`` until it converges; returns ``(value, err_est, n)``.
+
+    ``run_pass(n)`` returns the pair's two sums over n panels, first and
+    second, of any common shape; ``value`` is the first and ``err_est`` its
+    distance from the second.  Raises IntegrationError if the starting
+    count exceeds the panel budget, before any pass, with no partial
+    result; and if a pass misses the tolerance where doubling cannot help
+    (see the module docstring), carrying that pass's value as the partial
+    result and err as residual.
+    """
+    n = max(1, int(initial_panels))
+    if n > max_panels:
+        raise IntegrationError(f"panel budget {max_panels} is below the {n:.6g} starting panels",
+                               partial=None, residual=np.inf)
+    previous = inf
+    while True:
+        value, coarse = run_pass(n)
+        err = np.abs(value - coarse)
+        target = np.maximum(abs_tol, rel_tol * np.abs(value))
+        if (err <= target).all():
+            return value, err, n
+        worst = float(np.max(err))
+        floor = _ROUNDOFF_FLOOR * float(np.max(np.abs(value)))
+        stalled = not isfinite(worst) or previous / 2 < worst <= floor
+        if stalled or 2 * n > max_panels:
+            stop = f"; refinement stopped at {n} panels" if stalled else ""
+            raise IntegrationError(
+                f"quadrature did not converge within {max_panels} panels "
+                f"(max residual {worst:.3e}{stop})",
+                partial=value,
+                residual=err,
+            )
+        previous = worst
+        n *= 2
+
+
 def integrate_panels(
     f,
     a: float,
@@ -202,35 +230,11 @@ def integrate_panels(
     """Integrate ``f`` over [a, b]; returns ``(value, err_est, panels_used)``.
 
     ``rule`` is ``_gk_rule`` or ``_trapezoid_rule``; ``value`` is its first
-    estimate and ``err_est`` the distance from its second.  Raises
-    IntegrationError if the starting count exceeds the panel budget, before
-    evaluating ``f``, with no partial result; and if a pass misses the
-    tolerance where doubling cannot help (see the module docstring),
-    carrying that pass's value as the partial result and err as residual.
+    estimate and ``err_est`` the distance from its second, from
+    ``refine_panels`` and its failures.  The starting count is checked
+    against the budget before ``f`` is evaluated.
     """
     if b <= a:
         return _weighted_sums(np.zeros((1, 1)), f(np.array([a])))[0], 0.0, 0
-    n = max(1, int(initial_panels))
-    if n > max_panels:
-        raise IntegrationError(f"panel budget {max_panels} is below the {n:.6g} starting panels",
-                               partial=None, residual=np.inf)
-    previous = np.inf
-    while True:
-        value, coarse = _composite(f, a, b, n, node_chunk, rule)
-        err = np.abs(value - coarse)
-        target = np.maximum(abs_tol, rel_tol * np.abs(value))
-        if (err <= target).all():
-            return value, err, n
-        worst = float(np.max(err))
-        floor = _ROUNDOFF_FLOOR * float(np.max(np.abs(value)))
-        stalled = not np.isfinite(worst) or previous / 2 < worst <= floor
-        if stalled or 2 * n > max_panels:
-            stop = f"; refinement stopped at {n} panels" if stalled else ""
-            raise IntegrationError(
-                f"quadrature did not converge within {max_panels} panels "
-                f"(max residual {worst:.3e}{stop})",
-                partial=value,
-                residual=err,
-            )
-        previous = worst
-        n *= 2
+    return refine_panels(lambda n: _composite(f, a, b, n, node_chunk, rule), initial_panels,
+                         rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels)

@@ -62,15 +62,17 @@ class SpaParams:
     vartheta: float = 0.0
 
     def __post_init__(self):
-        if self.p0 == 0 or not np.isfinite(self.p0):
-            raise ValidationError("p0 must be nonzero and finite")
+        for name in ("p0", "sigma", "omega", "vartheta"):
+            as_real(getattr(self, name), name, scalar=True, error=ValidationError)
+        if self.p0 == 0:
+            raise ValidationError("p0 must be nonzero")
         if not np.isfinite(float(self.p0) * float(self.p0)):
             raise ValidationError(f"p0^2 must be a finite float (E0 = sqrt(1 + p0^2)), "
                                   f"got p0 = {self.p0!r}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValidationError(f"omega must be finite and > 0, got {self.omega}")
+        if not self.sigma > 0:
+            raise ValidationError(f"sigma must be > 0, got {self.sigma}")
+        if not self.omega > 0:
+            raise ValidationError(f"omega must be > 0, got {self.omega}")
         if not (0.0 <= self.vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
 

@@ -9,7 +9,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import mpmath
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracflow import (
@@ -32,7 +33,7 @@ from diracflow import (
     spherical_cut,
 )
 from diracflow.packets import spinor_amplitudes
-from diracflow.quadrature import _TRAPEZOID_NODES, _trapezoid_rule, integrate_panels
+from diracflow.quadrature import _TRAPEZOID_NODES, _trapezoid_rule, integrate_panels, refine_panels
 from diracflow.spa import SpaParams, spa_spinor_grid
 
 from _oracles import dirac_spectral, massless_transport
@@ -222,6 +223,9 @@ def test_converged_field_within_1e12_of_oracle(data, t, s_lo, s_hi):
 @given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
        theta0=st.floats(0.0, np.pi), omega0=st.floats(0.0, 6.28),
        t=st.floats(0.0, 8.0))
+# A narrower packet than the draws take: its momentum pass has 33 panels,
+# whose 17 panel-basis rows at u >= 0 take two plane-wave chains.
+@example(sigma=0.2, k0=5.0, mass=3.0, theta0=1.0, omega0=2.0, t=8.0)
 def test_no_false_convergence(sigma, k0, mass, theta0, omega0, t):
     # The band s in [-6 sigma - t, 6 sigma + t] holds both packets.
     data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=omega0, mass=mass)
@@ -232,17 +236,10 @@ def test_fig3_late_time_starts_near_the_nodes_it_needs(monkeypatch):
     # FIG3 at t = 8 converges at its 12 starting panels of 16 nodes on the
     # momentum route (21 panels of 33 on the Bessel route).  A Bessel start
     # that counts panels rather than nodes per 2 pi of phase needs 832.
-    used = []
-
-    def counting(*args, **kwargs):
-        value, err, n = integrate_panels(*args, **kwargs)
-        used.append(n)
-        return value, err, n
-
-    monkeypatch.setattr(dirac_exact, "integrate_panels", counting)
+    used = record_panels(monkeypatch)
     evolve_exact_grid(8.0, np.linspace(-12.7, 12.7, 64), FIG3)
     assert len(used) == 1
-    assert used[0] <= 64
+    assert used[0][1] <= 64
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -438,10 +435,9 @@ def clear_momentum_plans():
 @pytest.mark.parametrize("case", ["fig3", "ladder"])
 def test_momentum_plan_keeps_field_bits(case, monkeypatch):
     # A call that builds the packet's plan and node tables, one that finds
-    # them cached, and one that builds each chunk's table itself give the
-    # same psi and err, bit for bit.  FIG3 at t = 8 on 128 positions takes
-    # its 12 panels in chunks of 7 and 5, so the second chunk is sliced
-    # from the table.
+    # them cached, and one that builds each pass's table itself give the
+    # same psi and err, bit for bit.  FIG3 at t = 8 on 128 positions runs
+    # its 12 panels over blocks of 85 and 43 positions from one table.
     if case == "fig3":
         v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
         cases = [(t, np.linspace(-(v0 * t + 5.0), v0 * t + 5.0, n), FIG3)
@@ -475,7 +471,7 @@ def test_momentum_plan_cache_stays_within_its_budget():
             nodes, _ = quadrature._layout(-plan.half, plan.half, n_panels, _trapezoid_rule)
             table = dirac_exact._node_table(plan, n_panels, nodes)
             assert table.shape == (4, nodes.size)
-            refs.append(weakref.ref(table if table.base is None else table.base))
+            refs.append(weakref.ref(table))
     del table
     gc.collect()
     kept = [r() for r in refs if r() is not None]
@@ -622,15 +618,20 @@ def test_fine_momentum_nodes_at_a_shifted_window():
 
 
 def record_panels(monkeypatch):
-    """(starting, final) panel counts of every quadrature the field runs."""
+    """(starting, final) panel counts of every refinement loop the field runs.
+
+    Both routes run the one loop: the momentum route hands it its pass, and
+    the Bessel route's ``integrate_panels`` its panel pass.
+    """
     used = []
 
-    def recording(*args, **kwargs):
-        value, err, n = integrate_panels(*args, **kwargs)
-        used.append((kwargs["initial_panels"], n))
+    def recording(run_pass, initial_panels, **kwargs):
+        value, err, n = refine_panels(run_pass, initial_panels, **kwargs)
+        used.append((initial_panels, n))
         return value, err, n
 
-    monkeypatch.setattr(dirac_exact, "integrate_panels", recording)
+    monkeypatch.setattr(dirac_exact, "refine_panels", recording)
+    monkeypatch.setattr(quadrature, "refine_panels", recording)
     return used
 
 
@@ -650,6 +651,31 @@ def test_momentum_phase_on_a_high_ladder_rung(omega, monkeypatch):
     assert np.max(np.abs(psi.density - spa.density)) <= 2e-3 / omega
 
 
+@pytest.mark.parametrize("n_panels", [1, 16, 17, 600])
+def test_plane_wave_rows_are_within_rounding_of_their_phase(n_panels):
+    # Every row of a pass's bases is within 64 eps (1 + |u s|) of e^{i u s}
+    # at 40 digits, at the pass's own u and s: the offsets u = k0 + b h and
+    # the panels' first nodes u = (p - P / 2) width, over FIG3's window and
+    # positions out to the pass's alias bound pi / h.  The 301 rows at
+    # u >= 0 of 600 panels take 19 chains.
+    plan = dirac_exact._kspace_plan(FIG3)
+    width = 2 * plan.half / n_panels
+    h = width / _TRAPEZOID_NODES
+    s = np.concatenate([np.linspace(-np.pi / h, np.pi / h, 9), [0.1234567, -2.0 ** 0.5]])
+    offset, panel = dirac_exact._plane_waves(plan.k0, width, n_panels, 0, n_panels, s)
+    with mpmath.workdps(40):
+        exact = [(offset, [mpmath.mpf(plan.k0) + b * mpmath.mpf(h)
+                           for b in range(_TRAPEZOID_NODES)]),
+                 (panel, [(p - mpmath.mpf(n_panels) / 2) * mpmath.mpf(width)
+                          for p in range(n_panels)])]
+        for rows, us in exact:
+            assert rows.shape == (len(us), s.size)
+            for row, u in zip(rows, us):
+                for value, x in zip(row.tolist(), s.tolist()):
+                    phase = u * mpmath.mpf(x)
+                    assert abs(value - mpmath.expj(phase)) <= 64 * EPS * (1 + abs(phase))
+
+
 @pytest.mark.parametrize("data, t, s, start", [
     *[(FIG3, t, np.linspace(-(FIG3_V0 * t + 5.0), FIG3_V0 * t + 5.0, 64), n)
       for t, n in ((0.5, 7), (2.0, 8), (8.0, 12))],
@@ -663,19 +689,27 @@ def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch)
     assert used == [(start, start)]
 
 
-def record_chunks(monkeypatch):
-    """The node count of every integrand call the field's quadratures make."""
-    sizes = []
+def record_passes(monkeypatch):
+    """Each chunk of a momentum pass as (kernel nodes, [positions of each block]).
 
-    def recording(f, *args, **kwargs):
-        def counted(nodes):
-            sizes.append(nodes.size)
-            return f(nodes)
+    A chunk evaluates its kernel, the integrand's factor over the nodes,
+    once on all its nodes, and makes the plane waves once per block of
+    positions; passes of up to 1024 panels are one chunk.
+    """
+    passes = []
+    kernel, waves = dirac_exact._momentum_kernel, dirac_exact._plane_waves
 
-        return integrate_panels(counted, *args, **kwargs)
+    def recording_kernel(plan, t, table):
+        passes.append((table.shape[1], []))
+        return kernel(plan, t, table)
 
-    monkeypatch.setattr(dirac_exact, "integrate_panels", recording)
-    return sizes
+    def recording_waves(k0, width, n_panels, first, count, s):
+        passes[-1][1].append(s.size)
+        return waves(k0, width, n_panels, first, count, s)
+
+    monkeypatch.setattr(dirac_exact, "_momentum_kernel", recording_kernel)
+    monkeypatch.setattr(dirac_exact, "_plane_waves", recording_waves)
+    return passes
 
 
 @pytest.mark.parametrize("data, t, s", [
@@ -685,20 +719,44 @@ def record_chunks(monkeypatch):
     *[(FIG3, t, np.linspace(-8.0, 8.0, 64)) for t in (0.5, 2.0)],
 ], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w400", "cli-t0.5", "cli-t2"])
 def test_field_grids_take_one_integrand_call_per_pass(data, t, s, monkeypatch):
-    sizes = record_chunks(monkeypatch)
+    # One pass at the start, its kernel made once on all its nodes and its
+    # positions in one block.
+    passes = record_passes(monkeypatch)
     evolve_exact_grid(t, s, data)
-    assert sizes == [_TRAPEZOID_NODES * dirac_exact._kspace_panels(t, s, data)]
+    assert passes == [(_TRAPEZOID_NODES * dirac_exact._kspace_panels(t, s, data), [s.size])]
+
+
+def serial_product(n_panels, n_points):
+    """4 m n k of a block's complex (4 P, 16) @ (16, n) product: on one thread below 2**18."""
+    return 4 * (4 * n_panels) * _TRAPEZOID_NODES * n_points
 
 
 def test_large_grid_is_chunked_within_the_bound(monkeypatch):
-    # 4096 positions over both FIG3 packets at t = 8: no chunk of panels
-    # keeps the complex (4 P, 16) @ (16, 4096) product on one thread, so
-    # each of the 12 panels is its own call, the smallest chunk there is.
+    # 4096 positions over both FIG3 packets at t = 8, on 12 panels: the
+    # kernel is made once, and the positions run in blocks of 85, the most
+    # that keep the complex (4 P, 16) @ (16, n) product on one thread.
     s = np.linspace(-(FIG3_V0 * 8.0 + 5.0), FIG3_V0 * 8.0 + 5.0, 4096)
-    assert dirac_exact._kspace_node_chunk(s.size) == _TRAPEZOID_NODES
-    sizes = record_chunks(monkeypatch)
+    passes = record_passes(monkeypatch)
     evolve_exact_grid(8.0, s, FIG3)
-    assert sizes == [_TRAPEZOID_NODES] * 12
+    ((nodes, blocks),) = passes
+    assert nodes == 12 * _TRAPEZOID_NODES
+    assert blocks == [85] * 48 + [16]
+    assert serial_product(12, 85) < 2**18 <= serial_product(12, 86)
+
+
+def test_many_panels_run_in_chunks_and_blocks_of_16_positions(monkeypatch):
+    # An observables grid at t = 3000 has 1919 panels: chunks of 1024 and
+    # 895 panels, each over blocks of 16 positions, where no block keeps
+    # the product on one thread.  The chunks' sums add up to the field.
+    s_ref, minus_ref, plus_ref = dirac_spectral(3000.0, FIG3, 3100.0, 2**19)
+    idx = np.searchsorted(s_ref, np.linspace(-3010.0, 3010.0, 40))
+    assert dirac_exact._kspace_panels(3000.0, s_ref[idx], FIG3) == 1919
+    passes = record_passes(monkeypatch)
+    psi, _ = dirac_exact._kspace_grid(3000.0, s_ref[idx], FIG3, QuadConfig(), 1919)
+    assert passes == [(1024 * _TRAPEZOID_NODES, [16, 16, 8]), (895 * _TRAPEZOID_NODES, [16, 16, 8])]
+    assert serial_product(1024, 1) >= 2**18
+    assert np.max(np.abs(psi.minus - minus_ref[idx])) <= 1e-12
+    assert np.max(np.abs(psi.plus - plus_ref[idx])) <= 1e-12
 
 
 def test_start_below_the_alias_bound_doubles_once(monkeypatch):
@@ -806,6 +864,9 @@ def test_norm_conserved(fig3_packet):
 @settings(max_examples=30, deadline=None, database=None)
 @given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
        theta0=st.floats(0.0, np.pi), t=st.floats(0.0, 8.0))
+# A subnormal mass at rest, where the momentum route's 1 / E would overflow
+# at k = 0: the Bessel route runs.
+@example(sigma=0.3, k0=0.0, mass=5e-324, theta0=0.0, t=1.0)
 def test_norm_conserved_property(sigma, k0, mass, theta0, t):
     data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=0.0, mass=mass)
     norm, _ = integrate_density(t, data)

@@ -8,6 +8,7 @@ import pytest
 from diracflow import (
     DomainError,
     PacketParams,
+    QuadConfig,
     SchrodingerField,
     SpaParams,
     ValidationError,
@@ -67,4 +68,33 @@ def test_non_real_input_raises_a_diracflow_error(case):
         call()
     assert type(info.value) is expected
     # Rejected before any arithmetic: no numpy warning on the way.
+    assert not caught
+
+
+def _packet(**changes):
+    fields = dict(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    return PacketParams(**{**fields, **changes})
+
+
+# Parameter constructors validate every number they take the same way.
+PARAMETER_CASES = {
+    "packet-k0-complex": lambda: _packet(k0=1j),
+    "packet-sigma-str": lambda: _packet(sigma="a"),
+    "packet-mass-none": lambda: _packet(mass=None),
+    "packet-phase0-complex": lambda: _packet(phase0=0.5 + 0.5j),
+    "spa-p0-str": lambda: SpaParams(p0="a", sigma=0.2, omega=10.0),
+    "spa-omega-complex": lambda: SpaParams(p0=1.0, sigma=0.2, omega=10.0 + 1j),
+    "quad-rel-tol-inf": lambda: QuadConfig(rel_tol=np.inf),
+    "quad-abs-tol-inf": lambda: QuadConfig(abs_tol=np.inf),
+    "quad-rel-tol-str": lambda: QuadConfig(rel_tol="a"),
+    "quad-max-panels-str": lambda: QuadConfig(max_panels="a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAMETER_CASES))
+def test_parameter_constructors_raise_a_validation_error(case):
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(ValidationError) as info:
+        warnings.simplefilter("always")
+        PARAMETER_CASES[case]()
+    assert type(info.value) is ValidationError
     assert not caught

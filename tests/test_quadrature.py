@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from diracflow import IntegrationError, quadrature
+from diracflow import IntegrationError, PacketParams, dirac_exact, quadrature
 from diracflow.quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _TRAPEZOID_NODES,
                                   _composite, _gk_rule, _trapezoid_rule, integrate_panels)
 
@@ -310,43 +310,40 @@ def test_trapezoid_pair_converges_geometrically_on_a_gaussian():
 
 
 # =============================================================================
-# The factored (kernel, panel_basis, offset_basis) form
+# The momentum route's factored trapezoid pass
 # =============================================================================
 
-A, B = -1.0, 2.5
+# FIG3 moving (k0 = 10) and at rest (k0 = 0): k0 is the offset chain's
+# first phase, the plane wave e^{i k0 s}.
+PACKETS = {moving: PacketParams(sigma=1.0, k0=10.0 if moving else 0.0, theta0=0.7, omega0=0.3,
+                                mass=3.0)
+           for moving in (True, False)}
+T_PASS = 2.0
 
 
-def factored_integrands(complex_offsets):
-    """Random complex data as a factored triple and as the (kernel, basis) pair.
+def momentum_pair(data, s):
+    """The momentum integrand as a (kernel, basis) pair over the pass's own plane waves.
 
-    Node r of panel p has the kernel row kernel[p, r] and the basis
-    panel_basis[p] * offset_basis[r]; each pass draws its own data from its
-    panel count, and each chunk takes the rows of its own panels.
+    Node b of panel p has the basis panel_basis[p] * offset_basis[b], the
+    (nodes, positions) array the pass never forms; each pass takes its
+    bases from its panel count, and each chunk the rows of its own nodes.
     """
-    def data(n_panels):
-        rng = np.random.default_rng(n_panels)
-
-        def draw(*shape, real=False):
-            x = rng.standard_normal(shape)
-            return x if real else x + 1j * rng.standard_normal(shape)
-
-        return (quadrature._layout(A, B, n_panels)[0],
-                draw(n_panels * _PANEL_NODES, 3), draw(n_panels, S.size),
-                draw(_PANEL_NODES, S.size, real=not complex_offsets))
-
-    def triple(nodes):
-        n_panels = round((B - A) / (nodes[_PANEL_NODES - 1] - nodes[0]) * _gk_rule()[0][-1])
-        all_nodes, kernel, panel_basis, offset_basis = data(n_panels)
-        lo = int(np.searchsorted(all_nodes, nodes[0]))
-        assert np.array_equal(all_nodes[lo:lo + nodes.size], nodes)
-        panels = slice(lo // _PANEL_NODES, (lo + nodes.size) // _PANEL_NODES)
-        return kernel[lo:lo + nodes.size], panel_basis[panels], offset_basis
+    plan = dirac_exact._kspace_plan(data)
 
     def pair(nodes):
-        kernel, panel_basis, offset_basis = triple(nodes)
-        return kernel, (panel_basis[:, None, :] * offset_basis[None, :, :]).reshape(nodes.size, -1)
+        spacing = nodes[1] - nodes[0]
+        n_panels = round(2 * plan.half / spacing) // _TRAPEZOID_NODES
+        all_nodes, _ = quadrature._layout(-plan.half, plan.half, n_panels, _trapezoid_rule)
+        lo = int(np.searchsorted(all_nodes, nodes[0]))
+        assert np.array_equal(all_nodes[lo:lo + nodes.size], nodes)
+        offset_basis, panel_basis = dirac_exact._plane_waves(
+            plan.k0, 2 * plan.half / n_panels, n_panels, 0, n_panels, s)
+        index = np.arange(lo, lo + nodes.size)
+        basis = panel_basis[index // _TRAPEZOID_NODES] * offset_basis[index % _TRAPEZOID_NODES]
+        table = dirac_exact._build_node_table(plan, nodes)
+        return dirac_exact._momentum_kernel(plan, T_PASS, table).T, basis
 
-    return triple, pair
+    return pair
 
 
 def assert_within_1e15(got, want):
@@ -354,30 +351,49 @@ def assert_within_1e15(got, want):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("complex_offsets", [True, False])
+S_PASS = np.linspace(-9.0, 9.0, 37)
+# Positions the passes of up to 8 panels alias (the momentum route would
+# start from 19), so that their residual is far above rounding.
+S_ALIASED = np.linspace(-40.0, 40.0, 37)
+
+
+@pytest.mark.parametrize("moving", [True, False])
 @pytest.mark.parametrize("n_panels", [1, 8, 21])
-def test_factored_integrand_matches_pair_in_every_chunking(complex_offsets, n_panels):
-    triple, pair = factored_integrands(complex_offsets)
-    want = _composite(pair, A, B, n_panels, _NODE_CHUNK)
-    for per_chunk in range(1, n_panels + 1):
-        got = _composite(triple, A, B, n_panels, per_chunk * _PANEL_NODES)
-        assert np.iscomplexobj(got)
-        for g, w in zip(got, want):
-            assert_within_1e15(g, w)
+def test_factored_integrand_matches_pair_in_every_chunking(moving, n_panels, monkeypatch):
+    # The pass's factored sums, (weighted kernel) @ (offset basis) summed
+    # against the panel basis, equal the unfactored sum_j w_j g_j e^{i u_j s}
+    # on the same plane waves, in chunks of any number of panels and blocks
+    # of any number of positions.  The table is built per chunk here.
+    data = PACKETS[moving]
+    plan = dirac_exact._kspace_plan(data)
+    want = _composite(momentum_pair(data, S_PASS), -plan.half, plan.half, n_panels, _NODE_CHUNK,
+                      _trapezoid_rule)
+    monkeypatch.setattr(dirac_exact, "_PLAN_CACHE_NODES", 0)
+    for panels in range(1, n_panels + 1):
+        monkeypatch.setattr(dirac_exact, "_PASS_PANELS", panels)
+        for cols in range(1, S_PASS.size + 1, 4):
+            monkeypatch.setattr(dirac_exact, "_kspace_columns", lambda n, cols=cols: cols)
+            got = dirac_exact._kspace_pass(plan, T_PASS, S_PASS, n_panels)
+            assert got.shape == (2, 2, S_PASS.size)
+            for g, w in zip(got, want):
+                assert_within_1e15(g, w)
 
 
-@pytest.mark.parametrize("complex_offsets", [True, False])
+@pytest.mark.parametrize("moving", [True, False])
 @pytest.mark.parametrize("initial_panels", [2, 8])
-def test_factored_integrand_partial_on_failure(complex_offsets, initial_panels):
-    # As for the pair: the budget's last pass is the partial, |K33 - G16|
-    # the residual, and both forms carry the same ones.
-    triple, pair = factored_integrands(complex_offsets)
-    failures = []
-    for f in (triple, pair):
-        with pytest.raises(IntegrationError, match="did not converge within 8") as info:
-            integrate_panels(f, A, B, rel_tol=1e-300, abs_tol=1e-300,
-                             initial_panels=initial_panels, max_panels=8, node_chunk=40)
-        failures.append(info.value)
-    got, want = failures
-    assert_within_1e15(got.partial, want.partial)
-    assert_within_1e15(got.residual, want.residual)
+def test_factored_integrand_partial_on_failure(moving, initial_panels):
+    # As for the pair: the budget's last pass is the partial, |T_h - T_2h|
+    # the residual, and the momentum route and the pair under
+    # integrate_panels carry the same ones.
+    data = PACKETS[moving]
+    plan = dirac_exact._kspace_plan(data)
+    q = dirac_exact.QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=8)
+    with pytest.raises(IntegrationError, match="did not converge within 8") as route:
+        dirac_exact._kspace_grid(T_PASS, S_ALIASED, data, q, initial_panels)
+    with pytest.raises(IntegrationError, match="did not converge within 8") as unfactored:
+        integrate_panels(momentum_pair(data, S_ALIASED), -plan.half, plan.half, rel_tol=1e-300,
+                         abs_tol=1e-300, initial_panels=initial_panels, max_panels=8,
+                         node_chunk=40, rule=_trapezoid_rule)
+    partial = route.value.partial
+    assert_within_1e15(np.stack([partial.minus, partial.plus]), unfactored.value.partial)
+    assert_within_1e15(route.value.residual, unfactored.value.residual)
