@@ -50,10 +50,10 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError, as_real
-from .packets import (PacketParams, Spinor, gaussian_amplitude, make_initial_packet,
-                      spinor_amplitudes)
-from .quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _TRAPEZOID_NODES, _layout,
-                         _trapezoid_rule, integrate_panels, refine_panels)
+from .packets import (PacketParams, Spinor, _spectral_points, gaussian_amplitude,
+                      make_initial_packet, momentum_band, spinor_amplitudes)
+from .quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _TRAPEZOID_NODES, _composite,
+                         _layout, _trapezoid_rule, integrate_panels, refine_panels)
 
 __all__ = [
     "QuadConfig",
@@ -130,25 +130,26 @@ _SERIAL_GEMM = 2**18
 def _bessel_node_chunk(n_cols: int) -> int:
     # About 16k basis entries per integrand call keep the block in cache, and
     # keep the real (12, N) @ (N, n_cols) product on one thread.
-    # integrate_panels rounds it up to whole panels, so that FIG3's 8
-    # starting panels on 64 positions take one call.
+    # _composite rounds it up to whole panels, so that FIG3's 8 starting
+    # panels on 64 positions take one call.
     return max(16, 2**14 // max(1, n_cols))
 
 
-def _integrate_field(integrate, assemble, n_points, n0):
-    """Run the quadrature ``integrate()`` and ``assemble`` its integrals into (Spinor, err[2, n]).
+def _integrate_field(run_pass, assemble, n_points, n0, q: QuadConfig, abs_tol: float):
+    """``refine_panels`` on a grid route's pass from n0 panels, assembled into (Spinor, err[2, n]).
 
-    On a budget failure the partial integrals and their residual assemble
-    into a partial field and its error bound.  Where the phase overflows (an
-    inf starting count ``n0``) or the start alone exceeds the budget,
-    nothing is evaluated: there is no partial field and the residual is inf.
+    A budget failure's partial sums and residual assemble into a partial
+    field and its error bound.  Where the phase overflows (an inf ``n0``)
+    or the start alone exceeds the budget, nothing is evaluated: there is
+    no partial field and the residual is inf.
     """
     if not isfinite(n0):
         raise IntegrationError(
             "integrand phase overflows a float: no panel count resolves it",
             partial=None, residual=np.full((2, n_points), np.inf))
     try:
-        value, err, _ = integrate()
+        value, err, _ = refine_panels(run_pass, n0, rel_tol=q.rel_tol, abs_tol=abs_tol,
+                                      max_panels=q.max_panels)
     except IntegrationError as exc:
         partial, residual = None, np.full((2, n_points), np.inf)
         if exc.partial is not None:
@@ -251,7 +252,7 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     # The plane wave factors out of psi0(s - t cos):
     # e^{i k0 (s - t cos)} = e^{i k0 s} e^{-i k0 t cos}, so each node's value is
     # a complex (3,) kernel times the real Gaussian row f_sigma(s - t cos),
-    # and the theta sum is one real matrix product (see integrate_panels).
+    # and the theta sum is one real matrix product (see _composite).
     def integrand(theta):
         ct = np.cos(theta)
         st = np.sin(theta)
@@ -278,12 +279,9 @@ def _bessel_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
         err_out[1] = 0.5 * wt * (abs(cp) * e1p + abs(cm) * e0)
         return Spinor(minus=psi_m, plus=psi_p), err_out
 
-    def integrate():
-        return integrate_panels(integrand, 0.0, np.pi, rel_tol=q.rel_tol,
-                                abs_tol=q.abs_tol / max(1.0, wt), initial_panels=n0,
-                                max_panels=q.max_panels, node_chunk=_bessel_node_chunk(s_arr.size))
-
-    return _integrate_field(integrate, assemble, s_arr.size, n0)
+    chunk = _bessel_node_chunk(s_arr.size)
+    return _integrate_field(lambda n: _composite(integrand, 0.0, np.pi, n, chunk), assemble,
+                            s_arr.size, n0, q, q.abs_tol / max(1.0, wt))
 
 
 # =============================================================================
@@ -524,8 +522,8 @@ def _kspace_columns(n_panels: int) -> int:
     return max(16, (_SERIAL_GEMM - 1) // (4 * 4 * _TRAPEZOID_NODES * n_panels))
 
 
-# Panels per chunk of a pass: the nodes integrate_panels hands an integrand
-# at most.  A pass the node-table cache holds is one chunk.
+# Panels per chunk of a pass: the nodes _composite hands an integrand at
+# most.  A pass the node-table cache holds is one chunk.
 _PASS_PANELS = _NODE_CHUNK // _TRAPEZOID_NODES
 assert _PLAN_CACHE_NODES <= _NODE_CHUNK
 
@@ -586,15 +584,8 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
     doubling loop (``refine_panels``) is ``_kspace_pass``.
     """
     plan = _kspace_plan(data)
-
-    def assemble(value, err):
-        return Spinor(minus=value[0], plus=value[1]), err
-
-    def integrate():
-        return refine_panels(lambda n: _kspace_pass(plan, t, s_arr, n), n0,
-                             rel_tol=q.rel_tol, abs_tol=q.abs_tol, max_panels=q.max_panels)
-
-    return _integrate_field(integrate, assemble, s_arr.size, n0)
+    return _integrate_field(lambda n: _kspace_pass(plan, t, s_arr, n),
+                            lambda value, err: (Spinor(*value), err), s_arr.size, n0, q, q.abs_tol)
 
 
 # =============================================================================
@@ -640,6 +631,10 @@ def _spherical_base(t, s_arr, p0, sigma, omega, q, n_phi):
     # The theta-chunk times n_phi drives peak memory here, not the s-grid.
     chunk = max(64, 2_000_000 // max(n_phi, 3 * s_arr.size))
 
+    def integrate(f, a, b, n):
+        return integrate_panels(f, a, b, rel_tol=q.rel_tol, abs_tol=q.abs_tol / max(1.0, wt),
+                                initial_panels=n, max_panels=q.max_panels, node_chunk=chunk)[:2]
+
     def integrand_minus(theta):
         g0 = inner(theta, with_phase=False)
         vals = phidat(s_arr[None, :] - t * np.cos(theta)[:, None])
@@ -650,19 +645,9 @@ def _spherical_base(t, s_arr, p0, sigma, omega, q, n_phi):
         vals = phidat(s_arr[None, :] - t * np.cos(theta)[:, None])
         return ((1 - np.cos(theta)) * g1)[:, None] * vals
 
-    rate = (omega * abs(p0) + omega) * t
-    n0 = _initial_panels(rate, np.pi)
-    i_minus, err_m, _ = integrate_panels(
-        integrand_minus, 0.0, np.pi,
-        rel_tol=q.rel_tol, abs_tol=q.abs_tol / max(1.0, wt),
-        initial_panels=n0, max_panels=q.max_panels, node_chunk=chunk,
-    )
-    n0p = max(8, ceil(n0 * theta0 / np.pi))
-    i_plus, err_p, _ = integrate_panels(
-        integrand_plus, 0.0, theta0,
-        rel_tol=q.rel_tol, abs_tol=q.abs_tol / max(1.0, wt),
-        initial_panels=n0p, max_panels=q.max_panels, node_chunk=chunk,
-    )
+    n0 = _initial_panels((omega * abs(p0) + omega) * t, np.pi)
+    i_minus, err_m = integrate(integrand_minus, 0.0, np.pi, n0)
+    i_plus, err_p = integrate(integrand_plus, 0.0, theta0, max(8, ceil(n0 * theta0 / np.pi)))
 
     # Transport remainder: the removed polar cap cancels the transport term
     # only up to this narrow kernel integral (the alpha = 1 split), which we
@@ -674,11 +659,7 @@ def _spherical_base(t, s_arr, p0, sigma, omega, q, n_phi):
         vals = phidat(s_arr[None, :] - t * ct[:, None])
         return (j1 * (1 - ct))[:, None] * vals
 
-    tail_val, tail_err, _ = integrate_panels(
-        tail, theta0, np.pi,
-        rel_tol=q.rel_tol, abs_tol=q.abs_tol / max(1.0, wt),
-        initial_panels=16, max_panels=q.max_panels, node_chunk=chunk,
-    )
+    tail_val, tail_err = integrate(tail, theta0, np.pi, 16)
     chi = phidat(s_arr + t) - 0.5 * wt * tail_val
 
     psi_m = (-1j * wt / (4 * np.pi)) * i_minus
@@ -715,16 +696,15 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
         psi_m = np.zeros(1, dtype=complex)
         psi_p = np.zeros(1, dtype=complex)
         err = 0.0
-        if cp != 0:
-            bm, bp, em, ep = _spherical_base(t, s_arr, p0, data.sigma, omega, q, n_phi_pts)
-            psi_m += cp * bm
-            psi_p += cp * bp
-            err += abs(cp) * float(em[0] + ep[0])
-        if cm != 0:
-            mb_m, mb_p, mem, mep = _spherical_base(t, -s_arr, -p0, data.sigma, omega, q, n_phi_pts)
-            psi_m += cm * mb_p
-            psi_p += cm * mb_m
-            err += abs(cm) * float(mem[0] + mep[0])
+        # c_+ times the base problem and c_- its mirror, components swapped.
+        for c, sign in ((cp, 1), (cm, -1)):
+            if c != 0:
+                *parts, em, ep = _spherical_base(t, sign * s_arr, sign * p0, data.sigma, omega, q,
+                                                 n_phi_pts)
+                bm, bp = parts[::sign]
+                psi_m += c * bm
+                psi_p += c * bp
+                err += abs(c) * float(em[0] + ep[0])
         return psi_m[0], psi_p[0], err
 
     m1, p1, e1 = base(n_phi)
@@ -745,12 +725,18 @@ def integrate_density(t: float, data: PacketParams,
                       q: QuadConfig = QuadConfig()) -> Tuple[float, float]:
     """Total probability Int rho(t, s) ds; returns (norm, err_est).
 
-    Trapezoid on a uniform grid over |s| <= 13 sigma + t, beyond which the
-    tails are negligible; the grid is doubled once to estimate the error.
+    Trapezoid on a uniform grid over |s| <= L = 13 sigma + t, beyond which
+    the tails are negligible, doubled once to estimate the error.  The grid
+    has n points, the first power of two from 2048 whose pi n / (2 L) reaches
+    ``momentum_band(data)`` (``packets._spectral_points``), so that rho's
+    spectrum, twice as wide, does not alias; where 2 n exceeds 2^17 points,
+    IntegrationError is raised before anything is evaluated.
     """
+    t = as_real(t, "t", scalar=True)
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t!r}")
     half_width = 13 * data.sigma + t
-    rate = 2 * (abs(data.k0) + data.mass)
-    n = 1 << max(11, ceil(np.log2(max(256, rate * half_width * 4 / np.pi))))
+    n = _spectral_points(half_width, momentum_band(data))
 
     def norm_on(npts):
         s = np.linspace(-half_width, half_width, npts)
@@ -792,7 +778,8 @@ def schrodinger_reference(t: float, s: float, k0: float):
     Initial data (2/pi)^{1/4} e^{-s^2 + i k0 s}; the density is the familiar
     moving, spreading Gaussian and v is its Bohmian velocity field.
     """
-    s = np.asarray(s, dtype=float)
+    t, s = as_real(t, "t"), as_real(s, "s")
+    k0 = as_real(k0, "k0", scalar=True, error=ValidationError)
     denom = 1.0 + 2j * t
     psi = ((2 / np.pi) ** 0.25 / np.sqrt(denom)
            * np.exp(1j * k0 * s - 0.5j * k0 * k0 * t - (s - k0 * t) ** 2 / denom))
@@ -806,6 +793,8 @@ def schrodinger_reference(t: float, s: float, k0: float):
 
 def schrodinger_trajectory(t, q0: float, k0: float):
     """Exact nonrelativistic Bohmian trajectory q(t) = k0 t + q0 sqrt(1 + 4 t^2)."""
-    t = np.asarray(t, dtype=float)
+    t = as_real(t, "t")
+    q0, k0 = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
+              ((q0, "q0"), (k0, "k0")))
     out = k0 * t + q0 * np.sqrt(1.0 + 4.0 * t * t)
     return float(out) if np.ndim(out) == 0 else out

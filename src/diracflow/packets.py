@@ -153,6 +153,8 @@ class PacketParams:
     @classmethod
     def energy_eigen(cls, sigma: float, k0: float, mass: float, sign: int = +1):
         """Gaussian packet aligned with the +-E plane-wave eigenspinor at k0."""
+        k0, mass = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
+                    ((k0, "k0"), (mass, "mass")))
         if mass <= 0:
             raise ValidationError("energy eigen-packet requires mass > 0")
         if sign not in (+1, -1):
@@ -164,6 +166,7 @@ class PacketParams:
     @classmethod
     def mixed_energy_eigen(cls, sigma: float, k0: float, mass: float, vartheta: float):
         """cos(vartheta/2) * (+E eigen-packet) + sin(vartheta/2) * (-E eigen-packet)."""
+        vartheta = as_real(vartheta, "vartheta", scalar=True, error=ValidationError)
         if not (0.0 <= vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
         plus = cls.energy_eigen(sigma, k0, mass, +1)
@@ -186,6 +189,8 @@ class PacketParams:
         i.e. the basis the stationary-phase approximation is stated in;
         vartheta = 0 gives the pure upper-component data.
         """
+        p0, omega, vartheta = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
+                               ((p0, "p0"), (omega, "omega"), (vartheta, "vartheta")))
         if not (0.0 <= vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
         if omega <= 0:
@@ -198,6 +203,7 @@ class PacketParams:
         Positions and times shrink by L while momenta and the mass parameter
         grow by L, leaving the dynamics invariant.
         """
+        length = as_real(length, "length", scalar=True, error=ValidationError)
         if length <= 0:
             raise ValidationError("length must be > 0")
         return replace(self, sigma=self.sigma / length, k0=self.k0 * length,
@@ -273,6 +279,8 @@ def spa_regime_report(p: PacketParams) -> dict:
 
 def cayley_klein(psi: Spinor) -> CayleyKlein:
     """Decompose a spinor into (R, Theta, Omega, Phi): ``cayley_klein_series`` at one point."""
+    parts = np.asarray([psi.minus, psi.plus])
+    as_real([parts.real, parts.imag], "the spinor's real and imaginary parts")
     ck = {key: float(v[0]) for key, v in cayley_klein_series([psi.minus], [psi.plus]).items()}
     if ck["r"] == 0:
         raise NodeError("zero spinor: Cayley-Klein angles undefined")
@@ -354,20 +362,36 @@ def momentum_band(p: PacketParams) -> float:
 _MAX_SPECTRAL_POINTS = 2**17
 
 
-def _spectral_expectation(psi_fn, half_width, quad_tol, band, mass=None):
-    """<P> (mass None) or <H> of the Spinor psi_fn(s) on a periodic grid, refined until stable.
+def _spectral_points(half_width: float, band: float) -> int:
+    """The first power of two n from 2048 on whose wavenumbers pi n / (2 L) reach ``band``.
 
-    The grid starts at the first power of two from 2048 on whose wavenumbers
-    pi n / (2 L) reach ``band``, so that no part of the spectrum aliases.
+    Raises IntegrationError where 2 n, the grid that checks it, exceeds
+    ``_MAX_SPECTRAL_POINTS``, so that nothing is evaluated.
     """
-    if not quad_tol > 0:
-        raise DomainError("quad_tol must be > 0")
     n = 2048
     while n <= _MAX_SPECTRAL_POINTS and np.pi * n / (2 * half_width) < band:
         n *= 2
-    if 2 * n > _MAX_SPECTRAL_POINTS:  # no second grid to compare with: evaluate none
-        raise IntegrationError(f"expectation value needs more than {_MAX_SPECTRAL_POINTS} grid "
-                               f"points for |k| <= {band:g}", partial=None, residual=np.inf)
+    if 2 * n > _MAX_SPECTRAL_POINTS:
+        raise IntegrationError(f"a grid on [-{half_width:g}, {half_width:g}] needs more than "
+                               f"{_MAX_SPECTRAL_POINTS} grid points for |k| <= {band:g}",
+                               partial=None, residual=np.inf)
+    return n
+
+
+def _spectral_expectation(psi_fn, half_width, quad_tol, band, mass=None):
+    """<P> (mass None) or <H> of the Spinor psi_fn(s) on a periodic grid, refined until stable.
+
+    The grid starts at ``_spectral_points``, so that no part of the
+    spectrum aliases.
+    """
+    quad_tol, half_width, band = (as_real(x, name, scalar=True) for x, name in (
+        (quad_tol, "quad_tol"), (half_width, "half_width"), (band, "band")))
+    mass = None if mass is None else as_real(mass, "mass", scalar=True)
+    if not quad_tol > 0:
+        raise DomainError("quad_tol must be > 0")
+    if not half_width > 0:
+        raise DomainError("half_width must be > 0")
+    n = _spectral_points(half_width, band)
     prev = None
     while n <= _MAX_SPECTRAL_POINTS:
         s = -half_width + (2 * half_width / n) * np.arange(n)

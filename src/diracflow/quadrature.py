@@ -18,11 +18,13 @@ at the rounding floor 256 eps max|first|, as QUADPACK flags roundoff when
 refinement stalls.  The caller sets the starting panel count, typically so
 that the first pass already samples every oscillation.
 
-``integrate_panels`` runs that loop on the pass of a vectorized integrand:
-it evaluates the integrand once at the nodes of each of P panels and forms
-both sums from the same weighted product.  ``f(nodes)`` receives a 1-D
-array of abscissas, whole panels of ascending nodes each, and returns one
-of two forms.
+``_composite`` is the pass of a vectorized integrand: it evaluates the
+integrand once at the nodes of each of P panels and forms both sums from
+the same weighted product.  ``integrate_panels`` runs the loop on it; the
+exact field's grid routes hand the loop their passes directly, the Bessel
+route ``_composite`` over its integrand and the momentum route a pass of
+its own.  ``f(nodes)`` receives a 1-D array of abscissas, whole panels of
+ascending nodes each, and returns one of two forms.
 
 * An array whose leading axis matches ``nodes``, with any trailing shape
   (e.g. one column per field point), so whole grids integrate in one pass.

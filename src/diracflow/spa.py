@@ -180,7 +180,7 @@ def spa_weights(p: SpaParams, both_critical_points: bool = True):
 
 def spa_envelopes(t: float, s, p: SpaParams):
     """The two traveling packets (phi_minus, phi_plus) at (t, s)."""
-    s = np.asarray(s, dtype=float)
+    t, s = as_real(t, "t"), as_real(s, "s")
     f_m = gaussian_amplitude(p.sigma, s - p.v0 * t)
     f_p = gaussian_amplitude(p.sigma, s + p.v0 * t)
     phi_m = f_m * np.exp(1j * p.omega * (p.p0 * s - p.e0 * t))
@@ -201,8 +201,7 @@ def weighted_spinor(weights, phi_m, phi_p) -> Spinor:
 def spa_spinor_grid(t: float, s, p: SpaParams) -> Spinor:
     """Vectorized U(t, s) over an array of positions at one time, with that time's weights."""
     t = as_real(t, "t", scalar=True)
-    return weighted_spinor(spa_weights(p, has_both_critical_points(t, p)),
-                           *spa_envelopes(t, as_real(s, "s"), p))
+    return weighted_spinor(spa_weights(p, has_both_critical_points(t, p)), *spa_envelopes(t, s, p))
 
 
 def spa_evaluate(t: float, s: float, p: SpaParams,
@@ -282,6 +281,7 @@ def phase_function(x, y, s: float, t: float, p0: float):
 
 def phase_diagnostics(p0: float) -> PhaseDiagnostics:
     """Critical points (0, y_+-), Hessian scalars per unit t, and signatures."""
+    p0 = as_real(p0, "p0", scalar=True)
     if p0 == 0:
         raise DomainError("p0 = 0 degenerates the phase (no isolated critical points)")
     root = np.sqrt(p0 * p0 + 1.0)
@@ -322,6 +322,11 @@ def spa_leading_term(g_at_crit: complex, phase_at_crit: float, hess_det: float,
 
 def error_bound_shape(p0: float, t: float, sigma: float, omega: float) -> float:
     """The bound shape |p0|^5 * e^{t / sigma} / sqrt(omega), with unit constants."""
+    t = as_real(t, "t", scalar=True)
+    p0, sigma, omega = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
+                        ((p0, "p0"), (sigma, "sigma"), (omega, "omega")))
+    if not (sigma > 0 and omega > 0):
+        raise ValidationError("sigma and omega must be > 0")
     return float(abs(p0) ** 5 * np.exp(t / sigma) / np.sqrt(omega))
 
 
@@ -346,9 +351,11 @@ def error_scaling(params: SpaParams, t_fixed: float, omega_ladder: Sequence[floa
     evaluate one after another, in ladder order; ``workers`` is accepted for
     compatibility and has no effect.
     """
-    ladder = [float(w) for w in omega_ladder]
-    if len(ladder) < 4:
+    ladder = as_real(omega_ladder, "omega ladder", error=ValidationError)
+    t_fixed = as_real(t_fixed, "t_fixed", scalar=True, error=ValidationError)
+    if ladder.ndim != 1 or ladder.size < 4:
         raise ValidationError("omega ladder needs at least 4 points")
+    ladder = ladder.tolist()
     ratios = np.diff(np.log(ladder))
     if not np.allclose(ratios, ratios[0], rtol=1e-6, atol=1e-12):
         raise ValidationError("omega ladder must be geometric")
@@ -358,7 +365,7 @@ def error_scaling(params: SpaParams, t_fixed: float, omega_ladder: Sequence[floa
         if not (w * t_fixed > j0 * e0):
             raise ValidationError(
                 f"omega*t = {w * t_fixed:g} must exceed j0*E0 = {j0 * e0:g}")
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = as_real(s_grid, "s_grid")
     sups = [sup_error_at_omega(params, w, t_fixed, s_grid, quad) for w in ladder]
     slope, intercept = np.polyfit(np.log(ladder), np.log(sups), 1)
     return ErrorScaling(

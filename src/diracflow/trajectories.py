@@ -200,8 +200,7 @@ class SpaVelocityField:
 
     def spinors(self, t, s) -> Spinor:
         """The spinor at the paired points (t[i], s[i]), under the velocity's own weights."""
-        return weighted_spinor(self._spinor_weights,
-                               *spa_envelopes(np.asarray(t, dtype=float), s, self.params))
+        return weighted_spinor(self._spinor_weights, *spa_envelopes(t, s, self.params))
 
     def spinor(self, t: float, s: float) -> Spinor:
         u = self.spinors(np.array([t]), np.array([s]))
@@ -580,8 +579,8 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
     effect.  Individual integrator failures are recorded on the trajectory
     and do not abort the run.
     """
-    if not 1 <= n <= MAX_ENSEMBLE_SIZE:
-        raise ValidationError(f"n must lie in [1, {MAX_ENSEMBLE_SIZE}], got {n}")
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_ENSEMBLE_SIZE:
+        raise ValidationError(f"n must lie in [1, {MAX_ENSEMBLE_SIZE}], got {n!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if not as_real(t_final, "t_final", scalar=True, error=ValidationError) > 0:
@@ -728,10 +727,11 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
     this checks sign(cos theta0) * F >= 0 on y >= B_+(x) and <= 0 on
     y <= B_-(x) across the given oscillation rates (phases of the cos term).
     """
-    x = np.asarray(x_grid, dtype=float)
+    x = as_real(x_grid, "x_grid")
     if np.any(x <= 0):
         raise DomainError("barrier check needs x > 0")
-    off = np.abs(np.asarray(offsets, dtype=float))
+    off = np.abs(as_real(offsets, "offsets"))
+    a_omegas = as_real(a_omegas, "a_omegas")
     orient = np.sign(np.cos(spec.theta0))
     report = {"n_checked": 0, "violations": 0, "worst": 0.0}
     for a_omega in a_omegas:
@@ -769,7 +769,9 @@ def antipodal_clusters(vectors: np.ndarray) -> dict:
     and the antipode of the other (clusters from a bifurcating ensemble
     should be antipodal within ``_ANTIPODAL_RADIUS``).
     """
-    vecs = np.asarray(vectors, dtype=float)
+    vecs = as_real(vectors, "vectors")
+    if vecs.ndim != 2 or not len(vecs):
+        raise DomainError(f"vectors must be a non-empty 2-D array, got shape {vecs.shape}")
     norms = np.linalg.norm(vecs, axis=1)
     ref = vecs[0] / norms[0]
     side = vecs @ ref >= 0

@@ -33,7 +33,7 @@ from diracflow import (
     spherical_cut,
 )
 from diracflow.packets import spinor_amplitudes
-from diracflow.quadrature import _TRAPEZOID_NODES, _trapezoid_rule, integrate_panels, refine_panels
+from diracflow.quadrature import _TRAPEZOID_NODES, _trapezoid_rule, refine_panels
 from diracflow.spa import SpaParams, spa_spinor_grid
 
 from _oracles import dirac_spectral, massless_transport
@@ -521,10 +521,10 @@ def test_bessel_error_bound_combines_the_theta_residuals(monkeypatch):
     results = []
 
     def recording(*args, **kwargs):
-        results.append(integrate_panels(*args, **kwargs))
+        results.append(refine_panels(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(dirac_exact, "integrate_panels", recording)
+    monkeypatch.setattr(dirac_exact, "refine_panels", recording)
     data = PacketParams(sigma=0.8, k0=4.0, theta0=0.7, omega0=1.3, mass=2.0)
     t = 1.5
     q = QuadConfig()
@@ -620,8 +620,9 @@ def test_fine_momentum_nodes_at_a_shifted_window():
 def record_panels(monkeypatch):
     """(starting, final) panel counts of every refinement loop the field runs.
 
-    Both routes run the one loop: the momentum route hands it its pass, and
-    the Bessel route's ``integrate_panels`` its panel pass.
+    Both grid routes run the one loop through ``_integrate_field``: the
+    momentum route hands it its trapezoid pass, and the Bessel route its
+    K33/G16 panel pass over theta.
     """
     used = []
 
@@ -681,9 +682,13 @@ def test_plane_wave_rows_are_within_rounding_of_their_phase(n_panels):
       for t, n in ((0.5, 7), (2.0, 8), (8.0, 12))],
     *[(PacketParams.macroscopic(0.2, 1.0, w), 1.0, np.linspace(-1.5, 1.5, 33), n)
       for w, n in ((50.0, 10), (100.0, 10), (200.0, 10), (400.0, 10))],
-], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w50", "macro-w100", "macro-w200", "macro-w400"])
+    (FIG3, 0.5, np.linspace(-120.0, 120.0, 300), 8),
+], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w50", "macro-w100", "macro-w200", "macro-w400",
+        "fig3-wide-bessel"])
 def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch):
     # The benchmark's field grids: one trapezoid pass at the alias-free start.
+    # A wide FIG3 grid takes the Bessel route (8 panels of 33 nodes against
+    # the momentum route's 44 of 16), whose theta pass runs in the same loop.
     used = record_panels(monkeypatch)
     evolve_exact_grid(t, s, data)
     assert used == [(start, start)]
@@ -871,6 +876,28 @@ def test_norm_conserved_property(sigma, k0, mass, theta0, t):
     data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=0.0, mass=mass)
     norm, _ = integrate_density(t, data)
     assert norm == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("t", [800.0, 2000.0])
+def test_norm_of_a_narrow_massless_packet_at_late_times(t):
+    # The grid resolves the spectrum |k| <= 8 / sigma = 26.7 over the whole
+    # light cone; a rule blind to sigma read 1 + 1.8e-5 at t = 800 and 1.313
+    # at t = 2000.
+    data = PacketParams(sigma=0.3, k0=0.0, theta0=0.7, omega0=0.0, mass=0.0)
+    norm, _ = integrate_density(t, data)
+    assert abs(norm - 1.0) <= 1e-12
+
+
+def test_density_grid_beyond_the_cap_evaluates_nothing(fig3_packet, monkeypatch):
+    # At t = 1e6 the band |k| <= 18 needs more than 2^17 points on the light
+    # cone: IntegrationError before any field call, not a grid of 2^25.
+    calls = []
+    monkeypatch.setattr(dirac_exact, "evolve_exact_grid", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="more than 131072 grid points") as info:
+        integrate_density(1e6, fig3_packet)
+    assert time.perf_counter() - start < 1.0
+    assert not calls and info.value.partial is None
 
 
 def test_light_cone_support(fig3_packet):

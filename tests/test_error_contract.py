@@ -11,14 +11,29 @@ from diracflow import (
     QuadConfig,
     SchrodingerField,
     SpaParams,
+    Spinor,
     ValidationError,
+    antipodal_clusters,
+    barrier_check,
+    barrier_curves,
+    cayley_klein,
     continuity_residual,
+    error_bound_shape,
+    error_scaling,
     evolve_exact,
     evolve_exact_grid,
     evolve_exact_spherical,
+    expected_energy,
+    expected_momentum,
     find_bifurcation,
+    integrate_density,
     integrate_trajectory,
+    make_initial_packet,
+    phase_diagnostics,
     run_ensemble,
+    schrodinger_reference,
+    schrodinger_trajectory,
+    spa_envelopes,
     spa_evaluate,
     spa_spinor_grid,
     spa_velocity_field,
@@ -26,6 +41,7 @@ from diracflow import (
 
 FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
 SPA = SpaParams(p0=1.0, sigma=0.2, omega=60.0)
+PSI0 = make_initial_packet(FIG3)
 
 
 def _trajectory(q0, t_span=(0.0, 1.0), tol=1e-8):
@@ -57,6 +73,26 @@ CASES = {
     "bifurcation-tol-s-none": (ValidationError, lambda: find_bifurcation(FIG3, 8.0, None)),
     "continuity-t-str": (DomainError, lambda: continuity_residual("a", 0.0, FIG3, h=1e-3)),
     "spa-velocity-s-nan": (DomainError, lambda: spa_velocity_field(1.0, np.nan, SPA)),
+    "spa-envelopes-s-str": (DomainError, lambda: spa_envelopes(0.5, "abc", SPA)),
+    "schrodinger-s-str": (DomainError, lambda: schrodinger_reference(0.5, "abc", 1.0)),
+    "schrodinger-t-nan": (DomainError, lambda: schrodinger_reference(np.nan, 0.1, 1.0)),
+    "schrodinger-trajectory-t-str": (DomainError, lambda: schrodinger_trajectory("a", 0.1, 1.0)),
+    "density-t-inf": (DomainError, lambda: integrate_density(np.inf, FIG3)),
+    "density-t-str": (DomainError, lambda: integrate_density("a", FIG3)),
+    "momentum-half-width-zero": (DomainError, lambda: expected_momentum(PSI0, 1e-6, 0.0, 18.0)),
+    "momentum-half-width-str": (DomainError, lambda: expected_momentum(PSI0, 1e-6, "a", 18.0)),
+    "momentum-quad-tol-str": (DomainError, lambda: expected_momentum(PSI0, "a", 10.0, 18.0)),
+    "energy-mass-str": (DomainError, lambda: expected_energy(PSI0, "a", 1e-6, 10.0, 18.0)),
+    "cayley-klein-str": (DomainError, lambda: cayley_klein(Spinor("a", 1))),
+    "phase-diagnostics-nan": (DomainError, lambda: phase_diagnostics(np.nan)),
+    "antipodal-empty": (DomainError, lambda: antipodal_clusters(np.zeros((0, 3)))),
+    "barrier-x-str": (DomainError,
+                      lambda: barrier_check(barrier_curves(0.7), [1.0], "abc", [0.0])),
+    "error-bound-p0-str": (ValidationError, lambda: error_bound_shape("a", 1, 1, 1)),
+    "error-scaling-ladder-str": (ValidationError, lambda: error_scaling(
+        SPA, 1.0, ["a", 1, 2, 3], np.linspace(-1.0, 1.0, 5))),
+    "ensemble-n-float": (ValidationError, lambda: run_ensemble(2.5, FIG3, 1.0)),
+    "ensemble-n-str": (ValidationError, lambda: run_ensemble("3", FIG3, 1.0)),
 }
 
 
@@ -88,6 +124,9 @@ PARAMETER_CASES = {
     "quad-abs-tol-inf": lambda: QuadConfig(abs_tol=np.inf),
     "quad-rel-tol-str": lambda: QuadConfig(rel_tol="a"),
     "quad-max-panels-str": lambda: QuadConfig(max_panels="a"),
+    "energy-eigen-mass-str": lambda: PacketParams.energy_eigen(1, 10, "a"),
+    "macroscopic-omega-str": lambda: PacketParams.macroscopic(1, 1, "a"),
+    "rescaled-length-str": lambda: FIG3.rescaled("a"),
 }
 
 
