@@ -694,6 +694,28 @@ def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch)
     assert used == [(start, start)]
 
 
+@pytest.mark.parametrize("s, abs_scale", [
+    (np.linspace(-5.0, 5.0, 33), 1.0),
+    (np.linspace(-120.0, 120.0, 300), 1.5),
+], ids=["momentum", "bessel"])
+def test_grid_routes_hand_the_loop_their_tolerances(s, abs_scale, monkeypatch):
+    # The loop runs at the QuadConfig's rel_tol and budget.  The Bessel
+    # route's theta-integrals enter psi times m t / 2, so their abs_tol is
+    # divided by max(1, m t) = 1.5 at FIG3, t = 0.5; the momentum route's
+    # sums are psi itself.
+    q = QuadConfig(rel_tol=1e-8, abs_tol=1e-11, max_panels=4096)
+    calls = []
+
+    def recording(run_pass, initial_panels, **kwargs):
+        calls.append(kwargs)
+        return refine_panels(run_pass, initial_panels, **kwargs)
+
+    monkeypatch.setattr(dirac_exact, "refine_panels", recording)
+    monkeypatch.setattr(quadrature, "refine_panels", recording)
+    evolve_exact_grid(0.5, s, FIG3, q)
+    assert calls == [dict(rel_tol=1e-8, abs_tol=1e-11 / abs_scale, max_panels=4096)]
+
+
 def record_passes(monkeypatch):
     """Each chunk of a momentum pass as (kernel nodes, [positions of each block]).
 
