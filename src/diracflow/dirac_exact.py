@@ -103,6 +103,8 @@ class FieldSample:
 # Gauss nodes per 2*pi of phase in the starting estimate, above the about pi
 # a Gauss rule needs; the doubling test, not this count, decides convergence.
 _NODES_PER_CYCLE = 8.0
+# The smallest normal double.
+_TINY = sys.float_info.min
 
 
 def _whole(x: float) -> float:
@@ -171,7 +173,8 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     O(n_nodes * n_s) with fully vectorized inner arithmetic.  The Bessel
     route integrates over theta and the momentum route over k; the
     momentum route runs where it starts from at most 2.5 times the Bessel
-    route's nodes (``_route_and_panels``).
+    route's nodes (``_route_and_panels``).  Below m t = ``_TINY`` it is the
+    transport terms with err 0: every kernel term carries the factor m t.
     """
     t = as_real(t, "t", scalar=True)
     if t < 0:
@@ -179,7 +182,7 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     s_arr = np.atleast_1d(as_real(s, "s"))
     if s_arr.ndim > 1:
         raise DomainError(f"s must be a number or a 1-D array, got shape {s_arr.shape}")
-    if t == 0 or data.mass * t == 0:
+    if data.mass * t < _TINY:
         return Spinor(*_transport(t, s_arr, data)), np.zeros((2, s_arr.size))
     route, n0 = _route_and_panels(t, s_arr, data)
     return route(t, s_arr, data, q, n0)
@@ -203,8 +206,6 @@ def evolve_exact(t: float, s: float, data: PacketParams,
 # to 256 positions, the momentum route was the faster up to a ratio of 2.5,
 # either could be from 2.6 to 3.5, and the Bessel route was at 5.
 _KSPACE_NODE_RATIO = 2.5
-# The smallest normal double.
-_TINY = sys.float_info.min
 
 
 def _route_and_panels(t: float, s_arr, data: PacketParams):
@@ -215,13 +216,12 @@ def _route_and_panels(t: float, s_arr, data: PacketParams):
     but its integrand is local in s; the momentum start grows with t and the
     farthest position, not with the mass.  An inf Bessel count means
     E0 t = t hypot(m, k0) overflows, which neither route integrates;
-    ``_integrate_field`` fails it before evaluating anything.  A subnormal
-    mass takes the Bessel route: the momentum route's 1 / E overflows at k = 0.
+    ``_integrate_field`` fails it before evaluating anything.  Both routes
+    are finite at any mass, so the counts alone decide.
     """
     kspace = _kspace_panels(t, s_arr, data)
     bessel = _bessel_panels(t, data)
-    if (isfinite(bessel) and data.mass >= _TINY
-            and _TRAPEZOID_NODES * kspace <= _KSPACE_NODE_RATIO * _PANEL_NODES * bessel):
+    if isfinite(bessel) and _TRAPEZOID_NODES * kspace <= _KSPACE_NODE_RATIO * _PANEL_NODES * bessel:
         return _kspace_grid, kspace
     return _bessel_grid, bessel
 
@@ -364,7 +364,7 @@ class _KspacePlan:
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _kspace_plan(data: PacketParams) -> _KspacePlan:
-    """The momentum route's constants of one packet, made once.  Needs m > 0."""
+    """The momentum route's constants of one packet (E0 > 0, as m t >= _TINY), made once."""
     cm, cp = spinor_amplitudes(data)
     sigma, k0, m = data.sigma, data.k0, data.mass
     scale = 2 * sigma * sqrt(pi) * (2 * pi * sigma**2) ** -0.25 / (2 * pi)
@@ -373,9 +373,9 @@ def _kspace_plan(data: PacketParams) -> _KspacePlan:
     # from the residual r = k0^2 + m^2 - E0^2, at the scale 2^-exp of E0.
     frac, exp = frexp(energy0)
     r = _square_residual(ldexp(k0, -exp), ldexp(m, -exp), frac)
-    # The rows of c against g (cos(E t), sin(E t) k / E, sin(E t) / E); see
-    # _kspace_grid.
-    c = [[cm, cp], [-1j * cm, 1j * cp], [-1j * m * cp, -1j * m * cm]]
+    # The rows of c against g (cos(E t), sin(E t) k / E, sin(E t) m / E); see
+    # _kspace_grid.  The factor m sits in the node table's m / E.
+    c = [[cm, cp], [-1j * cm, 1j * cp], [-1j * cp, -1j * cm]]
     coeffs = np.array(c + c).view(float).reshape(6, 2, 2).transpose(1, 0, 2)
     by_cos, by_sin = np.array([[1, 0, 0, 0, 1, 1], [0, 1, 1, -1, 0, 0]])[:, None, :, None]
     return _KspacePlan(
@@ -389,15 +389,18 @@ def _build_node_table(plan: _KspacePlan, u):
     """The (4, N) node table at the window offsets ``u``.
 
     Its rows are the shift factor u (2 k0 + u) / (E + E0), in halves, which
-    stay finite for any k0, and g, g k / E and g / E with g = e^{-sigma^2 u^2}.
+    stay finite for any k0, and g, g k / E and g m / E with g = e^{-sigma^2 u^2}.
+    Both ratios are at most 1, so no row overflows where E is subnormal, and
+    the half-sum is floored at ``_TINY``, so u = 0 gives 0, not 0 / 0.
     """
     k = plan.k0 + u
     energy = np.hypot(k, plan.mass)
     table = np.empty((4, u.size))
-    np.multiply(u, (plan.k0 + 0.5 * u) / (0.5 * energy + 0.5 * plan.energy0), out=table[0])
+    np.multiply(u, (plan.k0 + 0.5 * u) / np.fmax(0.5 * energy + 0.5 * plan.energy0, _TINY),
+                out=table[0])
     np.exp(plan.neg_sigma2 * (u * u), out=table[1])
-    np.divide(table[1], energy, out=table[3])
-    np.multiply(table[3], k, out=table[2])
+    np.multiply(table[1], k / energy, out=table[2])
+    np.multiply(table[1], plan.mass / energy, out=table[3])
     return table
 
 
@@ -424,9 +427,9 @@ def _momentum_kernel(plan: _KspacePlan, t: float, table):
     """The spinor kernel g(k0 + u) (see ``_kspace_grid``) at the nodes of ``table``, (2, N).
 
     g [cos(E t) c - i sin(E t) H(k) c / E] with H(k) c = k (c-, -c+) + m (c+, c-)
-    is (g cos(E t), g sin(E t) k / E, g sin(E t) / E) times the rows of c.
+    is (g cos(E t), g sin(E t) k / E, g sin(E t) m / E) times the rows of c.
     By angle addition from E0 t and the node's shift, that is the rows
-    g (cos, cos k / E, cos / E, sin, sin k / E, sin / E) of the shift times
+    g (cos, cos k / E, cos m / E, sin, sin k / E, sin m / E) of the shift times
     the rows of c rotated by E0 t: one real product per component, whose
     columns are its (Re, Im).
     """
@@ -567,7 +570,7 @@ def _kspace_grid(t: float, s_arr, data: PacketParams, q: QuadConfig, n0: float):
 
     with H(k) = ((k, m), (m, -k)), E = sqrt(k^2 + m^2), c the initial spinor
     and phi_hat(k) = 2 sigma sqrt(pi) (2 pi sigma^2)^{-1/4} e^{-sigma^2 (k - k0)^2}
-    (Thaller, The Dirac Equation, sec. 1.4).  Needs m t > 0.  ``n0`` is the
+    (Thaller, The Dirac Equation, sec. 1.4).  Finite at any m > 0.  ``n0`` is the
     starting panel count, ``_kspace_panels(t, s_arr, data)``.
 
     The integrand is entire and decays like e^{-sigma^2 u^2}, so the

@@ -227,16 +227,14 @@ def integrate_panels(
     initial_panels: int = 8,
     max_panels: int = 2**20,
     node_chunk: int = _NODE_CHUNK,
-    rule=_gk_rule,
 ):
     """Integrate ``f`` over [a, b]; returns ``(value, err_est, panels_used)``.
 
-    ``rule`` is ``_gk_rule`` or ``_trapezoid_rule``; ``value`` is its first
-    estimate and ``err_est`` the distance from its second, from
-    ``refine_panels`` and its failures.  The starting count is checked
+    ``value`` is the K33 estimate and ``err_est`` its distance from G16's,
+    from ``refine_panels`` and its failures.  The starting count is checked
     against the budget before ``f`` is evaluated.
     """
     if b <= a:
         return _weighted_sums(np.zeros((1, 1)), f(np.array([a])))[0], 0.0, 0
-    return refine_panels(lambda n: _composite(f, a, b, n, node_chunk, rule), initial_panels,
+    return refine_panels(lambda n: _composite(f, a, b, n, node_chunk), initial_panels,
                          rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels)

@@ -732,6 +732,8 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
         raise DomainError("barrier check needs x > 0")
     off = np.abs(as_real(offsets, "offsets"))
     a_omegas = as_real(a_omegas, "a_omegas")
+    if a_omegas.ndim != 1:
+        raise DomainError(f"a_omegas must be a 1-D array, got shape {a_omegas.shape}")
     orient = np.sign(np.cos(spec.theta0))
     report = {"n_checked": 0, "violations": 0, "worst": 0.0}
     for a_omega in a_omegas:
@@ -773,6 +775,8 @@ def antipodal_clusters(vectors: np.ndarray) -> dict:
     if vecs.ndim != 2 or not len(vecs):
         raise DomainError(f"vectors must be a non-empty 2-D array, got shape {vecs.shape}")
     norms = np.linalg.norm(vecs, axis=1)
+    if not norms.all():
+        raise DomainError("vectors must have non-zero norms")
     ref = vecs[0] / norms[0]
     side = vecs @ ref >= 0
     report = {"norms": norms, "n_clusters": int(side.any()) + int((~side).any())}

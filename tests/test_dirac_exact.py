@@ -2,6 +2,7 @@ import decimal
 import gc
 import math
 import re
+import sys
 import time
 import warnings
 import weakref
@@ -140,8 +141,8 @@ def test_small_mass_limit_approaches_transport():
 @pytest.mark.parametrize("mass", [5e-324, 1e-310])
 @pytest.mark.parametrize("k0", [0.0, 2.0])
 def test_subnormal_mass_is_transport_without_warnings(mass, k0):
-    # The momentum route's 1 / E would overflow at the node k = 0; the
-    # Bessel route's kernel terms carry the factor m t, below 1e-300 here.
+    # m t is below the smallest normal double, so the field is the transport
+    # terms: every kernel term carries the factor m t.
     data = PacketParams(sigma=1.0, k0=k0, theta0=0.7, omega0=0.0, mass=mass)
     s = np.linspace(-6, 6, 41)
     with warnings.catch_warnings():
@@ -151,6 +152,27 @@ def test_subnormal_mass_is_transport_without_warnings(mass, k0):
     assert np.max(np.abs(psi.minus - pk(s - 1.0).minus)) <= 1e-300
     assert np.max(np.abs(psi.plus - pk(s + 1.0).plus)) <= 1e-300
     assert np.all(np.isfinite(err))
+
+
+@pytest.mark.parametrize("mass, k0, t", [
+    (5e-324, 0.0, 1.0), (1e-310, 2.0, 1.0), (1e-310, 5.0, 100.0),
+    # Far too many Bessel panels (2.5e10) to start from.
+    (1e-320, 10.0, 1e10),
+])
+def test_tiny_mass_time_product_is_transport(mass, k0, t, monkeypatch):
+    # Below m t = 2.2e-308 neither grid route runs: the field is the
+    # transport terms, bit for bit, with err 0.
+    def no_route(*args):
+        raise AssertionError("a grid route was chosen")
+
+    monkeypatch.setattr(dirac_exact, "_route_and_panels", no_route)
+    data = PacketParams(sigma=1.0, k0=k0, theta0=0.7, omega0=0.3, mass=mass)
+    s = np.linspace(-6.0, 6.0, 13) + k0 * t
+    psi, err = evolve_exact_grid(t, s, data)
+    pk = make_initial_packet(data)
+    assert np.array_equal(psi.minus, pk(s - t).minus)
+    assert np.array_equal(psi.plus, pk(s + t).plus)
+    assert np.all(err == 0)
 
 
 def test_matches_spectral_propagator():
@@ -341,6 +363,8 @@ def assert_routes_agree(data, t, s):
 @given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
        theta0=st.floats(0.0, np.pi), omega0=st.floats(0.0, 6.28),
        t=st.floats(0.0, 8.0))
+# A subnormal mass at rest, where the node table once formed g / E = inf.
+@example(sigma=1.0, k0=0.0, mass=5e-324, theta0=0.0, omega0=0.0, t=1.0)
 def test_grid_routes_agree(sigma, k0, mass, theta0, omega0, t):
     # The ranges of test_no_false_convergence; both routes need m t > 0.
     assume(mass * t > 0)
@@ -354,6 +378,17 @@ def test_grid_routes_agree(sigma, k0, mass, theta0, omega0, t):
 def test_grid_routes_agree_on_macroscopic_ladder(omega, vartheta, t):
     data = PacketParams.macroscopic(0.2, 1.0, omega, vartheta)
     assert_routes_agree(data, t, np.linspace(-1.5, 1.5, 33))
+
+
+@pytest.mark.parametrize("mass", [5e-324, 1e-310, 2.2e-309])
+@pytest.mark.parametrize("k0", [0.0, 10.0])
+def test_grid_routes_agree_at_subnormal_masses(mass, k0):
+    # At k = 0, E is the subnormal mass: the node table's k / E and m / E
+    # stay at most 1, and its shift factor is 0, not 0 / 0.
+    data = PacketParams(sigma=1.0, k0=k0, theta0=0.7, omega0=0.3, mass=mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_routes_agree(data, 1.0, np.linspace(-7.0, 7.0, 33))
 
 
 def test_grid_route_choice():
@@ -383,6 +418,18 @@ def test_grid_route_choice():
     assert route_of(0.5, np.linspace(-12.7, 12.7, 64), FIG3) is dirac_exact._kspace_grid
     assert route_of(0.5, np.linspace(-120.0, 120.0, 64), FIG3) is dirac_exact._bessel_grid
     assert route_of(1.0, np.array([0.0, 1e307]), FIG3) is dirac_exact._bessel_grid
+
+
+def test_route_choice_does_not_depend_on_the_mass():
+    # A subnormal mass with m t above the smallest normal double takes the
+    # cheaper route: 432 momentum nodes against 264 Bessel nodes here.
+    data = PacketParams(sigma=1.0, k0=0.0, theta0=0.7, omega0=0.3, mass=2.2e-309)
+    t, s = 30.0, np.linspace(-36.0, 36.0, 64)
+    assert dirac_exact._route_and_panels(t, s, data) == (dirac_exact._kspace_grid, 27)
+    psi, _ = evolve_exact_grid(t, s, data)
+    bessel, _ = dirac_exact._bessel_grid(t, s, data, QuadConfig(), dirac_exact._bessel_panels(t, data))
+    assert np.max(np.abs(psi.minus - bessel.minus)) <= 1e-12
+    assert np.max(np.abs(psi.plus - bessel.plus)) <= 1e-12
 
 
 def field_bytes(t, s, data):
@@ -420,7 +467,9 @@ def test_layout_cache_keeps_field_bits(case, monkeypatch):
        theta0=st.floats(0.0, np.pi), omega0=st.floats(0.0, 6.28),
        t=st.floats(0.0, 8.0), n=st.sampled_from([1, 7, 33]))
 def test_layout_cache_keeps_field_bits_property(sigma, k0, mass, theta0, omega0, t, n):
-    assume(mass * t > 0)
+    # Below m t = the smallest normal double the field is transport, and no
+    # layout is built.
+    assume(mass * t >= sys.float_info.min)
     data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=omega0, mass=mass)
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_layout_cache_transparent(
@@ -891,8 +940,8 @@ def test_norm_conserved(fig3_packet):
 @settings(max_examples=30, deadline=None, database=None)
 @given(sigma=st.floats(0.3, 2.0), k0=st.floats(-15.0, 15.0), mass=st.floats(0.0, 6.0),
        theta0=st.floats(0.0, np.pi), t=st.floats(0.0, 8.0))
-# A subnormal mass at rest, where the momentum route's 1 / E would overflow
-# at k = 0: the Bessel route runs.
+# A subnormal mass at rest: m t is below the smallest normal double, so the
+# field is the transport terms.
 @example(sigma=0.3, k0=0.0, mass=5e-324, theta0=0.0, t=1.0)
 def test_norm_conserved_property(sigma, k0, mass, theta0, t):
     data = PacketParams(sigma=sigma, k0=k0, theta0=theta0, omega0=0.0, mass=mass)

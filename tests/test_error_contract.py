@@ -86,8 +86,13 @@ CASES = {
     "cayley-klein-str": (DomainError, lambda: cayley_klein(Spinor("a", 1))),
     "phase-diagnostics-nan": (DomainError, lambda: phase_diagnostics(np.nan)),
     "antipodal-empty": (DomainError, lambda: antipodal_clusters(np.zeros((0, 3)))),
+    "antipodal-zero-only": (DomainError, lambda: antipodal_clusters([[0.0, 0.0, 0.0]])),
+    "antipodal-zero-row": (DomainError,
+                           lambda: antipodal_clusters([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
     "barrier-x-str": (DomainError,
                       lambda: barrier_check(barrier_curves(0.7), [1.0], "abc", [0.0])),
+    "barrier-rate-number": (DomainError,
+                            lambda: barrier_check(barrier_curves(0.7), 1.0, [1.0], [0.0])),
     "error-bound-p0-str": (ValidationError, lambda: error_bound_shape("a", 1, 1, 1)),
     "error-scaling-ladder-str": (ValidationError, lambda: error_scaling(
         SPA, 1.0, ["a", 1, 2, 3], np.linspace(-1.0, 1.0, 5))),

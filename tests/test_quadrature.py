@@ -7,7 +7,8 @@ import pytest
 
 from diracflow import IntegrationError, PacketParams, dirac_exact, quadrature
 from diracflow.quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _TRAPEZOID_NODES,
-                                  _composite, _gk_rule, _trapezoid_rule, integrate_panels)
+                                  _composite, _gk_rule, _trapezoid_rule, integrate_panels,
+                                  refine_panels)
 
 S = np.linspace(-1.0, 2.0, 7)
 
@@ -303,8 +304,9 @@ def test_trapezoid_pair_converges_geometrically_on_a_gaussian():
     # Entire and negligible at the ends of [-8, 8]: T_h is 0.12 off at
     # h = 1, 2e-10 at h = 1/2 and exact to rounding at 1/4; the estimate is
     # T_2h's error, so the pair stops at h = 1/8, one doubling later.
-    value, err, n = integrate_panels(even_gaussian_wave, -8.0, 8.0, initial_panels=1,
-                                     rule=_trapezoid_rule)
+    value, err, n = refine_panels(
+        lambda n: _composite(even_gaussian_wave, -8.0, 8.0, n, _NODE_CHUNK, _trapezoid_rule), 1,
+        rel_tol=1e-9, abs_tol=1e-12, max_panels=2**20)
     assert abs(value - np.sqrt(np.pi) * np.exp(-2.25)) <= 1e-15
     assert err <= 1e-15 and n == 8
 
@@ -384,16 +386,16 @@ def test_factored_integrand_matches_pair_in_every_chunking(moving, n_panels, mon
 def test_factored_integrand_partial_on_failure(moving, initial_panels):
     # As for the pair: the budget's last pass is the partial, |T_h - T_2h|
     # the residual, and the momentum route and the pair under
-    # integrate_panels carry the same ones.
+    # refine_panels carry the same ones.
     data = PACKETS[moving]
     plan = dirac_exact._kspace_plan(data)
     q = dirac_exact.QuadConfig(rel_tol=1e-300, abs_tol=1e-300, max_panels=8)
     with pytest.raises(IntegrationError, match="did not converge within 8") as route:
         dirac_exact._kspace_grid(T_PASS, S_ALIASED, data, q, initial_panels)
+    pair = momentum_pair(data, S_ALIASED)
     with pytest.raises(IntegrationError, match="did not converge within 8") as unfactored:
-        integrate_panels(momentum_pair(data, S_ALIASED), -plan.half, plan.half, rel_tol=1e-300,
-                         abs_tol=1e-300, initial_panels=initial_panels, max_panels=8,
-                         node_chunk=40, rule=_trapezoid_rule)
+        refine_panels(lambda n: _composite(pair, -plan.half, plan.half, n, 40, _trapezoid_rule),
+                      initial_panels, rel_tol=1e-300, abs_tol=1e-300, max_panels=8)
     partial = route.value.partial
     assert_within_1e15(np.stack([partial.minus, partial.plus]), unfactored.value.partial)
     assert_within_1e15(route.value.residual, unfactored.value.residual)

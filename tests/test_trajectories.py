@@ -29,6 +29,8 @@ from diracflow import (
     antipodal_clusters,
     barrier_check,
     barrier_curves,
+    bohmian_observables,
+    cayley_klein,
     cayley_klein_along,
     evolve_exact_grid,
     find_bifurcation,
@@ -376,6 +378,55 @@ def test_exact_flow_splits_the_ensemble_as_the_spa_flow(fig3_packet, seed):
         assert summary.n_left and summary.n_right
         assert summary.n_unresolved == summary.n_failed == 0
     assert not any(t.node_events for t in exact + spa)
+
+
+def late_time_observables(trajs, data, t):
+    """Per member at time t: its class, (v, q / t, p, E) and tan^2 Omega under the exact field."""
+    field = ExactVelocityField(data)
+    rows = []
+    for tr in trajs:
+        q = tr.position_at(t)
+        ck = cayley_klein(field.spinor(t, q))
+        v, p, e = bohmian_observables(ck, data.mass)
+        rows.append((tr.classification, v, q / t, p, e, np.tan(ck.omega) ** 2))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_exact_flow_is_locally_a_plane_wave_at_late_times(fig3_packet, seed):
+    # The paper's large-time claims under the exact field, to t = 300: each
+    # member's energy has the sign of its class, and the flow is locally a
+    # plane wave, v -> q / t and E^2 - p^2 = m^2 sec^2 Omega -> m^2.  Measured
+    # worst |v - q / t| at t = 100 and 300: 0.0178 and 3.64e-3 (seed 3),
+    # 0.0164 and 4.09e-3 (seed 11); worst tan^2 Omega 8.0e-3 and 3.27e-3,
+    # 5.81e-3 and 3.04e-3.
+    trajs, summary = run_ensemble(8, fig3_packet, 300.0, field_mode="EXACT", seed=seed)
+    events = {tr.q0: len(tr.node_events) for tr in trajs if tr.node_events}
+    assert summary.n_failed == summary.n_unresolved == 0, events
+    worst = {}
+    for t in (30.0, 100.0, 300.0):
+        rows = late_time_observables(trajs, fig3_packet, t)
+        for cls, v, q_over_t, p, e, tan2 in rows:
+            # Against k0 > 0, right-movers carry positive energy.
+            assert (e > 0) == (cls == RIGHT), (t, cls, e, events)
+            # Each member tends to a momentum its spectrum |phi_hat|^2 ~
+            # e^{-2 sigma^2 (k - k0)^2} holds: within four standard
+            # deviations 1 / (2 sigma) of k0.
+            assert abs(p - fig3_packet.k0) <= 2 / fig3_packet.sigma, (t, p, events)
+        worst[t] = (max(abs(v - q_over_t) for _, v, q_over_t, *_ in rows),
+                    max(row[-1] for row in rows))
+    assert worst[300.0][0] < worst[100.0][0] and worst[300.0][1] < worst[100.0][1], (worst, events)
+    assert worst[300.0][0] <= 6e-3 and worst[300.0][1] <= 5e-3, (worst, events)
+
+
+def test_exact_bifurcation_point_is_near_the_spa_one(fig3_packet):
+    # The SPA is the paper's method of proof, not the exact flow: the two s0
+    # differ by a measured 6.7e-4 (-0.369049 exact, -0.368378 SPA), and each
+    # bisection lands within tol_s of its own s0.
+    tol_s = 1e-4
+    exact = find_bifurcation(fig3_packet, 8.0, tol_s, field_mode="EXACT")
+    spa = find_bifurcation(fig3_packet, 8.0, tol_s)
+    assert abs(exact - spa) <= 7e-4 + 2 * tol_s
 
 
 def test_negative_momentum_reverses_energy_sides():
