@@ -426,10 +426,7 @@ def test_route_choice_does_not_depend_on_the_mass():
     data = PacketParams(sigma=1.0, k0=0.0, theta0=0.7, omega0=0.3, mass=2.2e-309)
     t, s = 30.0, np.linspace(-36.0, 36.0, 64)
     assert dirac_exact._route_and_panels(t, s, data) == (dirac_exact._kspace_grid, 27)
-    psi, _ = evolve_exact_grid(t, s, data)
-    bessel, _ = dirac_exact._bessel_grid(t, s, data, QuadConfig(), dirac_exact._bessel_panels(t, data))
-    assert np.max(np.abs(psi.minus - bessel.minus)) <= 1e-12
-    assert np.max(np.abs(psi.plus - bessel.plus)) <= 1e-12
+    assert_routes_agree(data, t, s)
 
 
 def field_bytes(t, s, data):
