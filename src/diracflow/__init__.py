@@ -1,82 +1,10 @@
 """Free 1D Dirac wave packets, Bohmian trajectories, and their stationary-phase asymptotics."""
 
-from .dirac_exact import (
-    FieldSample,
-    QuadConfig,
-    continuity_residual,
-    evolve_exact,
-    evolve_exact_grid,
-    evolve_exact_spherical,
-    integrate_density,
-    schrodinger_reference,
-    schrodinger_trajectory,
-    spherical_cut,
-)
-from .errors import (
-    BracketingError,
-    DiracflowError,
-    DomainError,
-    InfiniteMomentumError,
-    IntegrationError,
-    NodeError,
-    UndefinedSecantError,
-    ValidationError,
-)
-from .packets import (
-    CayleyKlein,
-    PacketParams,
-    Spinor,
-    bloch_vector,
-    bohmian_observables,
-    cayley_klein,
-    cayley_klein_series,
-    expected_energy,
-    expected_momentum,
-    gaussian_amplitude,
-    make_initial_packet,
-    momentum_band,
-    spa_regime_report,
-    spinor_amplitudes,
-    spinor_from_cayley_klein,
-    truncation_half_width,
-)
-from .spa import (
-    ErrorScaling,
-    PhaseDiagnostics,
-    SpaParams,
-    SpaResult,
-    error_bound_shape,
-    error_scaling,
-    phase_diagnostics,
-    phase_function,
-    spa_envelopes,
-    spa_evaluate,
-    spa_leading_term,
-    spa_spinor_grid,
-    spa_weights,
-    transport_beta,
-)
-from .specfun import bessel_j0, bessel_j1, j0_eval, j0_first_zero, j1_eval
-from .trajectories import (
-    LEFT,
-    RIGHT,
-    UNRESOLVED,
-    BarrierSpec,
-    EnsembleSummary,
-    ExactVelocityField,
-    SchrodingerField,
-    SpaVelocityField,
-    Trajectory,
-    antipodal_clusters,
-    barrier_check,
-    barrier_curves,
-    cayley_klein_along,
-    find_bifurcation,
-    integrate_trajectory,
-    run_ensemble,
-    spa_velocity_field,
-    trajectory_closeness,
-    xy_ode_velocity,
-)
+from .dirac_exact import *
+from .errors import *
+from .packets import *
+from .spa import *
+from .specfun import *
+from .trajectories import *
 
 __version__ = "0.1.0"

@@ -288,11 +288,8 @@ class RunWriter:
 # =============================================================================
 
 def _spinor_columns(t: float, s: np.ndarray, psi, err: np.ndarray):
-    rho = psi.density
-    cur = psi.current
-    v = np.where(rho > 0, cur / np.where(rho > 0, rho, 1.0), 0.0)
-    return (np.full(s.size, t), s, psi.minus.real, psi.minus.imag,
-            psi.plus.real, psi.plus.imag, rho, cur, v, err.sum(axis=0))
+    return (np.full(s.size, t), s, psi.minus.real, psi.minus.imag, psi.plus.real,
+            psi.plus.imag, psi.density, psi.current, psi.velocity, err.sum(axis=0))
 
 
 @contextlib.contextmanager

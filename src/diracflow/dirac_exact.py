@@ -2,7 +2,7 @@
 
 Three evaluation routes are provided; the first two serve ``evolve_exact``
 and ``evolve_exact_grid``, which run the momentum route where it starts from
-at most 2.5 times the Bessel route's nodes (``_route_and_panels``):
+at most 3.25 times the Bessel route's nodes (``_route_and_panels``):
 
 * The Bessel-kernel route.  The substitution ``sigma = s - t*cos(theta)``
   removes the square-root endpoint singularity of the J1 kernel, leaving
@@ -172,7 +172,7 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     One quadrature is shared by all positions, so the cost is
     O(n_nodes * n_s) with fully vectorized inner arithmetic.  The Bessel
     route integrates over theta and the momentum route over k; the
-    momentum route runs where it starts from at most 2.5 times the Bessel
+    momentum route runs where it starts from at most 3.25 times the Bessel
     route's nodes (``_route_and_panels``).  Below m t = ``_TINY`` it is the
     transport terms with err 0: every kernel term carries the factor m t.
     """
@@ -202,14 +202,15 @@ def evolve_exact(t: float, s: float, data: PacketParams,
 
 
 # The momentum route runs where its starting nodes are at most this multiple
-# of the Bessel route's.  In forced-route timings of both on FIG3 grids of 1
-# to 256 positions, the momentum route was the faster up to a ratio of 2.5,
-# either could be from 2.6 to 3.5, and the Bessel route was at 5.
-_KSPACE_NODE_RATIO = 2.5
+# of the Bessel route's.  In forced-route timings of both on FIG3 grids of 1,
+# 64 and 300 positions at t = 0.5, 2 and 8, the momentum route was the faster
+# on every grid up to a ratio of 3.25, the Bessel route on some grid at t = 8
+# from 3.5, and on most grids from 6 (by up to 3 times at 10).
+_KSPACE_NODE_RATIO = 3.25
 
 
 def _route_and_panels(t: float, s_arr, data: PacketParams):
-    """The momentum route if it starts from at most 2.5 times the Bessel route's nodes.
+    """The momentum route if it starts from at most 3.25 times the Bessel route's nodes.
 
     Returns the route with its starting panel count, which it is handed, so
     that the count is made once.  The Bessel start grows with t hypot(m, k0)

@@ -5,6 +5,17 @@ import reprlib
 
 import numpy as np
 
+__all__ = [
+    "DiracflowError",
+    "ValidationError",
+    "DomainError",
+    "IntegrationError",
+    "NodeError",
+    "InfiniteMomentumError",
+    "UndefinedSecantError",
+    "BracketingError",
+]
+
 
 class DiracflowError(Exception):
     """Base class for all diracflow errors."""

@@ -83,8 +83,9 @@ class Spinor:
 
     @property
     def velocity(self):
+        """current / density, and 0 where the density is 0."""
         rho = self.density
-        return self.current / rho
+        return self.current / np.where(rho > 0, rho, np.inf)
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,6 @@ def bohmian_observables(ck: CayleyKlein, mass: float) -> Tuple[float, float, flo
     st = np.sin(ck.theta)
     ct = np.cos(ck.theta)
     sec = 1.0 / np.cos(ck.omega)
-    if st == 0.0:
-        raise InfiniteMomentumError("sin(theta) underflowed to zero")
     v = float(ct)
     p = float(mass * (ct / st) * sec)
     e = float(mass * (1.0 / st) * sec)

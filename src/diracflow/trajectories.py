@@ -221,7 +221,7 @@ class ExactVelocityField:
         rho = psi.density
         if rho < NODE_EPS * self.peak_density:
             raise NodeError(f"density {rho:.3e} below node threshold")
-        return float(psi.current / rho)
+        return float(psi.velocity)
 
     def spinors(self, t, s) -> Spinor:
         """The spinor at the paired points (t[i], s[i]), one quadrature per point."""
@@ -764,6 +764,16 @@ def cayley_klein_along(traj: Trajectory, spinors) -> dict:
     return cayley_klein_series(u.minus, u.plus)
 
 
+def _norm(vecs: np.ndarray, axis=None):
+    """``np.linalg.norm(vecs, axis=axis)`` with no overflow in the squares.
+
+    Each vector is divided first by the power of two of its largest entry,
+    exactly, so a norm that does not overflow is the unscaled one bit for bit.
+    """
+    exp = np.frexp(np.max(np.abs(vecs), axis=axis, keepdims=True))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(vecs, -exp), axis=axis), exp[..., 0])
+
+
 def antipodal_clusters(vectors: np.ndarray) -> dict:
     """Split unit vectors into the two hemispheres of the first vector.
 
@@ -774,7 +784,7 @@ def antipodal_clusters(vectors: np.ndarray) -> dict:
     vecs = as_real(vectors, "vectors")
     if vecs.ndim != 2 or not len(vecs):
         raise DomainError(f"vectors must be a non-empty 2-D array, got shape {vecs.shape}")
-    norms = np.linalg.norm(vecs, axis=1)
+    norms = _norm(vecs, axis=1)
     if not norms.all():
         raise DomainError("vectors must have non-zero norms")
     ref = vecs[0] / norms[0]
@@ -786,7 +796,7 @@ def antipodal_clusters(vectors: np.ndarray) -> dict:
         if not mask.any():
             continue
         center = vecs[mask].mean(axis=0)
-        center = center / np.linalg.norm(center)
+        center = center / _norm(center)
         cosines = np.clip((vecs[mask] / norms[mask, None]) @ center, -1.0, 1.0)
         centers.append(center)
         radii.append(float(np.max(np.arccos(cosines))))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from diracflow import PacketParams
+
+# A failing property test prints the @reproduce_failure line that replays its
+# example, so an intermittent failure can be pinned.  Every other setting is
+# the loaded profile's: no draw, example count or deadline changes.
+settings.register_profile("diracflow", parent=settings.default, print_blob=True)
+settings.load_profile("diracflow")
 
 
 @pytest.fixture(scope="session")

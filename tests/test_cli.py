@@ -1045,7 +1045,7 @@ def test_library_loads_each_scipy_stack_on_first_use():
         "df.find_bifurcation(fig3, 8.0, 0.5)\n"
         "stage()\n"
         "for t in (0.5, 2.0, 8.0):\n"
-        "    df.evolve_exact_grid(t, np.linspace(-120.0, 120.0, 64), fig3)\n"
+        "    df.evolve_exact_grid(t, np.linspace(-480.0, 480.0, 64), fig3)\n"
         "stage()\n")
     assert not imported
     # The ensemble draw's ndtri is specfun's own; SPA trajectories load nothing.
@@ -1089,7 +1089,7 @@ def test_benchmark_grids_load_no_scipy(tmp_path):
         f"assert main({ensembles[0]!r}) == 0\n"
         f"assert main({ensembles[1]!r}) == 0\n"
         "stage()\n"
-        "s = np.linspace(-120.0, 120.0, 64)\n"
+        "s = np.linspace(-480.0, 480.0, 64)\n"
         "route, _ = dirac_exact._route_and_panels(0.5, s, fig3)\n"
         "assert route is dirac_exact._bessel_grid\n"
         "df.evolve_exact_grid(0.5, s, fig3)\n"

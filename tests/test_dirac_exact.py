@@ -269,9 +269,9 @@ def test_budget_failure_partial_is_the_field(t):
     # A budget of eight panels leaves no room to refine, and the tolerances
     # are out of reach: the eight-panel theta-integrals assemble into the
     # field itself, with the field's error bound from the same pass.  The
-    # grid reaches s = -120, where the momentum route would start from 704
-    # nodes, more than 2.5 times the Bessel route's 264.
-    s = np.linspace(-120.0, 4.0 + 10 * t, 41)
+    # grid reaches s = -480, where the momentum route would start from 2544
+    # nodes, more than 3.25 times the Bessel route's 264.
+    s = np.linspace(-480.0, 4.0 + 10 * t, 41)
     assert route_of(t, s, FIG3) is dirac_exact._bessel_grid
     psi, _ = evolve_exact_grid(t, s, FIG3)
     with pytest.raises(IntegrationError) as info:
@@ -393,7 +393,7 @@ def test_grid_routes_agree_at_subnormal_masses(mass, k0):
 
 def test_grid_route_choice():
     # Pinned to timings of both routes forced on FIG3 grids: the momentum
-    # route runs where it starts from at most 2.5 times the Bessel route's
+    # route runs where it starts from at most 3.25 times the Bessel route's
     # nodes (16 per momentum panel, 33 per Bessel panel).
     v0 = FIG3.k0 / np.hypot(FIG3.k0, FIG3.mass)
     # FIG3 grids over both packets: momentum at 7, 8 and 12 panels (112,
@@ -412,11 +412,13 @@ def test_grid_route_choice():
     for t in (4.0, 8.0):
         for s in (-v0 * t, v0 * t):
             assert route_of(t, np.array([s]), FIG3) is dirac_exact._kspace_grid
-    # Wide grids stay on the Bessel route: over [-120, 120] at t = 0.5 the
-    # momentum route would start from 704 nodes against 264, and from
-    # 5.1e307 with a far position.
+    # Wide grids stay on the Bessel route: over [-480, 480] at t = 0.5 the
+    # momentum route would start from 2544 nodes against 264 (a ratio of
+    # 9.6), and from 5.1e307 with a far position.  Over [-120, 120] it
+    # starts from 704 (2.67) and runs.
     assert route_of(0.5, np.linspace(-12.7, 12.7, 64), FIG3) is dirac_exact._kspace_grid
-    assert route_of(0.5, np.linspace(-120.0, 120.0, 64), FIG3) is dirac_exact._bessel_grid
+    assert route_of(0.5, np.linspace(-120.0, 120.0, 64), FIG3) is dirac_exact._kspace_grid
+    assert route_of(0.5, np.linspace(-480.0, 480.0, 64), FIG3) is dirac_exact._bessel_grid
     assert route_of(1.0, np.array([0.0, 1e307]), FIG3) is dirac_exact._bessel_grid
 
 
@@ -449,9 +451,9 @@ def assert_layout_cache_transparent(t, s, data, monkeypatch):
 @pytest.mark.parametrize("case", ["fig3_bessel", "ladder_kspace"])
 def test_layout_cache_keeps_field_bits(case, monkeypatch):
     if case == "fig3_bessel":
-        # Wide enough that the momentum route would start from 704 nodes,
+        # Wide enough that the momentum route would start from 2544 nodes,
         # against the Bessel route's 264.
-        t, s, data = 0.5, np.linspace(-120.0, 120.0, 64), FIG3
+        t, s, data = 0.5, np.linspace(-480.0, 480.0, 64), FIG3
         assert route_of(t, s, data) is dirac_exact._bessel_grid
     else:
         t, s, data = 1.0, np.linspace(-1.5, 1.5, 33), PacketParams.macroscopic(0.2, 1.0, 400.0)
@@ -728,13 +730,13 @@ def test_plane_wave_rows_are_within_rounding_of_their_phase(n_panels):
       for t, n in ((0.5, 7), (2.0, 8), (8.0, 12))],
     *[(PacketParams.macroscopic(0.2, 1.0, w), 1.0, np.linspace(-1.5, 1.5, 33), n)
       for w, n in ((50.0, 10), (100.0, 10), (200.0, 10), (400.0, 10))],
-    (FIG3, 0.5, np.linspace(-120.0, 120.0, 300), 8),
+    (FIG3, 0.5, np.linspace(-480.0, 480.0, 300), 8),
 ], ids=["fig3-t0.5", "fig3-t2", "fig3-t8", "macro-w50", "macro-w100", "macro-w200", "macro-w400",
         "fig3-wide-bessel"])
 def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch):
     # The benchmark's field grids: one trapezoid pass at the alias-free start.
     # A wide FIG3 grid takes the Bessel route (8 panels of 33 nodes against
-    # the momentum route's 44 of 16), whose theta pass runs in the same loop.
+    # the momentum route's 159 of 16), whose theta pass runs in the same loop.
     used = record_panels(monkeypatch)
     evolve_exact_grid(t, s, data)
     assert used == [(start, start)]
@@ -742,7 +744,7 @@ def test_benchmark_grids_converge_at_their_start(data, t, s, start, monkeypatch)
 
 @pytest.mark.parametrize("s, abs_scale", [
     (np.linspace(-5.0, 5.0, 33), 1.0),
-    (np.linspace(-120.0, 120.0, 300), 1.5),
+    (np.linspace(-480.0, 480.0, 300), 1.5),
 ], ids=["momentum", "bessel"])
 def test_grid_routes_hand_the_loop_their_tolerances(s, abs_scale, monkeypatch):
     # The loop runs at the QuadConfig's rel_tol and budget.  The Bessel

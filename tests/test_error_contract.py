@@ -142,3 +142,16 @@ def test_parameter_constructors_raise_a_validation_error(case):
         PARAMETER_CASES[case]()
     assert type(info.value) is ValidationError
     assert not caught
+
+
+def test_antipodal_clusters_at_overflowing_norms():
+    # Each row is scaled by the power of two of its largest entry before its
+    # norm, so rows whose squares overflow still normalise, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = antipodal_clusters([[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0]])
+    assert report["norms"].tolist() == [1e200, 1e200]
+    assert report["n_clusters"] == 2
+    assert [c.tolist() for c in report["centers"]] == [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    assert report["angular_radii"] == [0.0, 0.0]
+    assert report["antipodal_angle"] == 0.0

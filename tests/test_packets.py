@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,15 @@ def test_round_trip_and_invariants():
         assert np.hypot(np.hypot(n[0], n[1]), n[2]) == pytest.approx(1.0, abs=1e-12)
         # velocity two ways: current/density versus cos(theta)
         assert psi.velocity == pytest.approx(np.cos(ck.theta), abs=1e-12)
+
+
+def test_velocity_is_zero_at_zero_density():
+    # A node carries no current: its velocity is 0, not 0/0 with a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Spinor(0j, 0j).velocity == 0.0
+        v = Spinor(np.array([0j, 1j, 0j]), np.array([0j, 0j, 2.0])).velocity
+    assert v.tolist() == [0.0, 1.0, -1.0]
 
 
 def test_bloch_vector_matches_component_formula():
