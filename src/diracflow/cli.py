@@ -381,6 +381,8 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     ladder = cfg.get_floats(sec, "omega_ladder")
     if p0 is None or sigma is None or t is None or not ladder:
         raise ValidationError("[spa_compare] needs p0, sigma, t, omega_ladder")
+    if not t > 0:
+        raise ValidationError(f"[spa_compare] t must be > 0, got {t!r}")
     if len(ladder) >= 3:
         ratios = np.diff(np.log(ladder))
         if not np.allclose(ratios, ratios[0], rtol=1e-6):
@@ -495,6 +497,8 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     if any(t < 0 for t in times):
         raise ValidationError("[observables] times must be >= 0")
     quad_tol = cfg.get_float(sec, "quad_tol", 1e-6)
+    if not quad_tol > 0:
+        raise ValidationError(f"[observables] quad_tol must be > 0, got {quad_tol!r}")
     q0 = cfg.get_float(sec, "trajectory_q0")
     if q0 is not None:
         mode = cfg.get_str(sec, "field", "SPA")

@@ -50,8 +50,9 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, IntegrationError, ValidationError, as_real
-from .packets import (PacketParams, Spinor, _spectral_points, gaussian_amplitude,
-                      make_initial_packet, momentum_band, spinor_amplitudes)
+from .packets import (PacketParams, Spinor, _norm_moment, _spectral_expectation,
+                      gaussian_amplitude, make_initial_packet, momentum_band, spinor_amplitudes,
+                      truncation_half_width)
 from .quadrature import (_GL_ORDER, _NODE_CHUNK, _PANEL_NODES, _TRAPEZOID_NODES, _composite,
                          _layout, _trapezoid_rule, integrate_panels, refine_panels)
 
@@ -160,6 +161,14 @@ def _integrate_field(run_pass, assemble, n_points, n0, q: QuadConfig, abs_tol: f
     return assemble(value, err)
 
 
+def _time(t) -> float:
+    """t as a real number; DomainError unless t >= 0."""
+    t = as_real(t, "t", scalar=True)
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t!r}")
+    return t
+
+
 def _transport(t: float, s_arr, data: PacketParams):
     """The transport terms c_-+ psi0(s -+ t) of both components."""
     packet = make_initial_packet(data)
@@ -176,9 +185,7 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     route's nodes (``_route_and_panels``).  Below m t = ``_TINY`` it is the
     transport terms with err 0: every kernel term carries the factor m t.
     """
-    t = as_real(t, "t", scalar=True)
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    t = _time(t)
     s_arr = np.atleast_1d(as_real(s, "s"))
     if s_arr.ndim > 1:
         raise DomainError(f"s must be a number or a 1-D array, got shape {s_arr.shape}")
@@ -681,9 +688,7 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
     initial spinors are handled by linearity: the lower-component base
     problem plus its parity mirror (components swapped, s -> -s, p0 -> -p0).
     """
-    t, s = as_real(t, "t", scalar=True), as_real(s, "s", scalar=True)
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    t, s = _time(t), as_real(s, "s", scalar=True)
     omega = data.mass
     if omega <= 0:
         raise DomainError("spherical route requires mass > 0")
@@ -729,27 +734,15 @@ def integrate_density(t: float, data: PacketParams,
                       q: QuadConfig = QuadConfig()) -> Tuple[float, float]:
     """Total probability Int rho(t, s) ds; returns (norm, err_est).
 
-    Trapezoid on a uniform grid over |s| <= L = 13 sigma + t, beyond which
-    the tails are negligible, doubled once to estimate the error.  The grid
-    has n points, the first power of two from 2048 whose pi n / (2 L) reaches
-    ``momentum_band(data)`` (``packets._spectral_points``), so that rho's
-    spectrum, twice as wide, does not alias; where 2 n exceeds 2^17 points,
-    IntegrationError is raised before anything is evaluated.
+    The norm moment of ``packets._spectral_expectation`` on the light cone
+    |s| <= ``truncation_half_width(data, t)``, to ``q``'s tolerances.  Its
+    grids resolve ``momentum_band(data)``, and the cap on them raises
+    IntegrationError before anything is evaluated.
     """
-    t = as_real(t, "t", scalar=True)
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    half_width = 13 * data.sigma + t
-    n = _spectral_points(half_width, momentum_band(data))
-
-    def norm_on(npts):
-        s = np.linspace(-half_width, half_width, npts)
-        psi, _ = evolve_exact_grid(t, s, data, q)
-        return float(np.trapezoid(psi.density, s))
-
-    coarse = norm_on(n)
-    fine = norm_on(2 * n)
-    return fine, abs(fine - coarse)
+    t = _time(t)
+    return _spectral_expectation(lambda s: evolve_exact_grid(t, s, data, q)[0], _norm_moment,
+                                 truncation_half_width(data, t), momentum_band(data),
+                                 q.abs_tol, q.rel_tol)
 
 
 def continuity_residual(t: float, s: float, data: PacketParams, h: float,

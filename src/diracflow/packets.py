@@ -2,8 +2,8 @@
 
 Gaussian spinor packets, energy eigen-packets and their mixtures; the
 Cayley-Klein decomposition (R, Theta, Omega, Phi) with the derived Bloch
-vector; local Bohmian velocity/momentum/energy; and operator expectation
-values <P> and <H> by spectral quadrature.
+vector; local Bohmian velocity/momentum/energy; and the moments <P>, <H>
+and the norm of a spinor field, as trapezoid pairs on periodic grids.
 
 Conventions
 -----------
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -41,6 +42,7 @@ from .errors import (
     ValidationError,
     as_real,
 )
+from .quadrature import refine_panels
 
 __all__ = [
     "Spinor",
@@ -170,13 +172,10 @@ class PacketParams:
         vartheta = as_real(vartheta, "vartheta", scalar=True, error=ValidationError)
         if not (0.0 <= vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
-        plus = cls.energy_eigen(sigma, k0, mass, +1)
-        minus = cls.energy_eigen(sigma, k0, mass, -1)
-        cm = (np.cos(vartheta / 2) * spinor_amplitudes(plus)[0]
-              + np.sin(vartheta / 2) * spinor_amplitudes(minus)[0])
-        cp = (np.cos(vartheta / 2) * spinor_amplitudes(plus)[1]
-              + np.sin(vartheta / 2) * spinor_amplitudes(minus)[1])
-        ck = cayley_klein(Spinor(cm, cp))
+        plus = spinor_amplitudes(cls.energy_eigen(sigma, k0, mass, +1))
+        minus = spinor_amplitudes(cls.energy_eigen(sigma, k0, mass, -1))
+        c, s = np.cos(vartheta / 2), np.sin(vartheta / 2)
+        ck = cayley_klein(Spinor(c * plus[0] + s * minus[0], c * plus[1] + s * minus[1]))
         omega0 = ck.omega % (2 * np.pi)
         # The wrap from [-pi, pi) to [0, 2*pi) shifts phi by the same 2*pi.
         phase0 = ck.phi + (2 * np.pi if ck.omega < 0 else 0.0)
@@ -361,12 +360,38 @@ def momentum_band(p: PacketParams) -> float:
 _MAX_SPECTRAL_POINTS = 2**17
 
 
-def _spectral_points(half_width: float, band: float) -> int:
-    """The first power of two n from 2048 on whose wavenumbers pi n / (2 L) reach ``band``.
+def _norm_moment(minus, plus, ds):
+    """Int |psi|^2 ds as the grid's sum."""
+    return ds * float(np.sum(np.abs(minus) ** 2 + np.abs(plus) ** 2))
 
-    Raises IntegrationError where 2 n, the grid that checks it, exceeds
-    ``_MAX_SPECTRAL_POINTS``, so that nothing is evaluated.
+
+def _momentum_moment(minus, plus, ds, sign=1):
+    """<P> as ds / n Sum_k k |psi_hat(k)|^2, and with sign -1 <sigma_3 P>."""
+    k = 2 * np.pi * np.fft.fftfreq(minus.size, d=ds)
+    return ds / minus.size * float(np.sum(k * (np.abs(np.fft.fft(minus)) ** 2
+                                               + sign * np.abs(np.fft.fft(plus)) ** 2)))
+
+
+def _energy_moment(mass, minus, plus, ds):
+    """<H> = <sigma_3 P> + m <sigma_1>."""
+    cross = ds * float(np.sum(2 * np.real(np.conj(minus) * plus)))
+    return _momentum_moment(minus, plus, ds, -1) + mass * cross
+
+
+def _spectral_expectation(psi_fn, moment, half_width, band, quad_tol, rel_tol=0.0):
+    """``moment(minus, plus, ds)`` of the Spinor psi_fn(s) on [-L, L]; returns (value, err_est).
+
+    A pass of n panels evaluates psi_fn once on the 2 n periodic points
+    -L + (2 L / (2 n)) arange(2 n) and returns the moment over all of them
+    and over every other one, a trapezoid pair for ``refine_panels``.
     """
+    quad_tol, half_width, band = (as_real(x, name, scalar=True) for x, name in (
+        (quad_tol, "quad_tol"), (half_width, "half_width"), (band, "band")))
+    if not quad_tol > 0:
+        raise DomainError("quad_tol must be > 0")
+    if not half_width > 0:
+        raise DomainError("half_width must be > 0")
+    # From 2048 on, the first n whose T_2h grid resolves the band: pi n / (2 L) >= band.
     n = 2048
     while n <= _MAX_SPECTRAL_POINTS and np.pi * n / (2 * half_width) < band:
         n *= 2
@@ -374,52 +399,24 @@ def _spectral_points(half_width: float, band: float) -> int:
         raise IntegrationError(f"a grid on [-{half_width:g}, {half_width:g}] needs more than "
                                f"{_MAX_SPECTRAL_POINTS} grid points for |k| <= {band:g}",
                                partial=None, residual=np.inf)
-    return n
 
+    def run_pass(n):
+        ds = 2 * half_width / (2 * n)
+        out = psi_fn(-half_width + ds * np.arange(2 * n))
+        minus, plus = (np.asarray(c, dtype=complex) for c in (out.minus, out.plus))
+        return moment(minus, plus, ds), moment(minus[::2], plus[::2], 2 * ds)
 
-def _spectral_expectation(psi_fn, half_width, quad_tol, band, mass=None):
-    """<P> (mass None) or <H> of the Spinor psi_fn(s) on a periodic grid, refined until stable.
-
-    The grid starts at ``_spectral_points``, so that no part of the
-    spectrum aliases.
-    """
-    quad_tol, half_width, band = (as_real(x, name, scalar=True) for x, name in (
-        (quad_tol, "quad_tol"), (half_width, "half_width"), (band, "band")))
-    mass = None if mass is None else as_real(mass, "mass", scalar=True)
-    if not quad_tol > 0:
-        raise DomainError("quad_tol must be > 0")
-    if not half_width > 0:
-        raise DomainError("half_width must be > 0")
-    n = _spectral_points(half_width, band)
-    prev = None
-    while n <= _MAX_SPECTRAL_POINTS:
-        s = -half_width + (2 * half_width / n) * np.arange(n)
-        ds = 2 * half_width / n
-        out = psi_fn(s)
-        minus = np.asarray(out.minus, dtype=complex)
-        plus = np.asarray(out.plus, dtype=complex)
-        k = 2 * np.pi * np.fft.fftfreq(n, d=ds)
-        fm = np.fft.fft(minus)
-        fp = np.fft.fft(plus)
-        if mass is None:
-            val = ds / n * float(np.sum(k * (np.abs(fm) ** 2 + np.abs(fp) ** 2)))
-        else:
-            kin = ds / n * float(np.sum(k * (np.abs(fm) ** 2 - np.abs(fp) ** 2)))
-            cross = ds * float(np.sum(2 * np.real(np.conj(minus) * plus)))
-            val = kin + mass * cross
-        if prev is not None and abs(val - prev) <= quad_tol:
-            return val, abs(val - prev)
-        prev = val
-        n *= 2
-    raise IntegrationError(f"expectation value did not converge to {quad_tol:g}",
-                           partial=prev, residual=abs(val - prev))
+    value, err, _ = refine_panels(run_pass, n, rel_tol=rel_tol, abs_tol=quad_tol,
+                                  max_panels=_MAX_SPECTRAL_POINTS // 2)
+    return value, float(err)
 
 
 def expected_momentum(psi_fn, quad_tol: float, half_width: float, band: float) -> float:
     """<psi, P psi> with P = -i d/ds, spectrally on [-L, L] over |k| <= band (``momentum_band``)."""
-    return _spectral_expectation(psi_fn, half_width, quad_tol, band)[0]
+    return _spectral_expectation(psi_fn, _momentum_moment, half_width, band, quad_tol)[0]
 
 
 def expected_energy(psi_fn, mass: float, quad_tol: float, half_width: float, band: float) -> float:
     """<psi, H psi> with H = ((P, m), (m, -P)), spectrally on [-L, L] over |k| <= band."""
-    return _spectral_expectation(psi_fn, half_width, quad_tol, band, mass=mass)[0]
+    moment = partial(_energy_moment, as_real(mass, "mass", scalar=True))
+    return _spectral_expectation(psi_fn, moment, half_width, band, quad_tol)[0]

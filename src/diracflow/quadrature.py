@@ -8,7 +8,8 @@ Math. Comp. 66, 1997; the pairing is QUADPACK's, Piessens et al. 1983).
 for integrands smooth and negligible at both ends, where the trapezoid
 rule converges geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).
 
-``refine_panels`` is the doubling loop shared by every caller.  It runs a
+``refine_panels`` is the doubling loop shared by every caller, ``packets``'
+moments of a spinor field included (two grid points per panel).  It runs a
 pass function n -> (first, second), the two rules' sums over n panels, and
 returns the first with the error estimate |first - second|.  n is doubled
 only while that estimate misses the tolerance, and doubling stops with a

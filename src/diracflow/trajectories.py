@@ -795,7 +795,8 @@ def antipodal_clusters(vectors: np.ndarray) -> dict:
     for mask in (side, ~side):
         if not mask.any():
             continue
-        center = vecs[mask].mean(axis=0)
+        # Scaled as in _norm, so that the sum cannot overflow.
+        center = np.ldexp(vecs[mask], -np.frexp(np.max(np.abs(vecs[mask])))[1]).mean(axis=0)
         center = center / _norm(center)
         cosines = np.clip((vecs[mask] / norms[mask, None]) @ center, -1.0, 1.0)
         centers.append(center)

@@ -214,6 +214,9 @@ OUT_OF_RANGE_CASES = {
     "packet.sigma=1e200": ["trajectories", *FIG3, "--set", "trajectories.n=2"],
     "barriers.theta0_values=0": ["barriers"],
     "barriers.theta0_values=0.5 3.141592653589793": ["barriers"],
+    "observables.quad_tol=0": ["observables", *FIG3],
+    # One rung, so the command's own check, not error_scaling's, refuses it.
+    "spa_compare.t=-1": [*SPA_COMPARE, "--set", "spa_compare.omega_ladder=60"],
 }
 
 

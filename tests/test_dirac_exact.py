@@ -958,6 +958,23 @@ def test_norm_of_a_narrow_massless_packet_at_late_times(t):
     assert abs(norm - 1.0) <= 1e-12
 
 
+def test_density_evaluates_the_field_once_on_two_n_points(fig3_packet, monkeypatch):
+    # One pass: the field on the 4096 points -L + (2 L / 4096) arange(4096)
+    # of the light cone L = 10 sigma + t, whose every other point is T_2h's.
+    calls = []
+    field = dirac_exact.evolve_exact_grid
+
+    def recording(t, s, data, q):
+        calls.append(np.array(s))
+        return field(t, s, data, q)
+
+    monkeypatch.setattr(dirac_exact, "evolve_exact_grid", recording)
+    norm, err = integrate_density(0.6, fig3_packet)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], -10.6 + (2 * 10.6 / 4096) * np.arange(4096))
+    assert abs(norm - 1.0) <= 1e-14 and err <= 1e-14
+
+
 def test_density_grid_beyond_the_cap_evaluates_nothing(fig3_packet, monkeypatch):
     # At t = 1e6 the band |k| <= 18 needs more than 2^17 points on the light
     # cone: IntegrationError before any field call, not a grid of 2^25.

@@ -155,3 +155,18 @@ def test_antipodal_clusters_at_overflowing_norms():
     assert [c.tolist() for c in report["centers"]] == [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
     assert report["angular_radii"] == [0.0, 0.0]
     assert report["antipodal_angle"] == 0.0
+
+
+def test_antipodal_cluster_centre_at_overflowing_sums():
+    # Each cluster's rows are scaled by the power of two of their largest
+    # entry before the mean, so rows whose sum overflows still give a centre.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = antipodal_clusters([[1.5e308, 0.0, 0.0], [1.5e308, 1e307, 0.0]])
+    assert report["n_clusters"] == 1
+    # The centre is along the rows' sum, (3, 0.1, 0) times 1e308.
+    (center,) = report["centers"]
+    angle = np.arctan2(0.1, 3.0)
+    assert np.allclose(center, [np.cos(angle), np.sin(angle), 0.0], rtol=0, atol=1e-15)
+    radius = max(angle, np.arctan2(1.0, 15.0) - angle)
+    assert report["angular_radii"][0] == pytest.approx(radius, rel=1e-12)

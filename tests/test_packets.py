@@ -336,6 +336,90 @@ def test_expectation_beyond_the_grid_cap_evaluates_nothing():
     assert not calls and info.value.partial is None
 
 
+def _recording(fn, calls):
+    """fn, recording each grid it is called on."""
+    def wrapped(s):
+        calls.append(np.array(s))
+        return fn(s)
+    return wrapped
+
+
+def _fft_moments(psi, ds, mass):
+    """<P> and <H> of the grid values ``psi`` by the FFT, written out."""
+    n = psi.minus.size
+    k = 2 * np.pi * np.fft.fftfreq(n, d=ds)
+    pm, pp = (np.abs(np.fft.fft(c)) ** 2 * ds / n for c in (psi.minus, psi.plus))
+    cross = 2 * ds * np.sum(np.real(np.conj(psi.minus) * psi.plus))
+    return np.sum(k * (pm + pp)), np.sum(k * (pm - pp)) + mass * cross
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_moments_evaluate_the_field_once_per_pass_on_two_n_points(t):
+    # One pass is one call on the 2 n points -L + (2 L / (2 n)) arange(2 n);
+    # its every other point is the coarse grid, so nothing is evaluated twice.
+    p = PacketParams(sigma=0.8, k0=2.0, theta0=1.0, omega0=0.6, mass=1.3)
+    if t == 0:
+        fn = make_initial_packet(p)
+    else:
+        def fn(s):
+            return evolve_exact_grid(t, s, p)[0]
+    half, band = truncation_half_width(p, t), momentum_band(p)
+    for moment in (lambda f: expected_momentum(f, 1e-6, half, band),
+                   lambda f: expected_energy(f, p.mass, 1e-6, half, band)):
+        calls = []
+        moment(_recording(fn, calls))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], -half + (2 * half / 4096) * np.arange(4096))
+
+
+def test_moments_double_the_grid_until_the_pair_agrees():
+    # k0 = 400 lies beyond the 2048-point grid's wavenumbers (321 on
+    # [-10, 10]) but within the 4096-point one's, so the first pass's pair
+    # disagrees and the second, on 8192 points, converges.
+    p = PacketParams(sigma=1.0, k0=400.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    calls = []
+    val = expected_momentum(_recording(make_initial_packet(p), calls), 1e-6,
+                            truncation_half_width(p, 0), 18.0)
+    assert [c.size for c in calls] == [4096, 8192]
+    assert val == pytest.approx(400.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+def test_moments_equal_the_fft_moments_on_the_finer_grid(t):
+    p = PacketParams(sigma=0.8, k0=2.0, theta0=1.0, omega0=0.6, mass=1.3)
+    if t == 0:
+        fn = make_initial_packet(p)
+    else:
+        def fn(s):
+            return evolve_exact_grid(t, s, p)[0]
+    half, band = truncation_half_width(p, t), momentum_band(p)
+    ds = 2 * half / 4096
+    want_p, want_h = _fft_moments(fn(-half + ds * np.arange(4096)), ds, p.mass)
+    assert abs(expected_momentum(fn, 1e-6, half, band) - want_p) <= 1e-13
+    assert abs(expected_energy(fn, p.mass, 1e-6, half, band) - want_h) <= 1e-13
+
+
+def test_moment_beyond_the_band_fails_with_the_finer_moment():
+    # k0 = 1.1e5 lies beyond every grid's wavenumbers, and each pair aliases
+    # it to different ones, so the doubling ends at 2^17 points (2^16 panels
+    # of two points each), reporting that grid's moment and its distance
+    # from the moment over every other point.
+    p = PacketParams(sigma=1.0, k0=1.1e5, theta0=np.pi / 2, omega0=0.0, mass=3.0)
+    fn = make_initial_packet(p)
+    half = truncation_half_width(p, 0)
+    calls = []
+    with pytest.raises(IntegrationError, match="within 65536 panels") as info:
+        expected_momentum(_recording(fn, calls), 1e-6, half, 18.0)
+    assert [c.size for c in calls] == [2**k for k in range(12, 18)]
+    ds = 2 * half / 2**17
+    psi = fn(-half + ds * np.arange(2**17))
+    fine = _fft_moments(psi, ds, p.mass)[0]
+    coarse = _fft_moments(Spinor(psi.minus[::2], psi.plus[::2]), 2 * ds, p.mass)[0]
+    assert info.value.partial == pytest.approx(fine, rel=1e-12)
+    assert info.value.residual == pytest.approx(abs(fine - coarse), rel=1e-9)
+    assert info.value.residual > 1e3
+
+
 def test_momentum_conserved_under_evolution():
     p = PacketParams(sigma=1.0, k0=3.0, theta0=1.2, omega0=0.0, mass=2.0)
     quad = QuadConfig()
