@@ -27,7 +27,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .dirac_exact import QuadConfig, evolve_exact_grid
-from .errors import DiracflowError, IntegrationError, ValidationError
+from .errors import DiracflowError, IntegrationError, ValidationError, as_real
 from .packets import (
     CayleyKlein,
     PacketParams,
@@ -82,13 +81,6 @@ __all__ = ["main", "RunConfig"]
 # Configuration
 # =============================================================================
 
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {token!r}")
-    return value
-
-
 @dataclass
 class RunConfig:
     """Raw run configuration: a command plus string-valued sections.
@@ -105,17 +97,21 @@ class RunConfig:
     def _raw(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def _parse(self, section, key, default, parse, expected: str):
+    def _parse(self, section, key, default, parse, expected: str, bound=None):
         raw = self._raw(section, key)
         if raw is None:
             return default
         try:
-            return parse(raw)
+            value = parse(raw)
         except ValueError:
             raise ValidationError(f"[{section}] {key} must be {expected}, got {raw!r}")
+        # Outside the try: as_real's ValidationError is a ValueError too.
+        if bound is not None:
+            as_real(value, f"[{section}] {key}", error=ValidationError, **bound)
+        return value
 
-    def get_float(self, section, key, default=None) -> Optional[float]:
-        return self._parse(section, key, default, _finite_float, "a finite number")
+    def get_float(self, section, key, default=None, **bound) -> Optional[float]:
+        return self._parse(section, key, default, float, "a finite number", bound)
 
     def get_int(self, section, key, default=None) -> Optional[int]:
         return self._parse(section, key, default, int, "an integer")
@@ -123,11 +119,10 @@ class RunConfig:
     def get_str(self, section, key, default=None) -> Optional[str]:
         return self._raw(section, key, default)
 
-    def get_floats(self, section, key, default=None) -> Optional[List[float]]:
-        return self._parse(
-            section, key, default,
-            lambda raw: [_finite_float(tok) for tok in raw.replace(",", " ").split()],
-            "a list of finite numbers")
+    def get_floats(self, section, key, default=None, **bound) -> Optional[List[float]]:
+        return self._parse(section, key, default,
+                           lambda raw: [float(tok) for tok in raw.replace(",", " ").split()],
+                           "a list of finite numbers", bound)
 
     def get_grid(self, section, name, lo, hi=None, count=None) -> np.ndarray:
         """Evenly spaced ``lo .. {name}_max`` with ``{name}_count`` points.
@@ -344,11 +339,9 @@ def _bohmian_or_none(psi, mass: float):
 def cmd_field(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     data = cfg.packet()
     quad = cfg.quad()
-    t_values = cfg.get_floats("grid", "t_values")
+    t_values = cfg.get_floats("grid", "t_values", at_least=0)
     if not t_values:
         raise ValidationError("[grid] needs t_values")
-    if any(t < 0 for t in t_values):
-        raise ValidationError("[grid] t_values must be >= 0")
     s = cfg.get_grid("grid", "s", cfg.get_float("grid", "s_min"))
     blocks = []
     failures = []
@@ -377,12 +370,10 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     p0 = cfg.get_float(sec, "p0")
     sigma = cfg.get_float(sec, "sigma")
     vartheta = cfg.get_float(sec, "vartheta", 0.0)
-    t = cfg.get_float(sec, "t")
+    t = cfg.get_float(sec, "t", above=0)
     ladder = cfg.get_floats(sec, "omega_ladder")
     if p0 is None or sigma is None or t is None or not ladder:
         raise ValidationError("[spa_compare] needs p0, sigma, t, omega_ladder")
-    if not t > 0:
-        raise ValidationError(f"[spa_compare] t must be > 0, got {t!r}")
     if len(ladder) >= 3:
         ratios = np.diff(np.log(ladder))
         if not np.allclose(ratios, ratios[0], rtol=1e-6):
@@ -493,18 +484,12 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     data = cfg.packet()
     quad = cfg.quad()
     sec = "observables"
-    times = cfg.get_floats(sec, "times", [0.0])
-    if any(t < 0 for t in times):
-        raise ValidationError("[observables] times must be >= 0")
-    quad_tol = cfg.get_float(sec, "quad_tol", 1e-6)
-    if not quad_tol > 0:
-        raise ValidationError(f"[observables] quad_tol must be > 0, got {quad_tol!r}")
+    times = cfg.get_floats(sec, "times", [0.0], at_least=0)
+    quad_tol = cfg.get_float(sec, "quad_tol", 1e-6, above=0)
     q0 = cfg.get_float(sec, "trajectory_q0")
     if q0 is not None:
         mode = cfg.get_str(sec, "field", "SPA")
-        t_final = cfg.get_float(sec, "t_final", 4.0)
-        if not t_final > 0:
-            raise ValidationError(f"[observables] t_final must be > 0, got {t_final!r}")
+        t_final = cfg.get_float(sec, "t_final", 4.0, above=0)
         fieldh = _make_field(data, mode, quad)
     payload: dict = {"times": times, "momentum": {}, "energy_t0": None}
     band = momentum_band(data)
@@ -550,7 +535,9 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
         raise ValidationError(f"[barriers] theta0_values must lie in (0, pi), with theta0 / 2 > 0, "
                               f"got {theta_values}")
     a_omegas = cfg.get_floats(sec, "a_omegas", [1.0, 3.7, 10.0])
-    x = cfg.get_grid(sec, "x", cfg.get_float(sec, "x_min", 0.2), 5.0, 50)
+    if not a_omegas:
+        raise ValidationError("[barriers] needs a_omegas")
+    x = cfg.get_grid(sec, "x", cfg.get_float(sec, "x_min", 0.2, above=0), 5.0, 50)
     offsets = cfg.get_grid(sec, "offset", 0.0, 3.0, 50)
     if x.size * offsets.size > MAX_GRID_POINTS:
         raise ValidationError(f"[barriers] x_count * offset_count must be <= {MAX_GRID_POINTS}, "
@@ -565,12 +552,11 @@ def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
                             "c_minus": spec.c_minus, **report})
             eta = np.tan(theta0 / 2)
             tan0 = np.tan(theta0)
-            for a_omega in a_omegas[:1]:
-                c = np.cos(a_omega * x)
-                # ln(eta / (tan0 c + sqrt(1 + tan0^2 c^2))), without its cancellation.
-                y0 = (np.log(eta) - np.arcsinh(tan0 * c)) / x
-                blocks.append((np.full(x.size, theta0), x, spec.b_minus(x), spec.b_plus(x),
-                               y0, xy_ode_velocity(x, y0, theta0, a_omega)))
+            c = np.cos(a_omegas[0] * x)
+            # ln(eta / (tan0 c + sqrt(1 + tan0^2 c^2))), without its cancellation.
+            y0 = (np.log(eta) - np.arcsinh(tan0 * c)) / x
+            blocks.append((np.full(x.size, theta0), x, spec.b_minus(x), spec.b_plus(x),
+                           y0, xy_ode_velocity(x, y0, theta0, a_omegas[0])))
     writer.write_csv("barriers.csv", "barriers",
                      ["theta0", "x", "b_minus", "b_plus", "y0", "F_at_y0"],
                      _stack_blocks(blocks, 6))

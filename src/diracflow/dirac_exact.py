@@ -79,12 +79,9 @@ class QuadConfig:
     max_panels: int = 2**20
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_panels"):
-            as_real(getattr(self, name), name, scalar=True, error=ValidationError)
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValidationError("tolerances must be > 0")
-        if not (self.max_panels >= 8):
-            raise ValidationError("max_panels must be >= 8")
+        for name in ("rel_tol", "abs_tol"):
+            as_real(getattr(self, name), name, scalar=True, error=ValidationError, above=0)
+        as_real(self.max_panels, "max_panels", scalar=True, error=ValidationError, at_least=8)
 
 
 @dataclass(frozen=True)
@@ -161,14 +158,6 @@ def _integrate_field(run_pass, assemble, n_points, n0, q: QuadConfig, abs_tol: f
     return assemble(value, err)
 
 
-def _time(t) -> float:
-    """t as a real number; DomainError unless t >= 0."""
-    t = as_real(t, "t", scalar=True)
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    return t
-
-
 def _transport(t: float, s_arr, data: PacketParams):
     """The transport terms c_-+ psi0(s -+ t) of both components."""
     packet = make_initial_packet(data)
@@ -185,7 +174,7 @@ def evolve_exact_grid(t: float, s, data: PacketParams, q: QuadConfig = QuadConfi
     route's nodes (``_route_and_panels``).  Below m t = ``_TINY`` it is the
     transport terms with err 0: every kernel term carries the factor m t.
     """
-    t = _time(t)
+    t = as_real(t, "t", scalar=True, at_least=0)
     s_arr = np.atleast_1d(as_real(s, "s"))
     if s_arr.ndim > 1:
         raise DomainError(f"s must be a number or a 1-D array, got shape {s_arr.shape}")
@@ -688,7 +677,7 @@ def evolve_exact_spherical(t: float, s: float, data: PacketParams,
     initial spinors are handled by linearity: the lower-component base
     problem plus its parity mirror (components swapped, s -> -s, p0 -> -p0).
     """
-    t, s = _time(t), as_real(s, "s", scalar=True)
+    t, s = as_real(t, "t", scalar=True, at_least=0), as_real(s, "s", scalar=True)
     omega = data.mass
     if omega <= 0:
         raise DomainError("spherical route requires mass > 0")
@@ -739,7 +728,7 @@ def integrate_density(t: float, data: PacketParams,
     grids resolve ``momentum_band(data)``, and the cap on them raises
     IntegrationError before anything is evaluated.
     """
-    t = _time(t)
+    t = as_real(t, "t", scalar=True, at_least=0)
     return _spectral_expectation(lambda s: evolve_exact_grid(t, s, data, q)[0], _norm_moment,
                                  truncation_half_width(data, t), momentum_band(data),
                                  q.abs_tol, q.rel_tol)
@@ -748,9 +737,7 @@ def integrate_density(t: float, data: PacketParams,
 def continuity_residual(t: float, s: float, data: PacketParams, h: float,
                         q: QuadConfig = QuadConfig()) -> float:
     """Central-difference estimate of d_t rho + d_s J at (t, s)."""
-    t, h = as_real(t, "t", scalar=True), as_real(h, "h", scalar=True)
-    if h <= 0:
-        raise DomainError("h must be > 0")
+    t, h = as_real(t, "t", scalar=True), as_real(h, "h", scalar=True, above=0)
     if t - h < 0:
         raise DomainError("need t - h >= 0 for the central time difference")
 

@@ -58,12 +58,14 @@ class BracketingError(DiracflowError, RuntimeError):
     """Root bracketing failed (no sign change over the search interval)."""
 
 
-def as_real(x, name: str, scalar: bool = False, error=DomainError):
+def as_real(x, name: str, scalar: bool = False, error=DomainError, *, above=None, at_least=None):
     """``x`` as finite floats: a float if ``scalar``, else a float array of any shape.
 
     Complex values, strings, None, ragged nesting, NaN and inf (and, for
     ``scalar``, anything with an axis) raise ``error``, so that no raw numpy
-    or Python error escapes a public evaluator.
+    or Python error escapes a public evaluator.  After finiteness, so does a
+    value not above ``above`` or below ``at_least``, with one message naming
+    the smallest value: ``{name} must be > {bound}, got {value}`` (or ``>=``).
     """
     try:
         arr = np.asarray(x)
@@ -76,4 +78,9 @@ def as_real(x, name: str, scalar: bool = False, error=DomainError):
     value = float(arr) if scalar else arr
     if not (math.isfinite(value) if scalar else np.isfinite(arr).all()):
         raise error(f"{name} must be finite, got {reprlib.repr(x)}")
+    if above is not None or at_least is not None:
+        op, bound = (">", above) if above is not None else (">=", at_least)
+        low = value if scalar else float(arr.min(initial=math.inf))
+        if not (low > bound if above is not None else low >= bound):
+            raise error(f"{name} must be {op} {bound}, got {low!r}")
     return value

@@ -34,7 +34,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import (
-    DomainError,
     IntegrationError,
     InfiniteMomentumError,
     NodeError,
@@ -130,8 +129,9 @@ class PacketParams:
     energy_sign: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("sigma", "k0", "theta0", "omega0", "mass", "phase0"):
+        for name in ("sigma", "k0", "theta0", "omega0", "phase0"):
             as_real(getattr(self, name), name, scalar=True, error=ValidationError)
+        as_real(self.mass, "mass", scalar=True, error=ValidationError, at_least=0)
         if not (_SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
             lo, hi = _SIGMA_RANGE
             raise ValidationError(f"sigma must lie in [{lo:.3g}, {hi:.3g}] (sigma^2 and "
@@ -140,8 +140,6 @@ class PacketParams:
             raise ValidationError(f"theta0 must lie in [0, pi], got {self.theta0}")
         if not (0.0 <= self.omega0 < 2 * np.pi):
             raise ValidationError(f"omega0 must lie in [0, 2*pi), got {self.omega0}")
-        if not self.mass >= 0:
-            raise ValidationError(f"mass must be >= 0, got {self.mass}")
         if self.energy_sign is not None:
             expect = _eigen_angles(self.k0, self.mass, self.energy_sign)
             if (abs(self.theta0 - expect[0]) > 1e-12
@@ -156,10 +154,8 @@ class PacketParams:
     @classmethod
     def energy_eigen(cls, sigma: float, k0: float, mass: float, sign: int = +1):
         """Gaussian packet aligned with the +-E plane-wave eigenspinor at k0."""
-        k0, mass = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
-                    ((k0, "k0"), (mass, "mass")))
-        if mass <= 0:
-            raise ValidationError("energy eigen-packet requires mass > 0")
+        k0 = as_real(k0, "k0", scalar=True, error=ValidationError)
+        mass = as_real(mass, "mass", scalar=True, error=ValidationError, above=0)
         if sign not in (+1, -1):
             raise ValidationError("sign must be +1 or -1")
         theta0, omega0 = _eigen_angles(k0, mass, sign)
@@ -189,12 +185,11 @@ class PacketParams:
         i.e. the basis the stationary-phase approximation is stated in;
         vartheta = 0 gives the pure upper-component data.
         """
-        p0, omega, vartheta = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
-                               ((p0, "p0"), (omega, "omega"), (vartheta, "vartheta")))
+        p0, vartheta = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
+                        ((p0, "p0"), (vartheta, "vartheta")))
+        omega = as_real(omega, "omega", scalar=True, error=ValidationError, above=0)
         if not (0.0 <= vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
-        if omega <= 0:
-            raise ValidationError("omega must be > 0")
         return cls(sigma=sigma, k0=omega * p0, theta0=vartheta, omega0=0.0, mass=omega)
 
     def rescaled(self, length: float) -> "PacketParams":
@@ -203,9 +198,7 @@ class PacketParams:
         Positions and times shrink by L while momenta and the mass parameter
         grow by L, leaving the dynamics invariant.
         """
-        length = as_real(length, "length", scalar=True, error=ValidationError)
-        if length <= 0:
-            raise ValidationError("length must be > 0")
+        length = as_real(length, "length", scalar=True, error=ValidationError, above=0)
         return replace(self, sigma=self.sigma / length, k0=self.k0 * length,
                        mass=self.mass * length)
 
@@ -385,12 +378,8 @@ def _spectral_expectation(psi_fn, moment, half_width, band, quad_tol, rel_tol=0.
     -L + (2 L / (2 n)) arange(2 n) and returns the moment over all of them
     and over every other one, a trapezoid pair for ``refine_panels``.
     """
-    quad_tol, half_width, band = (as_real(x, name, scalar=True) for x, name in (
-        (quad_tol, "quad_tol"), (half_width, "half_width"), (band, "band")))
-    if not quad_tol > 0:
-        raise DomainError("quad_tol must be > 0")
-    if not half_width > 0:
-        raise DomainError("half_width must be > 0")
+    quad_tol, half_width, band = (as_real(x, name, scalar=True, above=bound) for x, name, bound in (
+        (quad_tol, "quad_tol", 0), (half_width, "half_width", 0), (band, "band", None)))
     # From 2048 on, the first n whose T_2h grid resolves the band: pi n / (2 L) >= band.
     n = 2048
     while n <= _MAX_SPECTRAL_POINTS and np.pi * n / (2 * half_width) < band:
@@ -412,11 +401,18 @@ def _spectral_expectation(psi_fn, moment, half_width, band, quad_tol, rel_tol=0.
 
 
 def expected_momentum(psi_fn, quad_tol: float, half_width: float, band: float) -> float:
-    """<psi, P psi> with P = -i d/ds, spectrally on [-L, L] over |k| <= band (``momentum_band``)."""
+    """<psi, P psi> with P = -i d/ds, spectrally on [-L, L] over |k| <= band.
+
+    ``band`` must reach the edge of psi's spectrum; a smaller band aliases silently.
+    The CLI and ``integrate_density`` always pass ``momentum_band(data)``.
+    """
     return _spectral_expectation(psi_fn, _momentum_moment, half_width, band, quad_tol)[0]
 
 
 def expected_energy(psi_fn, mass: float, quad_tol: float, half_width: float, band: float) -> float:
-    """<psi, H psi> with H = ((P, m), (m, -P)), spectrally on [-L, L] over |k| <= band."""
+    """<psi, H psi> with H = ((P, m), (m, -P)), spectrally on [-L, L] over |k| <= band.
+
+    ``band`` must reach the edge of psi's spectrum; a smaller band aliases silently.
+    """
     moment = partial(_energy_moment, as_real(mass, "mass", scalar=True))
     return _spectral_expectation(psi_fn, moment, half_width, band, quad_tol)[0]

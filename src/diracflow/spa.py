@@ -62,17 +62,13 @@ class SpaParams:
     vartheta: float = 0.0
 
     def __post_init__(self):
-        for name in ("p0", "sigma", "omega", "vartheta"):
-            as_real(getattr(self, name), name, scalar=True, error=ValidationError)
+        for name, bound in (("p0", None), ("sigma", 0), ("omega", 0), ("vartheta", None)):
+            as_real(getattr(self, name), name, scalar=True, error=ValidationError, above=bound)
         if self.p0 == 0:
             raise ValidationError("p0 must be nonzero")
         if not np.isfinite(float(self.p0) * float(self.p0)):
             raise ValidationError(f"p0^2 must be a finite float (E0 = sqrt(1 + p0^2)), "
                                   f"got p0 = {self.p0!r}")
-        if not self.sigma > 0:
-            raise ValidationError(f"sigma must be > 0, got {self.sigma}")
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be > 0, got {self.omega}")
         if not (0.0 <= self.vartheta <= np.pi):
             raise ValidationError("vartheta must lie in [0, pi]")
 
@@ -212,9 +208,7 @@ def spa_evaluate(t: float, s: float, p: SpaParams,
     t in [|v0| T / 2, T], so values outside that window are flagged with a
     warning rather than rejected.
     """
-    t, s = as_real(t, "t", scalar=True), as_real(s, "s", scalar=True)
-    if t <= 0:
-        raise DomainError("SPA requires t > 0")
+    t, s = as_real(t, "t", scalar=True, above=0), as_real(s, "s", scalar=True)
     if t_horizon is not None:
         if not (abs(p.v0) * t_horizon / 2 <= t <= t_horizon):
             warnings.warn(
@@ -323,10 +317,9 @@ def spa_leading_term(g_at_crit: complex, phase_at_crit: float, hess_det: float,
 def error_bound_shape(p0: float, t: float, sigma: float, omega: float) -> float:
     """The bound shape |p0|^5 * e^{t / sigma} / sqrt(omega), with unit constants."""
     t = as_real(t, "t", scalar=True)
-    p0, sigma, omega = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
-                        ((p0, "p0"), (sigma, "sigma"), (omega, "omega")))
-    if not (sigma > 0 and omega > 0):
-        raise ValidationError("sigma and omega must be > 0")
+    p0 = as_real(p0, "p0", scalar=True, error=ValidationError)
+    sigma, omega = (as_real(x, name, scalar=True, error=ValidationError, above=0)
+                    for x, name in ((sigma, "sigma"), (omega, "omega")))
     return float(abs(p0) ** 5 * np.exp(t / sigma) / np.sqrt(omega))
 
 

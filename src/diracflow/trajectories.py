@@ -234,9 +234,7 @@ class ExactVelocityField:
 
 def spa_velocity_field(t: float, s: float, p: SpaParams) -> float:
     """Velocity of the SPA spinor at (t, s); raises NodeError in the deep tails."""
-    t, s = as_real(t, "t", scalar=True), as_real(s, "s", scalar=True)
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    t, s = as_real(t, "t", scalar=True, at_least=0), as_real(s, "s", scalar=True)
     return SpaVelocityField(p)(t, s)
 
 
@@ -350,8 +348,7 @@ def _integrate_members(q0s, t_span: Tuple[float, float], velocity_field,
     other members carry on.
     """
     t0, t1 = (as_real(x, "t_span", scalar=True, error=ValidationError) for x in t_span)
-    if not as_real(tol, "tol", scalar=True, error=ValidationError) > 0:
-        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    as_real(tol, "tol", scalar=True, error=ValidationError, above=0)
     q0s = as_real(q0s, "initial positions", error=ValidationError)
     atol = rtol = tol
     exponent = 1 / (_RK45.error_estimator_order + 1)
@@ -583,8 +580,7 @@ def run_ensemble(n: int, data: PacketParams, t_final: float,
         raise ValidationError(f"n must lie in [1, {MAX_ENSEMBLE_SIZE}], got {n!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not as_real(t_final, "t_final", scalar=True, error=ValidationError) > 0:
-        raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
+    as_real(t_final, "t_final", scalar=True, error=ValidationError, above=0)
     v0 = _reference_v0(data)
     field_fn = _make_field(data, field_mode, quad)
     q0s = [_draw_initial_position(seed, i, data.sigma) for i in range(n)]
@@ -632,10 +628,8 @@ def find_bifurcation(data: PacketParams, t_final: float, tol_s: float,
     bisecting one trajectory at a time, and a point bisection does not
     visit raises nothing.
     """
-    if not as_real(t_final, "t_final", scalar=True, error=ValidationError) > 0:
-        raise ValidationError(f"t_final must be finite and > 0, got {t_final!r}")
-    if not as_real(tol_s, "tol_s", scalar=True, error=ValidationError) > 0:
-        raise ValidationError(f"tol_s must be finite and > 0, got {tol_s!r}")
+    for x, name in ((t_final, "t_final"), (tol_s, "tol_s")):
+        as_real(x, name, scalar=True, error=ValidationError, above=0)
     v0 = _reference_v0(data)
     field_fn = _make_field(data, field_mode, quad)
 
@@ -727,9 +721,7 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
     this checks sign(cos theta0) * F >= 0 on y >= B_+(x) and <= 0 on
     y <= B_-(x) across the given oscillation rates (phases of the cos term).
     """
-    x = as_real(x_grid, "x_grid")
-    if np.any(x <= 0):
-        raise DomainError("barrier check needs x > 0")
+    x = as_real(x_grid, "x_grid", above=0)
     off = np.abs(as_real(offsets, "offsets"))
     a_omegas = as_real(a_omegas, "a_omegas")
     if a_omegas.ndim != 1:

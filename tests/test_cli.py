@@ -215,8 +215,15 @@ OUT_OF_RANGE_CASES = {
     "barriers.theta0_values=0": ["barriers"],
     "barriers.theta0_values=0.5 3.141592653589793": ["barriers"],
     "observables.quad_tol=0": ["observables", *FIG3],
+    "observables.times=-1": ["observables", *FIG3],
+    "observables.t_final=0": ["observables", *FIG3, "--set", "observables.trajectory_q0=0.3"],
+    "grid.t_values=-1": ["field", *FIG3, *GRID],
     # One rung, so the command's own check, not error_scaling's, refuses it.
     "spa_compare.t=-1": [*SPA_COMPARE, "--set", "spa_compare.omega_ladder=60"],
+    # The barrier curves need x > 0; no oscillation rate would check nothing.
+    "barriers.x_min=0": ["barriers", "--set", "barriers.theta0_values=0.5"],
+    "barriers.x_min=-1": ["barriers", "--set", "barriers.theta0_values=0.5"],
+    "barriers.a_omegas=": ["barriers", "--set", "barriers.theta0_values=0.5"],
 }
 
 

@@ -1,10 +1,13 @@
 """Every public evaluator turns input that is not a finite real number into a DiracflowError."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diracflow
 from diracflow import (
     DomainError,
     PacketParams,
@@ -38,6 +41,7 @@ from diracflow import (
     spa_spinor_grid,
     spa_velocity_field,
 )
+from diracflow.errors import as_real
 
 FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
 SPA = SpaParams(p0=1.0, sigma=0.2, omega=60.0)
@@ -142,6 +146,121 @@ def test_parameter_constructors_raise_a_validation_error(case):
         PARAMETER_CASES[case]()
     assert type(info.value) is ValidationError
     assert not caught
+
+
+# Every argument with a lower bound, just past it: (class, op, call).  Each
+# site raises the class it raised before its bound moved into as_real.
+BELOW_ZERO = -5e-324
+BOUND_CASES = {
+    "quad-rel-tol": (ValidationError, ">", lambda: QuadConfig(rel_tol=0.0)),
+    "quad-abs-tol": (ValidationError, ">", lambda: QuadConfig(abs_tol=0.0)),
+    "quad-max-panels": (ValidationError, ">=", lambda: QuadConfig(max_panels=7)),
+    "grid-t": (DomainError, ">=", lambda: evolve_exact_grid(BELOW_ZERO, [0.0], FIG3)),
+    "point-t": (DomainError, ">=", lambda: evolve_exact(BELOW_ZERO, 0.0, FIG3)),
+    "spherical-t": (DomainError, ">=", lambda: evolve_exact_spherical(BELOW_ZERO, 0.0, FIG3)),
+    "density-t": (DomainError, ">=", lambda: integrate_density(BELOW_ZERO, FIG3)),
+    "continuity-h": (DomainError, ">", lambda: continuity_residual(1.0, 0.0, FIG3, h=0.0)),
+    "packet-mass": (ValidationError, ">=", lambda: _packet(mass=BELOW_ZERO)),
+    "energy-eigen-mass": (ValidationError, ">", lambda: PacketParams.energy_eigen(1, 10, 0.0)),
+    "macroscopic-omega": (ValidationError, ">", lambda: PacketParams.macroscopic(1, 1, 0.0)),
+    "rescaled-length": (ValidationError, ">", lambda: FIG3.rescaled(0.0)),
+    "momentum-quad-tol": (DomainError, ">", lambda: expected_momentum(PSI0, 0.0, 10.0, 18.0)),
+    "momentum-half-width": (DomainError, ">", lambda: expected_momentum(PSI0, 1e-6, 0.0, 18.0)),
+    "energy-quad-tol": (DomainError, ">", lambda: expected_energy(PSI0, 3.0, 0.0, 10.0, 18.0)),
+    "spa-sigma": (ValidationError, ">", lambda: SpaParams(p0=1.0, sigma=0.0, omega=60.0)),
+    "spa-omega": (ValidationError, ">", lambda: SpaParams(p0=1.0, sigma=0.2, omega=0.0)),
+    "spa-point-t": (DomainError, ">", lambda: spa_evaluate(0.0, 0.0, SPA)),
+    "error-bound-sigma": (ValidationError, ">", lambda: error_bound_shape(1, 1, 0.0, 1)),
+    "error-bound-omega": (ValidationError, ">", lambda: error_bound_shape(1, 1, 1, 0.0)),
+    "spa-velocity-t": (DomainError, ">=", lambda: spa_velocity_field(BELOW_ZERO, 0.0, SPA)),
+    "trajectory-tol": (ValidationError, ">", lambda: _trajectory(0.3, tol=0.0)),
+    "ensemble-t-final": (ValidationError, ">", lambda: run_ensemble(2, FIG3, 0.0)),
+    "bifurcation-t-final": (ValidationError, ">", lambda: find_bifurcation(FIG3, 0.0, 1e-3)),
+    "bifurcation-tol-s": (ValidationError, ">", lambda: find_bifurcation(FIG3, 8.0, 0.0)),
+    "barrier-x": (DomainError, ">", lambda: barrier_check(barrier_curves(0.7), [1.0],
+                                                          [1.0, 0.0], [0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_lower_bounds_have_one_message(case):
+    expected, op, call = BOUND_CASES[case]
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(expected) as info:
+        warnings.simplefilter("always")
+        call()
+    assert type(info.value) is expected
+    assert f" must be {op} " in str(info.value)
+    assert not caught
+
+
+def test_at_least_bounds_accept_the_bound():
+    psi, err = evolve_exact_grid(0.0, [0.25], FIG3)
+    assert (psi.minus[0], psi.plus[0]) == (PSI0(0.25).minus, PSI0(0.25).plus)
+    assert err.tolist() == [[0.0], [0.0]]
+    assert np.isfinite(spa_velocity_field(0.0, 0.0, SPA))
+    assert _packet(mass=0.0).mass == 0.0
+    assert QuadConfig(max_panels=8).max_panels == 8
+
+
+def test_as_real_reports_the_smallest_value():
+    with pytest.raises(DomainError, match=r"^x must be >= 0, got -2\.0$"):
+        as_real([1.0, -2.0, -1.0], "x", at_least=0)
+    with pytest.raises(ValidationError, match=r"^y must be > 1, got 1\.0$"):
+        as_real(1, "y", scalar=True, error=ValidationError, above=1)
+    assert as_real([], "x", above=0).size == 0
+
+
+# Lower bounds kept as written: the integer seed and --workers checks, and
+# preconditions on a packet whose numbers PacketParams has already checked
+# (the spherical route's mass, SpaParams.from_packet's mass).
+KEPT_BOUNDS = {("cli.py", "seed"), ("cli.py", "args.workers"), ("dirac_exact.py", "omega"),
+               ("spa.py", "data.mass")}
+_FLIPPED = {ast.Lt: ast.Gt, ast.LtE: ast.GtE, ast.Gt: ast.Lt, ast.GtE: ast.LtE}
+
+
+def _is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _hand_written_bounds(path: Path) -> list:
+    """(file, name, line) of each ``if [not] name <op> number: raise`` lower-bound block.
+
+    A name is a variable, an attribute or a call; the block raises
+    ValidationError or DomainError where the name lies below the number.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.If):
+            continue
+        test, negated = node.test, False
+        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+            test, negated = test.operand, True
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and type(test.ops[0]) in _FLIPPED):
+            continue
+        (left, right), op = (test.left, test.comparators[0]), type(test.ops[0])
+        if _is_number(left):
+            (left, right), op = (right, left), _FLIPPED[op]
+        if not (isinstance(left, (ast.Name, ast.Attribute, ast.Call)) and _is_number(right)):
+            continue
+        raised = {stmt.exc.func.id for stmt in node.body if isinstance(stmt, ast.Raise)
+                  and isinstance(stmt.exc, ast.Call) and isinstance(stmt.exc.func, ast.Name)}
+        below = op in ((ast.Gt, ast.GtE) if negated else (ast.Lt, ast.LtE))
+        if below and raised & {"ValidationError", "DomainError"}:
+            found.append((path.name, ast.unparse(left), node.lineno))
+    return found
+
+
+def test_no_hand_written_lower_bounds():
+    # A lower bound on a caller's number is as_real's above= or at_least=,
+    # so that every violation is detected and worded in one place.
+    package = Path(diracflow.__file__).parent
+    found = [site for path in sorted(package.glob("*.py")) for site in _hand_written_bounds(path)]
+    assert not [site for site in found if site[:2] not in KEPT_BOUNDS], found
+    # Each kept check is still there; one that goes leaves this list.
+    assert {site[:2] for site in found} == KEPT_BOUNDS
 
 
 def test_antipodal_clusters_at_overflowing_norms():
