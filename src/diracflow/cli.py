@@ -56,6 +56,7 @@ from .packets import (
 )
 from .spa import SpaParams, error_scaling, sup_error_at_omega
 from .trajectories import (
+    THETA0_RANGE,
     UNRESOLVED,
     _make_field,
     antipodal_clusters,
@@ -86,16 +87,23 @@ class RunConfig:
     """Raw run configuration: a command plus string-valued sections.
 
     Values stay strings until validated, so the manifest records them as
-    the INI file and ``--set`` gave them.
+    the INI file and ``--set`` gave them.  ``read`` holds each
+    (section, key) a command asked for.
     """
 
     command: str
     sections: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     # -- typed access ---------------------------------------------------------
 
     def _raw(self, section: str, key: str, default=None):
+        self.read.add((section, key))
         return self.sections.get(section, {}).get(key, default)
+
+    def unused_keys(self) -> List[str]:
+        return [f"[{section}] {key}" for section, keys in self.sections.items()
+                for key in keys if (section, key) not in self.read]
 
     def _parse(self, section, key, default, parse, expected: str, bound=None):
         raw = self._raw(section, key)
@@ -371,7 +379,7 @@ def cmd_spa_compare(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     sigma = cfg.get_float(sec, "sigma")
     vartheta = cfg.get_float(sec, "vartheta", 0.0)
     t = cfg.get_float(sec, "t", above=0)
-    ladder = cfg.get_floats(sec, "omega_ladder")
+    ladder = cfg.get_floats(sec, "omega_ladder", above=0)
     if p0 is None or sigma is None or t is None or not ladder:
         raise ValidationError("[spa_compare] needs p0, sigma, t, omega_ladder")
     if len(ladder) >= 3:
@@ -527,13 +535,9 @@ def cmd_observables(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
 
 def cmd_barriers(cfg: RunConfig, writer: RunWriter, seed: int) -> int:
     sec = "barriers"
-    theta_values = cfg.get_floats(sec, "theta0_values")
+    theta_values = cfg.get_floats(sec, "theta0_values", **THETA0_RANGE)
     if not theta_values:
         raise ValidationError("[barriers] needs theta0_values")
-    # ln tan(theta0 / 2) is -inf where theta0 / 2 rounds to 0.
-    if not all(0.0 < theta0 / 2 and theta0 < np.pi for theta0 in theta_values):
-        raise ValidationError(f"[barriers] theta0_values must lie in (0, pi), with theta0 / 2 > 0, "
-                              f"got {theta_values}")
     a_omegas = cfg.get_floats(sec, "a_omegas", [1.0, 3.7, 10.0])
     if not a_omegas:
         raise ValidationError("[barriers] needs a_omegas")
@@ -631,6 +635,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = RunConfig(command=args.command)
         _apply_overrides(cfg, args.set)
         seed = args.seed if args.seed is not None else cfg.get_int("run", "seed", 0)
+        # Where --seed or --out overrides them, [run] seed and out still count as read.
+        cfg.read.update({("run", "seed"), ("run", "out")})
         if seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {seed}")
         if args.workers < 1:
@@ -643,6 +649,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         code = COMMANDS[cfg.command](cfg, writer, seed)
+        unused = cfg.unused_keys()
+        if unused:
+            print(f"diracflow: warning: unused config keys: {', '.join(unused)}", file=sys.stderr)
+            writer.notes["unused_config_keys"] = unused
         writer.finish()
         return code
     except (ValidationError, OSError) as exc:

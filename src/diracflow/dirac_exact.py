@@ -596,8 +596,7 @@ def spherical_cut(omega_t: float) -> Tuple[float, float]:
     """Polar cut angle theta0 and stereographic disk radius R for the psi_+ domain."""
     j0 = specfun.j0_first_zero()
     delta = 0.25 * j0 * j0
-    if omega_t <= j0 / 2:
-        raise DomainError(f"omega*t must exceed j0/2 = {j0 / 2:.6f} for the domain cut")
+    omega_t = as_real(omega_t, "omega_t", scalar=True, above=j0 / 2)
     theta0 = float(np.arccos(2 * delta / omega_t**2 - 1.0))
     radius = float(np.sqrt(delta) / np.sqrt(omega_t**2 - delta))
     return theta0, radius
@@ -737,9 +736,9 @@ def integrate_density(t: float, data: PacketParams,
 def continuity_residual(t: float, s: float, data: PacketParams, h: float,
                         q: QuadConfig = QuadConfig()) -> float:
     """Central-difference estimate of d_t rho + d_s J at (t, s)."""
-    t, h = as_real(t, "t", scalar=True), as_real(h, "h", scalar=True, above=0)
-    if t - h < 0:
-        raise DomainError("need t - h >= 0 for the central time difference")
+    h = as_real(h, "h", scalar=True, above=0)
+    # t >= h keeps t - h, the central difference's earlier time, at least 0.
+    t = as_real(t, "t", scalar=True, at_least=h)
 
     def rho_j(tt, ss):
         sample = evolve_exact(tt, ss, data, q)

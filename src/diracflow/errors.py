@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the real-input conversion that raises them."""
 
 import math
+import operator
 import reprlib
 
 import numpy as np
@@ -58,14 +59,16 @@ class BracketingError(DiracflowError, RuntimeError):
     """Root bracketing failed (no sign change over the search interval)."""
 
 
-def as_real(x, name: str, scalar: bool = False, error=DomainError, *, above=None, at_least=None):
+def as_real(x, name: str, scalar: bool = False, error=DomainError, *,
+            above=None, at_least=None, below=None, at_most=None):
     """``x`` as finite floats: a float if ``scalar``, else a float array of any shape.
 
     Complex values, strings, None, ragged nesting, NaN and inf (and, for
     ``scalar``, anything with an axis) raise ``error``, so that no raw numpy
     or Python error escapes a public evaluator.  After finiteness, so does a
-    value not above ``above`` or below ``at_least``, with one message naming
-    the smallest value: ``{name} must be > {bound}, got {value}`` (or ``>=``).
+    value past a bound (``> above``, ``>= at_least``, ``< below``, ``<= at_most``,
+    lower bounds first), with one message naming the smallest value past a lower
+    bound or the largest past an upper one: ``{name} must be {op} {bound}, got {value}``.
     """
     try:
         arr = np.asarray(x)
@@ -78,9 +81,13 @@ def as_real(x, name: str, scalar: bool = False, error=DomainError, *, above=None
     value = float(arr) if scalar else arr
     if not (math.isfinite(value) if scalar else np.isfinite(arr).all()):
         raise error(f"{name} must be finite, got {reprlib.repr(x)}")
-    if above is not None or at_least is not None:
-        op, bound = (">", above) if above is not None else (">=", at_least)
-        low = value if scalar else float(arr.min(initial=math.inf))
-        if not (low > bound if above is not None else low >= bound):
-            raise error(f"{name} must be {op} {bound}, got {low!r}")
+    if above is None and at_least is None and below is None and at_most is None:
+        return value
+    for op, bound, holds in ((">", above, operator.gt), (">=", at_least, operator.ge),
+                             ("<", below, operator.lt), ("<=", at_most, operator.le)):
+        if bound is not None:
+            edge = value if scalar else float(
+                arr.min(initial=math.inf) if op[0] == ">" else arr.max(initial=-math.inf))
+            if not holds(edge, bound):
+                raise error(f"{name} must be {op} {bound}, got {edge!r}")
     return value

@@ -105,7 +105,10 @@ class CayleyKlein:
 
 
 # Where sigma^2 and 2*pi*sigma^2 are normal doubles.
-_SIGMA_RANGE = (np.finfo(float).tiny ** 0.5, (np.finfo(float).max / (2 * np.pi)) ** 0.5)
+_SIGMA_RANGE = dict(at_least=np.finfo(float).tiny ** 0.5,
+                    at_most=(np.finfo(float).max / (2 * np.pi)) ** 0.5)
+# The range of theta0 and of the mixing angle vartheta.
+ZERO_TO_PI = dict(at_least=0.0, at_most=np.pi)
 
 
 @dataclass(frozen=True)
@@ -129,17 +132,10 @@ class PacketParams:
     energy_sign: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("sigma", "k0", "theta0", "omega0", "phase0"):
-            as_real(getattr(self, name), name, scalar=True, error=ValidationError)
-        as_real(self.mass, "mass", scalar=True, error=ValidationError, at_least=0)
-        if not (_SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
-            lo, hi = _SIGMA_RANGE
-            raise ValidationError(f"sigma must lie in [{lo:.3g}, {hi:.3g}] (sigma^2 and "
-                                  f"2*pi*sigma^2 normal doubles), got {self.sigma}")
-        if not (0.0 <= self.theta0 <= np.pi):
-            raise ValidationError(f"theta0 must lie in [0, pi], got {self.theta0}")
-        if not (0.0 <= self.omega0 < 2 * np.pi):
-            raise ValidationError(f"omega0 must lie in [0, 2*pi), got {self.omega0}")
+        for name, bounds in (("sigma", _SIGMA_RANGE), ("k0", {}), ("theta0", ZERO_TO_PI),
+                             ("omega0", dict(at_least=0.0, below=2 * np.pi)),
+                             ("mass", dict(at_least=0)), ("phase0", {})):
+            as_real(getattr(self, name), name, scalar=True, error=ValidationError, **bounds)
         if self.energy_sign is not None:
             expect = _eigen_angles(self.k0, self.mass, self.energy_sign)
             if (abs(self.theta0 - expect[0]) > 1e-12
@@ -165,9 +161,7 @@ class PacketParams:
     @classmethod
     def mixed_energy_eigen(cls, sigma: float, k0: float, mass: float, vartheta: float):
         """cos(vartheta/2) * (+E eigen-packet) + sin(vartheta/2) * (-E eigen-packet)."""
-        vartheta = as_real(vartheta, "vartheta", scalar=True, error=ValidationError)
-        if not (0.0 <= vartheta <= np.pi):
-            raise ValidationError("vartheta must lie in [0, pi]")
+        vartheta = as_real(vartheta, "vartheta", scalar=True, error=ValidationError, **ZERO_TO_PI)
         plus = spinor_amplitudes(cls.energy_eigen(sigma, k0, mass, +1))
         minus = spinor_amplitudes(cls.energy_eigen(sigma, k0, mass, -1))
         c, s = np.cos(vartheta / 2), np.sin(vartheta / 2)
@@ -185,11 +179,9 @@ class PacketParams:
         i.e. the basis the stationary-phase approximation is stated in;
         vartheta = 0 gives the pure upper-component data.
         """
-        p0, vartheta = (as_real(x, name, scalar=True, error=ValidationError) for x, name in
-                        ((p0, "p0"), (vartheta, "vartheta")))
+        p0 = as_real(p0, "p0", scalar=True, error=ValidationError)
+        vartheta = as_real(vartheta, "vartheta", scalar=True, error=ValidationError, **ZERO_TO_PI)
         omega = as_real(omega, "omega", scalar=True, error=ValidationError, above=0)
-        if not (0.0 <= vartheta <= np.pi):
-            raise ValidationError("vartheta must lie in [0, pi]")
         return cls(sigma=sigma, k0=omega * p0, theta0=vartheta, omega0=0.0, mass=omega)
 
     def rescaled(self, length: float) -> "PacketParams":
@@ -322,6 +314,7 @@ def bloch_vector(ck: CayleyKlein):
 
 def bohmian_observables(ck: CayleyKlein, mass: float) -> Tuple[float, float, float]:
     """Local Bohmian (v, p, E) = (cos Theta, m cot(Theta) sec(Omega), m csc(Theta) sec(Omega))."""
+    mass = as_real(mass, "mass", scalar=True, at_least=0)
     if ck.theta == 0.0 or ck.theta == np.pi:
         raise InfiniteMomentumError("theta in {0, pi}: Bohmian p and E diverge")
     if ck.omega == np.pi / 2 or ck.omega == -np.pi / 2:

@@ -31,7 +31,7 @@ import numpy as np
 from . import specfun
 from .dirac_exact import QuadConfig, evolve_exact_grid
 from .errors import DomainError, ValidationError, as_real
-from .packets import PacketParams, Spinor, gaussian_amplitude
+from .packets import ZERO_TO_PI, PacketParams, Spinor, gaussian_amplitude
 
 __all__ = [
     "SpaParams",
@@ -62,15 +62,14 @@ class SpaParams:
     vartheta: float = 0.0
 
     def __post_init__(self):
-        for name, bound in (("p0", None), ("sigma", 0), ("omega", 0), ("vartheta", None)):
-            as_real(getattr(self, name), name, scalar=True, error=ValidationError, above=bound)
+        for name, bounds in (("p0", {}), ("sigma", dict(above=0)), ("omega", dict(above=0)),
+                             ("vartheta", ZERO_TO_PI)):
+            as_real(getattr(self, name), name, scalar=True, error=ValidationError, **bounds)
         if self.p0 == 0:
             raise ValidationError("p0 must be nonzero")
         if not np.isfinite(float(self.p0) * float(self.p0)):
             raise ValidationError(f"p0^2 must be a finite float (E0 = sqrt(1 + p0^2)), "
                                   f"got p0 = {self.p0!r}")
-        if not (0.0 <= self.vartheta <= np.pi):
-            raise ValidationError("vartheta must lie in [0, pi]")
 
     # Computed once per instance: cached_property stores into the instance
     # __dict__ directly, which a frozen dataclass allows.
@@ -210,6 +209,7 @@ def spa_evaluate(t: float, s: float, p: SpaParams,
     """
     t, s = as_real(t, "t", scalar=True, above=0), as_real(s, "s", scalar=True)
     if t_horizon is not None:
+        t_horizon = as_real(t_horizon, "t_horizon", scalar=True, above=0)
         if not (abs(p.v0) * t_horizon / 2 <= t <= t_horizon):
             warnings.warn(
                 f"t = {t:g} outside the SPA validity window "
@@ -238,10 +238,8 @@ def transport_beta(alpha: float, omega_t: float) -> float:
     non-decreasing in alpha.
     """
     j0 = specfun.j0_first_zero()
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
-    if not (omega_t > j0 / 2):
-        raise DomainError(f"omega_t must exceed j0/2 = {j0 / 2:.6f}")
+    alpha = as_real(alpha, "alpha", scalar=True, above=0, at_most=1)
+    omega_t = as_real(omega_t, "omega_t", scalar=True, above=j0 / 2)
 
     def g(beta):
         return 1.0 - specfun.bessel_j0(2.0 * omega_t * np.sqrt(beta))
@@ -300,6 +298,9 @@ def spa_leading_term(g_at_crit: complex, phase_at_crit: float, hess_det: float,
     g(x0) e^{i omega phi(x0)} e^{i sgn pi/4} / sqrt(|det Hess|) * 2 pi / omega;
     a critical point on the domain boundary contributes half this value.
     """
+    phase_at_crit = as_real(phase_at_crit, "phase_at_crit", scalar=True)
+    hess_det = as_real(hess_det, "hess_det", scalar=True)
+    omega = as_real(omega, "omega", scalar=True, above=0)
     if hess_det == 0:
         raise DomainError("degenerate critical point: zero Hessian determinant")
     if signature not in (-2, 0, 2):
@@ -326,10 +327,11 @@ def error_bound_shape(p0: float, t: float, sigma: float, omega: float) -> float:
 def sup_error_at_omega(params: SpaParams, omega: float, t: float, s_grid,
                        quad: QuadConfig = QuadConfig()) -> float:
     """sup over s_grid of |psi_exact - U| at one omega (spinor 2-norm pointwise)."""
-    run = SpaParams(p0=params.p0, sigma=params.sigma, omega=float(omega),
-                    vartheta=params.vartheta)
-    psi, _ = evolve_exact_grid(t, np.asarray(s_grid, dtype=float), run.packet(), quad)
-    u = spa_spinor_grid(t, np.asarray(s_grid, dtype=float), run)
+    omega = as_real(omega, "omega", scalar=True, error=ValidationError)
+    run = SpaParams(p0=params.p0, sigma=params.sigma, omega=omega, vartheta=params.vartheta)
+    s_grid = as_real(s_grid, "s_grid")
+    psi, _ = evolve_exact_grid(t, s_grid, run.packet(), quad)
+    u = spa_spinor_grid(t, s_grid, run)
     diff = np.sqrt(np.abs(psi.minus - u.minus) ** 2 + np.abs(psi.plus - u.plus) ** 2)
     return float(np.max(diff))
 
@@ -344,20 +346,16 @@ def error_scaling(params: SpaParams, t_fixed: float, omega_ladder: Sequence[floa
     evaluate one after another, in ladder order; ``workers`` is accepted for
     compatibility and has no effect.
     """
-    ladder = as_real(omega_ladder, "omega ladder", error=ValidationError)
+    ladder = as_real(omega_ladder, "omega ladder", error=ValidationError, above=0)
     t_fixed = as_real(t_fixed, "t_fixed", scalar=True, error=ValidationError)
     if ladder.ndim != 1 or ladder.size < 4:
         raise ValidationError("omega ladder needs at least 4 points")
+    as_real(ladder * t_fixed, "omega * t_fixed", error=ValidationError,
+            above=specfun.j0_first_zero() * params.e0)
     ladder = ladder.tolist()
     ratios = np.diff(np.log(ladder))
     if not np.allclose(ratios, ratios[0], rtol=1e-6, atol=1e-12):
         raise ValidationError("omega ladder must be geometric")
-    j0 = specfun.j0_first_zero()
-    e0 = params.e0
-    for w in ladder:
-        if not (w * t_fixed > j0 * e0):
-            raise ValidationError(
-                f"omega*t = {w * t_fixed:g} must exceed j0*E0 = {j0 * e0:g}")
     s_grid = as_real(s_grid, "s_grid")
     sups = [sup_error_at_omega(params, w, t_fixed, s_grid, quad) for w in ladder]
     slope, intercept = np.polyfit(np.log(ladder), np.log(sups), 1)

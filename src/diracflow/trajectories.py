@@ -84,6 +84,9 @@ _CLASSIFY_TOL = 0.02
 _ANTIPODAL_RADIUS = 0.1
 # How far past zero F may lie before a barrier check counts a violation.
 _BARRIER_SLACK = 1e-12
+# The eigen angle's range: theta0 < pi, and theta0 / 2 > 0 (so that
+# ln tan(theta0 / 2) is finite) holds exactly for theta0 > 5e-324.
+THETA0_RANGE = dict(above=math.ulp(0.0), below=np.pi)
 _LOG_TINY = -744.0  # ln(smallest positive subnormal double), roughly
 
 
@@ -251,8 +254,8 @@ def xy_ode_velocity(x, y, theta0: float, a_omega: float):
     with eta = tan(theta0 / 2); the same function as ``SpaVelocityField`` under
     x = sqrt(v0) t / sigma, y = sqrt(v0) s / sigma, a_omega = 2 sigma E0 omega / sqrt(v0).
     """
-    if not (0.0 < theta0 / 2 and theta0 < np.pi):
-        raise DomainError("theta0 must lie in (0, pi), with theta0 / 2 > 0")
+    theta0 = as_real(theta0, "theta0", scalar=True, **THETA0_RANGE)
+    a_omega = as_real(a_omega, "a_omega", scalar=True)
     u = np.asarray(x) * np.asarray(y) - np.log(np.tan(theta0 / 2))
     return _guiding_velocity(u, np.cos(theta0), np.sin(theta0), np.cos(a_omega * np.asarray(x)))
 
@@ -544,7 +547,7 @@ def _draw_initial_position(seed: int, index: int, sigma: float) -> float:
 
 
 def _make_field(data: PacketParams, field_mode: str, quad: Optional[QuadConfig]):
-    mode = field_mode.upper()
+    mode = field_mode.upper() if isinstance(field_mode, str) else None
     if mode == "SPA":
         return SpaVelocityField(SpaParams.from_packet(data))
     if mode == "EXACT":
@@ -703,8 +706,7 @@ def barrier_curves(theta0: float) -> BarrierSpec:
     diverge (the oscillatory term dominates at every y), and at pi/4 the
     upper hyperbola degenerates to xy = 0 exactly.
     """
-    if not (0.0 < theta0 / 2 and theta0 < np.pi):
-        raise DomainError("theta0 must lie in (0, pi), with theta0 / 2 > 0")
+    theta0 = as_real(theta0, "theta0", scalar=True, **THETA0_RANGE)
     log_eta = np.log(np.tan(theta0 / 2))
     if theta0 == np.pi / 2:
         return BarrierSpec(theta0=theta0, c_plus=np.inf, c_minus=-np.inf)
@@ -720,17 +722,25 @@ def barrier_check(spec: BarrierSpec, a_omegas: Sequence[float],
     Above B_+ F has the sign of cos(theta0), below B_- the opposite sign, so
     this checks sign(cos theta0) * F >= 0 on y >= B_+(x) and <= 0 on
     y <= B_-(x) across the given oscillation rates (phases of the cos term).
+    A finite C_+- whose C_+- / x overflows raises DomainError naming x; at
+    theta0 = pi/2, C_+- = +-inf and the barriers are +-inf at every x.
     """
     x = as_real(x_grid, "x_grid", above=0)
     off = np.abs(as_real(offsets, "offsets"))
     a_omegas = as_real(a_omegas, "a_omegas")
     if a_omegas.ndim != 1:
         raise DomainError(f"a_omegas must be a 1-D array, got shape {a_omegas.shape}")
+    with np.errstate(over="ignore"):
+        b_plus, b_minus = spec.b_plus(x), spec.b_minus(x)
+    for c, b in ((spec.c_plus, b_plus), (spec.c_minus, b_minus)):
+        if math.isfinite(c) and not np.isfinite(b).all():
+            first = float(x[~np.isfinite(b)][0])
+            raise DomainError(f"barrier curve C / x overflows at x = {first!r} (C = {c!r})")
     orient = np.sign(np.cos(spec.theta0))
     report = {"n_checked": 0, "violations": 0, "worst": 0.0}
     for a_omega in a_omegas:
-        y_hi = spec.b_plus(x)[None, :] + off[:, None]
-        y_lo = spec.b_minus(x)[None, :] - off[:, None]
+        y_hi = b_plus[None, :] + off[:, None]
+        y_lo = b_minus[None, :] - off[:, None]
         f_hi = orient * xy_ode_velocity(x[None, :], y_hi, spec.theta0, a_omega)
         f_lo = orient * xy_ode_velocity(x[None, :], y_lo, spec.theta0, a_omega)
         report["n_checked"] += 2 * f_hi.size

@@ -220,6 +220,8 @@ OUT_OF_RANGE_CASES = {
     "grid.t_values=-1": ["field", *FIG3, *GRID],
     # One rung, so the command's own check, not error_scaling's, refuses it.
     "spa_compare.t=-1": [*SPA_COMPARE, "--set", "spa_compare.omega_ladder=60"],
+    # Before its bound, a negative ladder reached np.log.
+    "spa_compare.omega_ladder=-10 -20 -40": [*SPA_COMPARE],
     # The barrier curves need x > 0; no oscillation rate would check nothing.
     "barriers.x_min=0": ["barriers", "--set", "barriers.theta0_values=0.5"],
     "barriers.x_min=-1": ["barriers", "--set", "barriers.theta0_values=0.5"],
@@ -1021,6 +1023,37 @@ def test_barriers_far_x_is_warning_free(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     doc = json.loads((out / "barriers.json").read_text())
     assert doc["reports"][0]["violations"] == 0
+
+
+def test_barriers_at_an_overflowing_x_fail_cleanly(tmp_path, capsys):
+    # At x = 5e-324 C_+ / x overflows: one numerical-failure line naming x,
+    # no overflow warning and no count of sign violations.
+    out = tmp_path / "bar"
+    code = run_cli("barriers", "--out", out, "--set", "barriers.theta0_values=0.7",
+                   "--set", "barriers.x_min=5e-324")
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("diracflow: numerical failure: ")
+    assert "x = 5e-324" in lines[0]
+    assert not (out / "barriers.json").exists()
+    assert not (out / LOCK_NAME).exists()
+
+
+def test_unused_config_keys_are_reported(tmp_path, capsys):
+    # A key that no command reads is named on stderr and in the manifest, and
+    # the run goes on without it.  [run] seed and out overridden by a flag
+    # are not reported.
+    out = tmp_path / "bar"
+    code = run_cli("barriers", "--out", out, "--seed", "1", "--set", "run.seed=2",
+                   "--set", f"run.out={tmp_path / 'other'}",
+                   "--set", "barriers.theta0_values=0.5", "--set", "barriers.x_cuont=3")
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "diracflow: warning: unused config keys: [barriers] x_cuont\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["notes"]["unused_config_keys"] == ["[barriers] x_cuont"]
+    _, rows = read_csv(out / "barriers.csv")
+    assert len(rows) == 50
 
 
 # =============================================================================

@@ -19,6 +19,7 @@ from diracflow import (
     antipodal_clusters,
     barrier_check,
     barrier_curves,
+    bohmian_observables,
     cayley_klein,
     continuity_residual,
     error_bound_shape,
@@ -38,10 +39,16 @@ from diracflow import (
     schrodinger_trajectory,
     spa_envelopes,
     spa_evaluate,
+    spa_leading_term,
     spa_spinor_grid,
     spa_velocity_field,
+    spherical_cut,
+    sup_error_at_omega,
+    transport_beta,
+    xy_ode_velocity,
 )
 from diracflow.errors import as_real
+from diracflow.specfun import j0_first_zero
 
 FIG3 = PacketParams(sigma=1.0, k0=10.0, theta0=np.pi / 2, omega0=0.0, mass=3.0)
 SPA = SpaParams(p0=1.0, sigma=0.2, omega=60.0)
@@ -102,6 +109,28 @@ CASES = {
         SPA, 1.0, ["a", 1, 2, 3], np.linspace(-1.0, 1.0, 5))),
     "ensemble-n-float": (ValidationError, lambda: run_ensemble(2.5, FIG3, 1.0)),
     "ensemble-n-str": (ValidationError, lambda: run_ensemble("3", FIG3, 1.0)),
+    "ensemble-field-mode-int": (ValidationError,
+                                lambda: run_ensemble(2, FIG3, 1.0, field_mode=5)),
+    "spherical-cut-nan": (DomainError, lambda: spherical_cut(np.nan)),
+    "spherical-cut-inf": (DomainError, lambda: spherical_cut(np.inf)),
+    "spherical-cut-str": (DomainError, lambda: spherical_cut("a")),
+    "barrier-curves-str": (DomainError, lambda: barrier_curves("a")),
+    "barrier-curves-none": (DomainError, lambda: barrier_curves(None)),
+    "xy-velocity-theta0-str": (DomainError, lambda: xy_ode_velocity(1.0, 1.0, "a", 1.0)),
+    "transport-beta-str": (DomainError, lambda: transport_beta("a", 3)),
+    "transport-beta-omega-t-inf": (DomainError, lambda: transport_beta(0.5, np.inf)),
+    "leading-term-hess-nan": (DomainError, lambda: spa_leading_term(1, 0, np.nan, 2, 1.0)),
+    "leading-term-hess-str": (DomainError, lambda: spa_leading_term(1, 0, "a", 2, 1.0)),
+    "leading-term-omega-zero": (DomainError, lambda: spa_leading_term(1, 0, 1, 2, 0.0)),
+    "spa-point-horizon-str": (DomainError, lambda: spa_evaluate(1, 0, SPA, t_horizon="a")),
+    "spa-point-horizon-nan": (DomainError, lambda: spa_evaluate(1, 0, SPA, t_horizon=np.nan)),
+    "sup-error-s-str": (DomainError, lambda: sup_error_at_omega(SPA, 50, 1, ["a"])),
+    "sup-error-omega-str": (ValidationError, lambda: sup_error_at_omega(SPA, "a", 1, [0.0])),
+    "bohmian-mass-nan": (DomainError,
+                         lambda: bohmian_observables(cayley_klein(Spinor(0.6, 0.8)), np.nan)),
+    # C_+ / x overflows at the smallest subnormal x.
+    "barrier-x-overflow": (DomainError, lambda: barrier_check(barrier_curves(0.7), [1.0],
+                                                              [5e-324, 1.0], [0.0])),
 }
 
 
@@ -151,6 +180,7 @@ def test_parameter_constructors_raise_a_validation_error(case):
 # Every argument with a lower bound, just past it: (class, op, call).  Each
 # site raises the class it raised before its bound moved into as_real.
 BELOW_ZERO = -5e-324
+HALF_J0 = j0_first_zero() / 2
 BOUND_CASES = {
     "quad-rel-tol": (ValidationError, ">", lambda: QuadConfig(rel_tol=0.0)),
     "quad-abs-tol": (ValidationError, ">", lambda: QuadConfig(abs_tol=0.0)),
@@ -179,6 +209,26 @@ BOUND_CASES = {
     "bifurcation-tol-s": (ValidationError, ">", lambda: find_bifurcation(FIG3, 8.0, 0.0)),
     "barrier-x": (DomainError, ">", lambda: barrier_check(barrier_curves(0.7), [1.0],
                                                           [1.0, 0.0], [0.0])),
+    # The lower ends of the intervals.
+    "packet-sigma": (ValidationError, ">=", lambda: _packet(sigma=1e-300)),
+    "packet-theta0": (ValidationError, ">=", lambda: _packet(theta0=BELOW_ZERO)),
+    "packet-omega0": (ValidationError, ">=", lambda: _packet(omega0=BELOW_ZERO)),
+    "mixed-vartheta": (ValidationError, ">=",
+                       lambda: PacketParams.mixed_energy_eigen(1, 10, 3, BELOW_ZERO)),
+    "macroscopic-vartheta": (ValidationError, ">=",
+                             lambda: PacketParams.macroscopic(1, 1, 60, BELOW_ZERO)),
+    "spa-vartheta": (ValidationError, ">=",
+                     lambda: SpaParams(p0=1.0, sigma=0.2, omega=60.0, vartheta=BELOW_ZERO)),
+    "transport-alpha": (DomainError, ">", lambda: transport_beta(0.0, 10.0)),
+    "transport-omega-t": (DomainError, ">", lambda: transport_beta(0.5, HALF_J0)),
+    "spherical-cut": (DomainError, ">", lambda: spherical_cut(HALF_J0)),
+    "error-scaling-omega-t": (ValidationError, ">", lambda: error_scaling(
+        SPA, 0.01, [1, 2, 4, 8], np.linspace(-1.0, 1.0, 5))),
+    "error-scaling-ladder": (ValidationError, ">", lambda: error_scaling(
+        SPA, -1.0, [-10, -20, -40, -80], np.linspace(-1.0, 1.0, 5))),
+    "continuity-t": (DomainError, ">=", lambda: continuity_residual(0.5, 0.0, FIG3, h=0.75)),
+    "xy-velocity-theta0": (DomainError, ">", lambda: xy_ode_velocity(1.0, 1.0, 5e-324, 1.0)),
+    "barrier-curves-theta0": (DomainError, ">", lambda: barrier_curves(5e-324)),
 }
 
 
@@ -191,6 +241,57 @@ def test_lower_bounds_have_one_message(case):
     assert type(info.value) is expected
     assert f" must be {op} " in str(info.value)
     assert not caught
+
+
+# Every argument with an upper bound, just past it.
+ABOVE_PI = np.nextafter(np.pi, 4.0)
+UPPER_BOUND_CASES = {
+    "packet-sigma": (ValidationError, "<=", lambda: _packet(sigma=1e154)),
+    "packet-theta0": (ValidationError, "<=", lambda: _packet(theta0=ABOVE_PI)),
+    "packet-omega0": (ValidationError, "<", lambda: _packet(omega0=2 * np.pi)),
+    "mixed-vartheta": (ValidationError, "<=",
+                       lambda: PacketParams.mixed_energy_eigen(1, 10, 3, ABOVE_PI)),
+    "macroscopic-vartheta": (ValidationError, "<=",
+                             lambda: PacketParams.macroscopic(1, 1, 60, ABOVE_PI)),
+    "spa-vartheta": (ValidationError, "<=",
+                     lambda: SpaParams(p0=1.0, sigma=0.2, omega=60.0, vartheta=ABOVE_PI)),
+    "transport-alpha": (DomainError, "<=", lambda: transport_beta(np.nextafter(1.0, 2.0), 10.0)),
+    "xy-velocity-theta0": (DomainError, "<", lambda: xy_ode_velocity(1.0, 1.0, np.pi, 1.0)),
+    "barrier-curves-theta0": (DomainError, "<", lambda: barrier_curves(np.pi)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UPPER_BOUND_CASES))
+def test_upper_bounds_have_one_message(case):
+    expected, op, call = UPPER_BOUND_CASES[case]
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(expected) as info:
+        warnings.simplefilter("always")
+        call()
+    assert type(info.value) is expected
+    assert f" must be {op} " in str(info.value)
+    assert not caught
+
+
+def test_interval_bounds_accept_the_bound():
+    assert _packet(theta0=np.pi, omega0=0.0).theta0 == np.pi
+    assert PacketParams.macroscopic(1, 1, 60, np.pi).theta0 == np.pi
+    assert PacketParams.mixed_energy_eigen(1, 10, 3, np.pi).sigma == 1
+    assert SpaParams(p0=1.0, sigma=0.2, omega=60.0, vartheta=np.pi).vartheta == np.pi
+    assert transport_beta(1.0, 10.0) == j0_first_zero() ** 2 / 400
+    spec = barrier_curves(1e-323)
+    assert np.isfinite([spec.c_plus, spec.c_minus]).all()
+    assert np.isfinite(continuity_residual(0.5, 0.0, FIG3, h=0.5))
+
+
+def test_as_real_reports_the_largest_value_past_an_upper_bound():
+    with pytest.raises(DomainError, match=r"^x must be < 1, got 3\.0$"):
+        as_real([1.0, 3.0, 2.0], "x", below=1)
+    with pytest.raises(ValidationError, match=r"^y must be <= 0\.5, got 0\.75$"):
+        as_real(0.75, "y", scalar=True, error=ValidationError, at_least=0, at_most=0.5)
+    # The lower bound is checked first.
+    with pytest.raises(DomainError, match=r"^z must be >= 0, got -1\.0$"):
+        as_real([-1.0, 9.0], "z", at_least=0, at_most=1)
+    assert as_real([], "x", above=0, below=0).size == 0
 
 
 def test_at_least_bounds_accept_the_bound():
@@ -210,52 +311,51 @@ def test_as_real_reports_the_smallest_value():
     assert as_real([], "x", above=0).size == 0
 
 
-# Lower bounds kept as written: the integer seed and --workers checks, and
-# preconditions on a packet whose numbers PacketParams has already checked
-# (the spherical route's mass, SpaParams.from_packet's mass).
-KEPT_BOUNDS = {("cli.py", "seed"), ("cli.py", "args.workers"), ("dirac_exact.py", "omega"),
-               ("spa.py", "data.mass")}
-_FLIPPED = {ast.Lt: ast.Gt, ast.LtE: ast.GtE, ast.Gt: ast.Lt, ast.GtE: ast.LtE}
-
-
-def _is_number(node) -> bool:
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        node = node.operand
-    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+# Order comparisons kept as written in a raising ``if``; none is a range
+# check on a real number the caller passes.
+KEPT_BOUNDS = {
+    # Integer checks: the seeds, --workers, the ensemble size, grid counts and shapes.
+    ("cli.py", "seed < 0"), ("trajectories.py", "seed < 0"), ("cli.py", "args.workers < 1"),
+    ("trajectories.py", "1 <= n <= MAX_ENSEMBLE_SIZE"), ("cli.py", "count < 1"),
+    ("cli.py", "count > MAX_GRID_POINTS"), ("cli.py", "x.size * offsets.size > MAX_GRID_POINTS"),
+    ("dirac_exact.py", "s_arr.ndim > 1"), ("spa.py", "ladder.size < 4"),
+    # Preconditions on a packet whose numbers PacketParams has already checked
+    # (the spherical route's mass, SpaParams.from_packet's mass).
+    ("dirac_exact.py", "omega <= 0"), ("spa.py", "data.mass <= 0"),
+    # An energy eigen-packet's angles equal the eigenspinor's, to 1e-12.
+    ("packets.py", "abs(self.theta0 - expect[0]) > 1e-12"),
+    ("packets.py", "abs(self.omega0 - expect[1]) > 1e-12"),
+    # Order checks between two values: get_grid's two keys, two trajectories' spans.
+    ("cli.py", "hi < lo"), ("trajectories.py", "t1 <= t0"),
+}
+_ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
 def _hand_written_bounds(path: Path) -> list:
-    """(file, name, line) of each ``if [not] name <op> number: raise`` lower-bound block.
+    """(file, comparison, line) of each order comparison in an ``if`` test that raises.
 
-    A name is a variable, an attribute or a call; the block raises
-    ValidationError or DomainError where the name lies below the number.
+    The block raises ValidationError or DomainError directly; the comparison
+    may be chained, negated, inside ``and``/``or`` or inside a call such as
+    ``all(...)``, and either side may be any expression, such as ``j0 / 2``.
     """
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if not isinstance(node, ast.If):
             continue
-        test, negated = node.test, False
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            test, negated = test.operand, True
-        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-                and type(test.ops[0]) in _FLIPPED):
-            continue
-        (left, right), op = (test.left, test.comparators[0]), type(test.ops[0])
-        if _is_number(left):
-            (left, right), op = (right, left), _FLIPPED[op]
-        if not (isinstance(left, (ast.Name, ast.Attribute, ast.Call)) and _is_number(right)):
-            continue
         raised = {stmt.exc.func.id for stmt in node.body if isinstance(stmt, ast.Raise)
                   and isinstance(stmt.exc, ast.Call) and isinstance(stmt.exc.func, ast.Name)}
-        below = op in ((ast.Gt, ast.GtE) if negated else (ast.Lt, ast.LtE))
-        if below and raised & {"ValidationError", "DomainError"}:
-            found.append((path.name, ast.unparse(left), node.lineno))
+        if not raised & {"ValidationError", "DomainError"}:
+            continue
+        found += [(path.name, ast.unparse(test), test.lineno) for test in ast.walk(node.test)
+                  if isinstance(test, ast.Compare) and any(isinstance(op, _ORDER)
+                                                           for op in test.ops)]
     return found
 
 
 def test_no_hand_written_lower_bounds():
-    # A lower bound on a caller's number is as_real's above= or at_least=,
-    # so that every violation is detected and worded in one place.
+    # A bound on a caller's number, lower or upper, is as_real's above=,
+    # at_least=, below= or at_most=, so that every violation is detected and
+    # worded in one place.
     package = Path(diracflow.__file__).parent
     found = [site for path in sorted(package.glob("*.py")) for site in _hand_written_bounds(path)]
     assert not [site for site in found if site[:2] not in KEPT_BOUNDS], found

@@ -149,6 +149,18 @@ def test_barrier_degenerate_angles():
             barrier_curves(theta0)
 
 
+def test_barrier_check_at_an_overflowing_x():
+    # C_+- / x overflows at x = 5e-324, which raises; at theta0 = pi/2,
+    # where C_+- = +-inf, the check runs as before, with no warning.
+    with pytest.raises(DomainError, match=r"overflows at x = 5e-324"):
+        barrier_check(barrier_curves(0.7), [1.0], [5e-324, 1.0], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = barrier_check(barrier_curves(np.pi / 2), [1.0, 3.7], [5e-324, 1e-300, 1.0],
+                               [0.0, 1.0])
+    assert report == {"n_checked": 24, "violations": 0, "worst": 0.0}
+
+
 def test_barrier_sign_regions():
     x = np.linspace(0.2, 5.0, 50)
     offsets = np.linspace(0.0, 3.0, 50)
